@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import chisquare
 
 from . import scheme
 from .linalg import rank_mod
@@ -198,25 +197,25 @@ def verify_privacy(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _canon(query: list[list[int]]) -> tuple:
-    return tuple(tuple(row) for row in query)
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _verify_privacy_exhaustive(params: SystemParams, budget: int) -> PrivacyReport:
     size = scheme.query_space_size(params)
     if size > budget:
         raise BudgetExceededError(f"|query space| = {size} exceeds budget {budget}")
-    space = [_canon(q) for q in scheme.enumerate_query_space(params)]
-    universe = set(space)
+    space = np.array(list(scheme.enumerate_query_space(params)))
+    # The space holds each query once, so server t's image of it is the
+    # whole space exactly when the sorted images equal the sorted space.
+    universe = _sorted_rows(space.reshape(size, -1))
     details = []
     passed = True
     for theta in range(params.m_files):
+        served = scheme.server_queries(space, np.full(size, theta), params)
         for t in range(params.n_servers):
-            image = {
-                _canon(scheme.build_server_query([list(r) for r in q], theta, t, params))
-                for q in space
-            }
-            ok = image == universe
+            image = _sorted_rows(served[:, t].reshape(size, -1))
+            ok = bool(np.array_equal(image, universe))
             passed &= ok
             details.append({"theta": theta, "server": t, "bijection": ok})
     return PrivacyReport("exhaustive", passed, details)
@@ -225,6 +224,10 @@ def _verify_privacy_exhaustive(params: SystemParams, budget: int) -> PrivacyRepo
 def _verify_privacy_statistical(
     params: SystemParams, rng: np.random.Generator, samples: int, significance: float
 ) -> PrivacyReport:
+    # Imported here: scipy costs every process that imports the package
+    # tens of megabytes, and only this verifier needs it.
+    from scipy.stats import chisquare
+
     n, k, m = params.n_reduced, params.k_reduced, params.m_files
     master = scheme.sample_master_queries(params, rng, samples)
     details = []

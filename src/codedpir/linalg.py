@@ -1,13 +1,33 @@
 """
-Gaussian elimination over F_p on plain int matrices.
+Matrix arithmetic over F_p.
 
-Matrices are lists of row lists.  Pivoting is first-nonzero in column
-order, which keeps elimination deterministic.
+`matmul_mod` is the one matrix product of the package: every encode,
+answer decode and decode-map build goes through it, so the int64
+overflow rule lives in one place.  Gaussian elimination works on plain
+int matrices given as lists of row lists; pivoting is first-nonzero in
+column order, which keeps elimination deterministic.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .gf import inv_mod
+
+_INT64_LIMIT = 2**63
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for int64 operands with entries in [0:p).
+
+    int64 holds every partial sum while inner * (p-1)^2 < 2^63; beyond
+    that the product is taken over Python ints, which is exact for any
+    p and slower.
+    """
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 < _INT64_LIMIT:
+        return (a @ b) % p
+    return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
 class SingularMatrixError(ValueError):
@@ -18,7 +38,7 @@ def rank_mod(rows: list[list[int]], p: int) -> int:
     """Rank of a matrix over F_p."""
     if not rows:
         return 0
-    m = [[x % p for x in row] for row in rows]
+    m = [[int(x) % p for x in row] for row in rows]
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     for col in range(n_cols):

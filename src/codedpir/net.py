@@ -281,7 +281,10 @@ def _query_one(
         raise ServerSideError(*decode_error_payload(payload))
     if msg_type != MSG_ANSWER:
         raise WireError("expected ANSWER")
-    return decode_answer_payload(payload), len(payload)
+    answer = decode_answer_payload(payload)
+    if any(value is not None and value >= params.prime for value in answer):
+        raise WireError(f"answer value out of [0:{params.prime})")
+    return answer, len(payload)
 
 
 def client_retrieve(
@@ -291,18 +294,19 @@ def client_retrieve(
     seed: int,
     timeout: float = 5.0,
 ) -> RetrievalResult:
-    """Networked retrieval; same seed gives the same file as scheme.retrieve."""
+    """Networked retrieval; same seed gives the same file as scheme.retrieve.
+
+    An answer that does not fit its query (length, NULL pattern, a value
+    outside [0:p)) aborts the retrieval with RetrievalAbortedError naming
+    the server, its cause a WireError or scheme.AnswerMismatchError.
+    """
     addresses = list(server_addresses)
     if len(addresses) != params.n_servers:
         raise ParameterMismatch(
             f"need {params.n_servers} server addresses, got {len(addresses)}"
         )
-    rng = scheme.make_rng(seed)
-    master = scheme.gen_master_query(params, rng)
-    queries = [
-        scheme.build_server_query(master, theta, t, params)
-        for t in range(params.n_servers)
-    ]
+    master = scheme.sample_master_queries(params, scheme.make_rng(seed), 1)
+    queries = scheme.server_queries(master, [theta], params)[0].tolist()
     answers: list[list[int | None] | None] = [None] * params.n_servers
     payload_bytes = 0
     with ThreadPoolExecutor(max_workers=params.n_servers) as pool:
@@ -317,7 +321,10 @@ def client_retrieve(
             except Exception as exc:
                 raise RetrievalAbortedError(t, exc) from exc
     code = make_code(params.n_servers, params.k_mds, params.prime)
-    source = scheme.decode(answers, master, theta, params, code)
+    try:
+        source = scheme.decode(answers, master[0], theta, params, code)
+    except scheme.AnswerMismatchError as exc:
+        raise RetrievalAbortedError(exc.server_index, exc) from exc
     return RetrievalResult(
         source=source,
         download_elements=scheme.realized_download(answers),

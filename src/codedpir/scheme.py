@@ -7,16 +7,25 @@ A retrieval samples a k x M master query whose columns are uniform
 partial permutations of [0:n), shifts the desired file's column by the
 server index, and lets each server answer in k independent rounds.
 Rounds whose query row falls entirely in the dummy range [n-k:n) are
-NULL and cost nothing; everything else is one field element.  The
-decoder cancels interference by erasure-decoding it across servers and
-then erasure-decodes each row of the desired file.
+NULL and cost nothing; everything else is one field element.
 
-Query matrices are k x M lists of row lists with entries in [0:n);
-answers are length-k lists with None marking NULL rounds.
+The protocol runs as one batch engine on numpy arrays whose leading
+axis counts retrievals: T master queries are (T, k, M), the servers'
+queries (T, N, k, M) and their answers (T, N, k).  A server's storage
+is one dense (M, n) array whose dummy rows are real zeros, so a round's
+answer is a gather-sum over it.  Decoding is linear: once the desired
+file's master column c is fixed, one (lam*K x N*k) matrix D_c maps the
+N*k answers to the file, and D_c is cached per column on the code.  A
+single retrieval is a batch of one; sim.run_trials runs many.
+
+The list-based calls (gen_master_query, build_server_query,
+server_answer, decode) carry what travels over the wire: k x M query
+row lists, and length-k answer lists with None marking NULL rounds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,12 +35,28 @@ from pathlib import Path
 import numpy as np
 
 from .gf import is_prime
+from .linalg import matmul_mod
 from .rs import MdsCode, make_code
 
 DEFAULT_PRIME = 257
 
 STORAGE_FORMAT = "pir-mds-storage/1"
 SOURCE_FORMAT = "pir-mds-source/1"
+
+# A query on the wire carries p as a u32 and its entries as u16s.
+PRIME_LIMIT = 2**32
+MAX_REDUCED_N = 2**16 - 1
+
+# Queries up to this many entries are answered by a loop.  A server
+# answers each connection in a new thread, where numpy's per-call and
+# first-call costs made a 9-entry (5,3,3) answer about 150 us dearer
+# than the loop; at 1280 entries, (8,5,256), numpy's gather-sum is
+# several times faster than the loop.
+SMALL_QUERY_ENTRIES = 128
+
+# Bytes of decode maps one code keeps: every column of (5,3) fits, and
+# about a hundred of the 6720 columns of (8,5).
+DECODE_MAP_CACHE_BYTES = 1 << 19
 
 
 class ParameterError(ValueError):
@@ -40,6 +65,16 @@ class ParameterError(ValueError):
 
 class ProtocolError(ValueError):
     """Malformed query or answer."""
+
+
+class AnswerMismatchError(ProtocolError):
+    """An answer vector does not fit the query it answers: a wrong
+    length, a NULL in a live round, a value in a NULL round, or a value
+    outside [0:p)."""
+
+    def __init__(self, server_index: int, detail: str):
+        super().__init__(f"server {server_index}: {detail}")
+        self.server_index = server_index
 
 
 class DecodingError(RuntimeError):
@@ -64,7 +99,10 @@ class SystemParams:
         return self.n_reduced - self.k_reduced
 
 
+@functools.lru_cache(maxsize=64)
 def derive_params(n_servers: int, k_mds: int, m_files: int, prime: int) -> SystemParams:
+    """Checked parameters of an (N, K, M, p) system, memoized: each
+    storage file loaded checks p for primality again otherwise."""
     if k_mds < 1 or n_servers <= k_mds:
         raise ParameterError(f"need N > K >= 1, got N={n_servers}, K={k_mds}")
     if m_files <= 1:
@@ -73,9 +111,13 @@ def derive_params(n_servers: int, k_mds: int, m_files: int, prime: int) -> Syste
         raise ParameterError(f"p={prime} is not prime")
     if prime < n_servers:
         raise ParameterError(f"p={prime} < N={n_servers}")
+    if prime >= PRIME_LIMIT:
+        raise ParameterError(f"p={prime} does not fit the wire's u32 field")
     d = math.gcd(n_servers, k_mds)
     n = n_servers // d
     k = k_mds // d
+    if n > MAX_REDUCED_N:
+        raise ParameterError(f"n={n} > {MAX_REDUCED_N}: query entries are u16 on the wire")
     lam = n - k
     return SystemParams(
         n_servers=n_servers,
@@ -90,16 +132,24 @@ def derive_params(n_servers: int, k_mds: int, m_files: int, prime: int) -> Syste
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ServerStorage:
-    """Column t of every encoded file; dummy rows are virtual zeros."""
+    """What server t holds: one dense, read-only (M, n) int64 array.
+
+    symbols[i, j] is symbol t of the codeword of row j of file i, for
+    j < lam; rows j in the dummy range [lam:n) are real zeros, so a
+    query entry there adds nothing to an answer.
+    """
 
     server_index: int
-    fragments: tuple[tuple[int, ...], ...]  # M fragments of length lam
+    symbols: np.ndarray
 
-    def read(self, file_index: int, row: int) -> int:
-        frag = self.fragments[file_index]
-        return frag[row] if row < len(frag) else 0
+    def __eq__(self, other):
+        if not isinstance(other, ServerStorage):
+            return NotImplemented
+        return self.server_index == other.server_index and np.array_equal(
+            self.symbols, other.symbols
+        )
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -113,77 +163,38 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def random_sources(params: SystemParams, rng: np.random.Generator) -> list[list[list[int]]]:
     """M random source files, each lam x K over F_p."""
-    return [
-        rng.integers(0, params.prime, size=(params.rows_per_file, params.k_mds)).tolist()
-        for _ in range(params.m_files)
-    ]
+    shape = (params.m_files, params.rows_per_file, params.k_mds)
+    return rng.integers(0, params.prime, size=shape).tolist()
 
 
 def encode_system(params: SystemParams, sources, code: MdsCode | None = None):
-    """Encode M source files and slice them into N server storages."""
+    """Encode M source files and slice them into N server storages.
+
+    Returns (encoded, storages): encoded[i, j] is the length-N codeword
+    of row j of file i, an (M, lam, N) array from one matmul with the
+    code's generator.
+    """
     if code is None:
         code = make_code(params.n_servers, params.k_mds, params.prime)
     if len(sources) != params.m_files:
         raise ParameterError(f"expected {params.m_files} source files, got {len(sources)}")
-    encoded = []
-    for src in sources:
-        if len(src) != params.rows_per_file or any(len(r) != params.k_mds for r in src):
-            raise ParameterError(
-                f"source must be {params.rows_per_file} x {params.k_mds}"
-            )
-        encoded.append([code.encode(list(row)) for row in src])
-    storages = [
-        ServerStorage(
-            server_index=t,
-            fragments=tuple(
-                tuple(enc[j][t] for j in range(params.rows_per_file)) for enc in encoded
-            ),
-        )
-        for t in range(params.n_servers)
-    ]
-    return encoded, storages
+    lam, kk = params.rows_per_file, params.k_mds
+    try:
+        rows = np.array(sources, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ParameterError(f"source must be {lam} x {kk} integers") from exc
+    if rows.shape != (params.m_files, lam, kk):
+        raise ParameterError(f"source must be {lam} x {kk}")
+    p, nn = params.prime, params.n_servers
+    encoded = matmul_mod(rows.reshape(-1, kk) % p, code.generator, p).reshape(-1, lam, nn)
+    symbols = np.zeros((nn, params.m_files, params.n_reduced), dtype=np.int64)
+    symbols[:, :, :lam] = encoded.transpose(2, 0, 1)
+    symbols.flags.writeable = False
+    return encoded, [ServerStorage(t, symbols[t]) for t in range(nn)]
 
 
 # ---------------------------------------------------------------------------
 # queries
-
-
-def sample_column(params: SystemParams, rng: np.random.Generator) -> list[int]:
-    """Uniform k-out-of-n partial permutation (first k of a full shuffle)."""
-    return rng.permutation(params.n_reduced)[: params.k_reduced].tolist()
-
-
-def gen_master_query(params: SystemParams, rng: np.random.Generator) -> list[list[int]]:
-    cols = [sample_column(params, rng) for _ in range(params.m_files)]
-    return [[cols[i][s] for i in range(params.m_files)] for s in range(params.k_reduced)]
-
-
-def build_server_query(
-    master: list[list[int]], theta: int, server: int, params: SystemParams
-) -> list[list[int]]:
-    if not 0 <= theta < params.m_files:
-        raise ParameterError(f"theta={theta} out of [0:{params.m_files})")
-    if not 0 <= server < params.n_servers:
-        raise ParameterError(f"server={server} out of [0:{params.n_servers})")
-    n = params.n_reduced
-    query = [list(row) for row in master]
-    for row in query:
-        row[theta] = (row[theta] + server) % n
-    return query
-
-
-def validate_query(query: list[list[int]], params: SystemParams) -> None:
-    k, m, n = params.k_reduced, params.m_files, params.n_reduced
-    if len(query) != k or any(len(row) != m for row in query):
-        raise ProtocolError(f"query must be {k} x {m}")
-    for row in query:
-        for entry in row:
-            if not 0 <= entry < n:
-                raise ProtocolError(f"query entry {entry} out of [0:{n})")
-    for i in range(m):
-        col = [query[s][i] for s in range(k)]
-        if len(set(col)) != k:
-            raise ProtocolError(f"query column {i} has repeated entries")
 
 
 def sample_master_queries(
@@ -192,11 +203,70 @@ def sample_master_queries(
     """(count, k, M) array of master-query entries, columns uniform on Omega.
 
     argsort of iid uniforms is a uniform permutation; the first k slots
-    of it are a uniform partial permutation, matching sample_column.
+    of it are a uniform partial permutation of [0:n).
     """
     n, k, m = params.n_reduced, params.k_reduced, params.m_files
     perms = np.argsort(rng.random((count, m, n)), axis=2)[:, :, :k]
     return perms.transpose(0, 2, 1)
+
+
+def gen_master_query(params: SystemParams, rng: np.random.Generator) -> list[list[int]]:
+    """One master query as k row lists."""
+    return sample_master_queries(params, rng, 1)[0].tolist()
+
+
+def server_queries(masters, thetas, params: SystemParams) -> np.ndarray:
+    """(T, N, k, M) queries of every server for T masters and desired files.
+
+    Server t's query is the master with the desired file's column
+    shifted by t mod n.
+    """
+    masters = np.asarray(masters)
+    thetas = np.asarray(thetas, dtype=np.int64)
+    # As unsigned, a negative theta is huge: one reduction checks both ends.
+    if thetas.view(np.uint64).max() >= params.m_files:
+        bad = thetas[(thetas < 0) | (thetas >= params.m_files)][0]
+        raise ParameterError(f"theta={bad} out of [0:{params.m_files})")
+    nn, n = params.n_servers, params.n_reduced
+    batch = np.arange(len(masters))
+    queries = np.repeat(masters[:, None], nn, axis=1)
+    shift = np.arange(nn)[:, None]
+    queries[batch, :, :, thetas] = (masters[batch, :, thetas][:, None, :] + shift) % n
+    return queries
+
+
+def build_server_query(
+    master: list[list[int]], theta: int, server: int, params: SystemParams
+) -> list[list[int]]:
+    if not 0 <= server < params.n_servers:
+        raise ParameterError(f"server={server} out of [0:{params.n_servers})")
+    return server_queries([master], [theta], params)[0, server].tolist()
+
+
+def validate_query(query, params: SystemParams) -> np.ndarray:
+    """The query, or a stack of queries (..., k, M), as an int64 array.
+
+    Raises ProtocolError unless every column holds k distinct entries
+    of [0:n).
+    """
+    k, m, n = params.k_reduced, params.m_files, params.n_reduced
+    try:
+        q = np.asarray(query, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ProtocolError(f"query must be {k} x {m} integers") from exc
+    if q.ndim < 2 or q.shape[-2:] != (k, m):
+        raise ProtocolError(f"query must be {k} x {m}")
+    if q.view(np.uint64).max() >= n:
+        entry = q[(q < 0) | (q >= n)][0]
+        raise ProtocolError(f"query entry {entry} out of [0:{n})")
+    # Entry pairs of a column that are equal: only the k self-pairs when
+    # its entries are distinct.  (np.sort releases and retakes the GIL
+    # on every call, a thread hand-off per query in a threaded server.)
+    equal = q[..., :, None, :] == q[..., None, :, :]
+    if np.count_nonzero(equal) != q.size:
+        column = np.nonzero(equal.sum(axis=(-3, -2)) > k)[-1][0]
+        raise ProtocolError(f"query column {column} has repeated entries")
+    return q
 
 
 def enumerate_omega(params: SystemParams):
@@ -225,25 +295,54 @@ def enumerate_query_space(params: SystemParams):
 # answers
 
 
+def answer_queries(symbols: np.ndarray, queries: np.ndarray, params: SystemParams) -> np.ndarray:
+    """Round answers (..., S, k) of S servers to validated queries (..., S, k, M).
+
+    `symbols` stacks the servers' storage arrays, (S, M, n).  Each
+    answer is the sum of the rows its round selects, one per file, in
+    one gather; NULL rounds select only dummy rows and read 0.
+    """
+    servers = np.arange(len(symbols))[:, None, None]
+    files = np.arange(params.m_files)
+    return symbols[servers, files, queries].sum(axis=-1) % params.prime
+
+
+def live_rounds(queries: np.ndarray, params: SystemParams) -> np.ndarray:
+    """(..., k) mask of the rounds that transmit: some entry below n-k."""
+    return (queries < params.dummy_low).any(axis=-1)
+
+
 def server_answer(
     storage: ServerStorage, query: list[list[int]], params: SystemParams
 ) -> list[int | None]:
     """k per-round responses; None marks a NULL (silent) round.
 
     The server sees only its own query, never the desired file index.
+    A query of more than SMALL_QUERY_ENTRIES entries is validated and
+    answered by the batch engine; a smaller one by a loop with the same
+    checks and messages, which is cheaper than a dozen numpy calls.
     """
-    validate_query(query, params)
-    p = params.prime
-    low = params.dummy_low
-    answer: list[int | None] = []
+    k, m, n = params.k_reduced, params.m_files, params.n_reduced
+    if len(query) != k or any(len(row) != m for row in query):
+        raise ProtocolError(f"query must be {k} x {m}")
+    if k * m > SMALL_QUERY_ENTRIES:
+        q = validate_query(query, params)
+        values = answer_queries(storage.symbols[None], q[None], params)[0].tolist()
+        live = live_rounds(q, params).tolist()
+        return [value if is_live else None for value, is_live in zip(values, live)]
     for row in query:
-        if all(entry >= low for entry in row):
-            answer.append(None)
-        else:
-            answer.append(
-                sum(storage.read(i, entry) for i, entry in enumerate(row)) % p
-            )
-    return answer
+        for entry in row:
+            if not 0 <= entry < n:
+                raise ProtocolError(f"query entry {entry} out of [0:{n})")
+    for i in range(m):
+        if len({row[i] for row in query}) != k:
+            raise ProtocolError(f"query column {i} has repeated entries")
+    symbol, low, p = storage.symbols.item, params.dummy_low, params.prime
+    return [
+        None if all(entry >= low for entry in row)
+        else sum(symbol(i, entry) for i, entry in enumerate(row)) % p
+        for row in query
+    ]
 
 
 def realized_download(answers) -> int:
@@ -255,6 +354,87 @@ def realized_download(answers) -> int:
 # decoding
 
 
+def decode_map(column, params: SystemParams, code: MdsCode) -> np.ndarray:
+    """The (lam*K x N*k) matrix D_c with file.flat = D_c @ answers.flat mod p.
+
+    `column` is the desired file's master column c = master[:, theta];
+    answers are (N, k), server-major, with 0 in NULL rounds.  Maps are
+    cached on the code, least recently used out first, up to
+    DECODE_MAP_CACHE_BYTES.
+    """
+    key = tuple(column)
+    cache = code.decode_maps
+    with code.decode_maps_lock:
+        found = cache.get(key)
+        if found is not None:
+            cache.move_to_end(key)
+            return found
+    built = _build_decode_map(key, params, code)
+    with code.decode_maps_lock:
+        cache[key] = built
+        while len(cache) > max(1, DECODE_MAP_CACHE_BYTES // built.nbytes):
+            cache.popitem(last=False)
+    return built
+
+
+def _build_decode_map(column: tuple, params: SystemParams, code: MdsCode) -> np.ndarray:
+    """D_c from the code's cached recovery and residual matrices.
+
+    In round s the K servers whose shifted entry c[s]+t lands in the
+    dummy range answer pure interference, a codeword; the residual
+    matrix X_s of their positions strips that codeword from every
+    other server's answer, exposing symbol t of row (c[s]+t) mod n of
+    the desired file.  Each row j then has K exposed symbols at
+    positions Lambda_j, and its K source symbols are
+    R_{Lambda_j}[:, :K]^T times them.
+    """
+    nn, kk, p = params.n_servers, params.k_mds, params.prime
+    n, k, lam = params.n_reduced, params.k_reduced, params.rows_per_file
+    if len(column) != k or len(set(column)) != k or not all(0 <= v < n for v in column):
+        raise DecodingError(f"desired column {column} is not {k} distinct entries of [0:{n})")
+    # row[t, s]: the row of the desired file that server t reads in round s
+    row = (np.array(column, dtype=np.int64) + np.arange(nn)[:, None]) % n
+    # (t, s) of the K exposed symbols of each row j < lam, ascending t
+    exposed = np.argsort(row, axis=None, kind="stable")[: lam * kk].reshape(lam, kk)
+    servers, rounds = np.divmod(exposed, k)
+    residual = np.stack(
+        [code.residual_matrix(tuple(np.flatnonzero(row[:, s] >= lam).tolist())) for s in range(k)]
+    )
+    recovery = np.stack(
+        [code.recovery_matrix(tuple(servers[j].tolist()))[:, :kk].T for j in range(lam)]
+    )
+    exposure = np.zeros((lam, kk, nn, k), dtype=np.int64)
+    rows_j, slots = np.indices((lam, kk))
+    exposure[rows_j, slots, :, rounds] = residual[rounds, servers]
+    d_map = matmul_mod(recovery, exposure.reshape(lam, kk, nn * k), p).reshape(lam * kk, nn * k)
+    d_map.flags.writeable = False
+    return d_map
+
+
+def _answer_values(answers, live: np.ndarray, params: SystemParams) -> np.ndarray:
+    """The N*k answers as int64, 0 in NULL rounds, after checking each
+    against the live rounds (N, k) its query implies."""
+    k, p = params.k_reduced, params.prime
+    if len(answers) != params.n_servers:
+        raise DecodingError(f"expected {params.n_servers} answer vectors, got {len(answers)}")
+    values = []
+    for t, (answer, expected) in enumerate(zip(answers, live.tolist())):
+        if len(answer) != k:
+            raise AnswerMismatchError(t, f"{len(answer)} rounds answered, the query has {k}")
+        for s, (value, is_live) in enumerate(zip(answer, expected)):
+            if value is None:
+                if is_live:
+                    raise AnswerMismatchError(t, f"round {s} is live but came back NULL")
+                values.append(0)
+            elif not is_live:
+                raise AnswerMismatchError(t, f"round {s} is NULL but carries a value")
+            elif not 0 <= value < p:
+                raise AnswerMismatchError(t, f"round {s} value {value} out of [0:{p})")
+            else:
+                values.append(value)
+    return np.array(values, dtype=np.int64)
+
+
 def decode(
     answers,
     master: list[list[int]],
@@ -262,46 +442,62 @@ def decode(
     params: SystemParams,
     code: MdsCode,
 ) -> list[list[int]]:
-    """Reconstruct source file theta from all N answers.
+    """Reconstruct source file theta from all N answers as D_c @ answers.
 
-    Per round: identify the K servers whose shifted index lands in the
-    dummy range (their answers are pure interference), erasure-decode
-    the interference codeword from them, subtract it at the remaining
-    servers to expose coded symbols of the desired file, then
-    erasure-decode each of the lam rows from its K exposed symbols.
+    Each answer vector must have the length and NULL pattern that its
+    server's query implies and values in [0:p); AnswerMismatchError
+    names the first server whose answer does not.
     """
-    nn, kk = params.n_servers, params.k_mds
-    n, k = params.n_reduced, params.k_reduced
-    lam, p, low = params.rows_per_file, params.prime, params.dummy_low
-    if len(answers) != nn:
-        raise DecodingError(f"expected {nn} answer vectors, got {len(answers)}")
+    master = np.asarray(master)
+    queries = server_queries(master[None], [theta], params)[0]
+    values = _answer_values(answers, live_rounds(queries, params), params)
+    d_map = decode_map(master[:, theta].tolist(), params, code)
+    source = matmul_mod(d_map, values, params.prime)
+    return source.reshape(params.rows_per_file, params.k_mds).tolist()
 
-    exposed: dict[int, list[tuple[int, int]]] = {j: [] for j in range(lam)}
-    for s in range(k):
-        v = master[s][theta]
-        delta = [t for t in range(nn) if (v + t) % n >= low]
-        if len(delta) != kk:
-            raise DecodingError(f"round {s}: |Delta| = {len(delta)} != K={kk}")
-        known = []
-        for t in delta:
-            a = answers[t][s]
-            known.append((t, 0 if a is None else a))
-        interference = code.erasure_decode(known)
-        for t in range(nn):
-            j = (v + t) % n
-            if j >= low:
-                continue
-            a = answers[t][s]
-            a = 0 if a is None else a
-            exposed[j].append((t, (a - interference[t]) % p))
 
-    rows = []
-    for j in range(lam):
-        if len(exposed[j]) != kk:
-            raise DecodingError(f"row {j}: |Lambda| = {len(exposed[j])} != K={kk}")
-        codeword = code.erasure_decode(exposed[j])
-        rows.append(code.message_of(codeword))
-    return rows
+def decode_batch(
+    answers: np.ndarray, columns: np.ndarray, params: SystemParams, code: MdsCode
+) -> np.ndarray:
+    """Files (T, lam, K) from answers (T, N, k), 0 in NULL rounds, and the
+    desired columns (T, k): one matmul per distinct column."""
+    count = len(answers)
+    flat = answers.reshape(count, -1)
+    files = np.empty((count, params.rows_per_file * params.k_mds), dtype=np.int64)
+    for key, members in _group_rows(columns):
+        d_map = decode_map(key, params, code)
+        files[members] = matmul_mod(flat[members], d_map.T, params.prime)
+    return files.reshape(count, params.rows_per_file, params.k_mds)
+
+
+def _group_rows(rows: np.ndarray):
+    """(row as a tuple, indices of its copies) for each distinct row."""
+    if len(rows) == 1:
+        return [(tuple(rows[0].tolist()), slice(None))]
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = [0, *(np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1).tolist()]
+    stops = starts[1:] + [len(rows)]
+    return [
+        (tuple(key), order[start:stop])
+        for key, start, stop in zip(ordered[starts].tolist(), starts, stops)
+    ]
+
+
+def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCode):
+    """T retrievals in process, answered and decoded as one batch.
+
+    Every server query is validated as its server would validate it.
+    Returns the decoded files (T, lam, K) and the live-round mask
+    (T, N, k), whose sum is the download.
+    """
+    masters = np.asarray(masters)
+    thetas = np.asarray(thetas)
+    queries = validate_query(server_queries(masters, thetas, params), params)
+    symbols = np.stack([storage.symbols for storage in storages])
+    answers = answer_queries(symbols, queries, params)
+    columns = masters[np.arange(len(masters)), :, thetas]
+    return decode_batch(answers, columns, params, code), live_rounds(queries, params)
 
 
 def retrieve(
@@ -314,13 +510,9 @@ def retrieve(
     """Full in-process pipeline; returns (source file, realized download)."""
     if code is None:
         code = make_code(params.n_servers, params.k_mds, params.prime)
-    master = gen_master_query(params, rng)
-    answers = [
-        server_answer(storages[t], build_server_query(master, theta, t, params), params)
-        for t in range(params.n_servers)
-    ]
-    source = decode(answers, master, theta, params, code)
-    return source, realized_download(answers)
+    masters = sample_master_queries(params, rng, 1)
+    files, live = retrieve_batch(masters, [theta], storages, params, code)
+    return files[0].tolist(), int(live.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +529,7 @@ def storage_to_json(storage: ServerStorage, params: SystemParams) -> dict:
             "p": params.prime,
         },
         "server_index": storage.server_index,
-        "fragments": [list(frag) for frag in storage.fragments],
+        "fragments": storage.symbols[:, : params.rows_per_file].tolist(),
     }
 
 
@@ -346,12 +538,18 @@ def storage_from_json(doc: dict) -> tuple[ServerStorage, SystemParams]:
         raise ParameterError(f"unexpected storage format {doc.get('format')!r}")
     pr = doc["params"]
     params = derive_params(pr["n"], pr["k"], pr["m"], pr["p"])
-    fragments = tuple(tuple(int(x) for x in frag) for frag in doc["fragments"])
-    if len(fragments) != params.m_files or any(
-        len(f) != params.rows_per_file for f in fragments
-    ):
+    fragments = doc["fragments"]
+    lam, p = params.rows_per_file, params.prime
+    if len(fragments) != params.m_files or any(len(f) != lam for f in fragments):
         raise ParameterError("fragment dimensions do not match params")
-    return ServerStorage(int(doc["server_index"]), fragments), params
+    # Checked in Python: a server loads its file once, cold, where each
+    # numpy call costs more than this loop over M*lam values.
+    if not all(type(v) is int and 0 <= v < p for f in fragments for v in f):
+        raise ParameterError(f"fragments must be integers in [0:{p})")
+    dummies = [0] * params.k_reduced
+    symbols = np.array([f + dummies for f in fragments], dtype=np.int64)
+    symbols.flags.writeable = False
+    return ServerStorage(int(doc["server_index"]), symbols), params
 
 
 def save_storage(path, storage: ServerStorage, params: SystemParams) -> None:

@@ -16,9 +16,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import analysis, scheme
 from .rs import make_code
 from .scheme import SystemParams
+
+# Query entries per batch of trials (2 MB as int64) and per batch of
+# enumerated master queries (256 KB), which bound the working set.
+TRIAL_CHUNK_ENTRIES = 1 << 18
+ENUM_CHUNK_ENTRIES = 1 << 15
 
 
 class FailedTrialError(RuntimeError):
@@ -52,7 +59,12 @@ def run_trials(
     theta_policy: str = "fixed",
     theta: int = 0,
 ) -> TrialStats:
-    """n_trials independent (query, theta) retrievals over fixed random files."""
+    """n_trials independent (query, theta) retrievals over fixed random files.
+
+    Trials run through scheme.retrieve_batch in batches of about
+    TRIAL_CHUNK_ENTRIES query entries; the download is counted from the
+    live-round mask.
+    """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if theta_policy not in ("fixed", "uniform"):
@@ -64,35 +76,30 @@ def run_trials(
 
     masters = scheme.sample_master_queries(params, rng, n_trials)
     if theta_policy == "uniform":
-        thetas = rng.integers(0, params.m_files, size=n_trials).tolist()
+        thetas = rng.integers(0, params.m_files, size=n_trials)
     else:
-        thetas = [theta] * n_trials
+        thetas = np.full(n_trials, theta)
 
-    n_servers = params.n_servers
-    per_server = [0] * n_servers
-    total = 0
-    for trial in range(n_trials):
-        master = masters[trial].tolist()
-        th = thetas[trial]
-        answers = [
-            scheme.server_answer(
-                storages[t], scheme.build_server_query(master, th, t, params), params
-            )
-            for t in range(n_servers)
-        ]
-        decoded = scheme.decode(answers, master, th, params, code)
-        if decoded != sources[th]:
-            raise FailedTrialError(seed, trial, th)
-        for t in range(n_servers):
-            load = sum(1 for a in answers[t] if a is not None)
-            per_server[t] += load
-            total += load
+    expected = np.array(sources, dtype=np.int64)
+    per_server = np.zeros(params.n_servers, dtype=np.int64)
+    step = max(1, TRIAL_CHUNK_ENTRIES // (params.n_servers * params.k_reduced * params.m_files))
+    for start in range(0, n_trials, step):
+        chunk = slice(start, start + step)
+        files, live = scheme.retrieve_batch(
+            masters[chunk], thetas[chunk], storages, params, code
+        )
+        wrong = np.flatnonzero((files != expected[thetas[chunk]]).any(axis=(1, 2)))
+        if wrong.size:
+            trial = start + int(wrong[0])
+            raise FailedTrialError(seed, trial, int(thetas[trial]))
+        per_server += live.sum(axis=(0, 2))
 
+    total = int(per_server.sum())
     exact = analysis.expected_download(params)
     return TrialStats(
         trials=n_trials,
         total_download=total,
-        per_server_load=per_server,
+        per_server_load=per_server.tolist(),
         empirical_rate=Fraction(params.file_len * n_trials, total),
         exact_expected_download=exact,
         exact_rate=analysis.scheme_rate(params),
@@ -104,26 +111,27 @@ def exact_expectation_by_enumeration(
 ) -> Fraction:
     """Mean realized download over the full query space, exactly.
 
-    Counts NULL rounds directly from the per-server queries; this is an
-    enumeration-based check on the closed-form expectation, so it uses
-    no distributional shortcuts.
+    Counts live rounds directly from the per-server queries, with the
+    same mask the batch engine uses; this is an enumeration-based check
+    on the closed-form expectation, so it uses no distributional
+    shortcuts.  Master queries are taken ENUM_CHUNK_ENTRIES query
+    entries at a time, by their index in Omega^M.
     """
     size = scheme.query_space_size(params)
     if size > budget:
         raise analysis.BudgetExceededError(
             f"|query space| = {size} exceeds budget {budget}"
         )
-    n, low = params.n_reduced, params.dummy_low
+    omega = np.array(list(scheme.enumerate_omega(params)))
+    per_master = params.n_servers * params.k_reduced * params.m_files
+    chunk = max(1, ENUM_CHUNK_ENTRIES // per_master)
+    digits_shape = (len(omega),) * params.m_files
     total = 0
-    for master in scheme.enumerate_query_space(params):
-        for t in range(params.n_servers):
-            for row in master:
-                shifted = (
-                    (row[i] + t) % n if i == theta else row[i]
-                    for i in range(params.m_files)
-                )
-                if any(e < low for e in shifted):
-                    total += 1
+    for start in range(0, size, chunk):
+        digits = np.unravel_index(np.arange(start, min(start + chunk, size)), digits_shape)
+        masters = np.stack([omega[d] for d in digits], axis=-1)
+        queries = scheme.server_queries(masters, np.full(len(masters), theta), params)
+        total += int(scheme.live_rounds(queries, params).sum())
     return Fraction(total, size)
 
 

@@ -1,0 +1,92 @@
+"""
+Loop reference implementations that the batch engine is checked against.
+
+They are the package's earlier scalar code paths: a round-by-round
+decoder built on erasure decoding, a per-row server answer, and a
+trial-by-trial Monte-Carlo loop.  They read the same dense storage and
+draw from the RNG in the same order, so their results must equal the
+engine's exactly.
+"""
+
+from fractions import Fraction
+
+from codedpir import analysis, scheme
+from codedpir.rs import make_code
+from codedpir.sim import FailedTrialError, TrialStats
+
+
+def decode_loop(answers, master, theta, params, code):
+    """Reconstruct file theta round by round; a None answer reads as 0.
+
+    Per round: identify the K servers whose shifted index lands in the
+    dummy range (their answers are pure interference), erasure-decode
+    the interference codeword from them, subtract it at the remaining
+    servers to expose coded symbols of the desired file, then
+    erasure-decode each of the lam rows from its K exposed symbols.
+    """
+    nn, kk = params.n_servers, params.k_mds
+    n, k = params.n_reduced, params.k_reduced
+    lam, p, low = params.rows_per_file, params.prime, params.dummy_low
+    exposed = {j: [] for j in range(lam)}
+    for s in range(k):
+        v = master[s][theta]
+        delta = [t for t in range(nn) if (v + t) % n >= low]
+        assert len(delta) == kk
+        known = [(t, answers[t][s] or 0) for t in delta]
+        interference = code.erasure_decode(known)
+        for t in range(nn):
+            j = (v + t) % n
+            if j < low:
+                exposed[j].append((t, ((answers[t][s] or 0) - interference[t]) % p))
+    rows = []
+    for j in range(lam):
+        assert len(exposed[j]) == kk
+        rows.append(code.message_of(code.erasure_decode(exposed[j])))
+    return rows
+
+
+def server_answer_loop(storage, query, params):
+    """k per-round responses from one row lookup per file; None if NULL."""
+    symbols = storage.symbols.tolist()
+    low, p = params.dummy_low, params.prime
+    return [
+        None if all(e >= low for e in row)
+        else sum(symbols[i][e] for i, e in enumerate(row)) % p
+        for row in query
+    ]
+
+
+def run_trials_loop(params, n_trials, seed, theta_policy="fixed", theta=0):
+    """sim.run_trials one trial at a time, with the same RNG draws."""
+    rng = scheme.make_rng(seed)
+    code = make_code(params.n_servers, params.k_mds, params.prime)
+    sources = scheme.random_sources(params, rng)
+    _, storages = scheme.encode_system(params, sources, code)
+    masters = scheme.sample_master_queries(params, rng, n_trials)
+    if theta_policy == "uniform":
+        thetas = rng.integers(0, params.m_files, size=n_trials).tolist()
+    else:
+        thetas = [theta] * n_trials
+    per_server = [0] * params.n_servers
+    for trial in range(n_trials):
+        master = masters[trial].tolist()
+        th = thetas[trial]
+        answers = [
+            server_answer_loop(
+                storages[t], scheme.build_server_query(master, th, t, params), params
+            )
+            for t in range(params.n_servers)
+        ]
+        if decode_loop(answers, master, th, params, code) != sources[th]:
+            raise FailedTrialError(seed, trial, th)
+        for t, answer in enumerate(answers):
+            per_server[t] += sum(a is not None for a in answer)
+    total = sum(per_server)
+    return TrialStats(
+        trials=n_trials,
+        total_download=total,
+        per_server_load=per_server,
+        empirical_rate=Fraction(params.file_len * n_trials, total),
+        exact_expected_download=analysis.expected_download(params),
+        exact_rate=analysis.scheme_rate(params),
+    )

@@ -90,7 +90,8 @@ class TestAnswerMatrix:
                 matrix = build_answer_matrix(query, params)
                 answer = [a for a in server_answer(storages[t], query, params)
                           if a is not None]
-                flat = [v for frag in storages[t].fragments for v in frag]
+                lam = params.rows_per_file
+                flat = [v for frag in storages[t].symbols[:, :lam].tolist() for v in frag]
                 recomputed = [
                     sum(c * v for c, v in zip(row, flat)) % params.prime
                     for row in matrix

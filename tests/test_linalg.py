@@ -1,9 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from codedpir.linalg import SingularMatrixError, rank_mod, solve_mod
+from codedpir.linalg import SingularMatrixError, matmul_mod, rank_mod, solve_mod
 
 
 def row_space_rank(rows, p):
@@ -57,3 +58,17 @@ def test_solve_round_trip():
 def test_solve_singular():
     with pytest.raises(SingularMatrixError):
         solve_mod([[1, 2], [2, 4]], [1, 2], 7)
+
+
+@pytest.mark.parametrize("p", [7, 65537, 2**31 - 1, 4294967291, 2**61 - 1])
+def test_matmul_mod_is_exact(p):
+    # small and int64-overflowing moduli against Python-int arithmetic
+    rng = random.Random(p)
+    a = [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
+    b = [[rng.randrange(p) for _ in range(4)] for _ in range(6)]
+    expected = [
+        [sum(a[i][j] * b[j][c] for j in range(6)) % p for c in range(4)] for i in range(3)
+    ]
+    got = matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+    assert got.dtype == np.int64
+    assert got.tolist() == expected

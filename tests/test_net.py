@@ -1,5 +1,9 @@
 import random
 import socket
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +33,15 @@ def cluster(example_system):
     for server in servers:
         server.start()
     yield params, sources, [s.server_address for s in servers], servers
+    # Each shutdown waits up to the server's 0.5 s poll interval; in
+    # parallel the five waits overlap.
+    stoppers = [threading.Thread(target=server.shutdown) for server in servers]
+    for stopper in stoppers:
+        stopper.start()
+    for stopper in stoppers:
+        stopper.join(timeout=10)
+        assert not stopper.is_alive()
     for server in servers:
-        server.shutdown()
         server.server_close()
 
 
@@ -128,3 +139,53 @@ class TestEndToEnd:
                 msg_type, payload = recv_message(sock)
                 assert msg_type == net.MSG_ANSWER
                 assert decode_answer_payload(payload)[0] is None
+
+
+class TestAnswerChecks:
+    """The client checks each answer against the query it sent."""
+
+    @pytest.fixture
+    def tamper(self, monkeypatch):
+        """Make server 2 answer through `change(answer, params)`."""
+        honest = scheme.server_answer
+
+        def install(change):
+            def server_answer(storage, query, params):
+                answer = honest(storage, query, params)
+                return change(answer, params) if storage.server_index == 2 else answer
+
+            monkeypatch.setattr(scheme, "server_answer", server_answer)
+
+        return install
+
+    def aborted_by(self, cluster, cause):
+        params, _, addresses, _ = cluster
+        with pytest.raises(RetrievalAbortedError) as exc:
+            client_retrieve(addresses, 0, params, seed=0)
+        assert exc.value.server_index == 2
+        assert isinstance(exc.value.cause, cause)
+
+    def test_dropped_live_round(self, cluster, tamper):
+        tamper(lambda answer, params: [None] * len(answer))
+        self.aborted_by(cluster, scheme.AnswerMismatchError)
+
+    def test_value_in_null_round(self, cluster, tamper):
+        tamper(lambda answer, params: [0 if a is None else a for a in answer])
+        self.aborted_by(cluster, scheme.AnswerMismatchError)
+
+    def test_short_vector(self, cluster, tamper):
+        tamper(lambda answer, params: answer[:-1])
+        self.aborted_by(cluster, scheme.AnswerMismatchError)
+
+    def test_value_not_below_p(self, cluster, tamper):
+        tamper(lambda answer, params: [None if a is None else a + params.prime for a in answer])
+        self.aborted_by(cluster, WireError)
+
+
+def test_importing_net_does_not_load_scipy():
+    src = Path(net.__file__).resolve().parents[1]
+    code = "import sys, codedpir.net; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, timeout=60
+    )
+    assert result.returncode == 0

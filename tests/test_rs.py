@@ -33,7 +33,7 @@ class TestMakeCode:
 
     def test_repetition(self):
         code = make_code(2, 1, 2)
-        assert code.generator == [[1, 1]]
+        assert code.generator.tolist() == [[1, 1]]
 
     def test_prime_too_small(self):
         with pytest.raises(CodeParameterError):
@@ -46,6 +46,14 @@ class TestMakeCode:
     def test_bad_dims(self):
         with pytest.raises(CodeParameterError):
             make_code(3, 4, 7)
+
+    def test_prime_wider_than_int64(self):
+        with pytest.raises(CodeParameterError):
+            make_code(2, 1, 2**64 - 59)
+
+    def test_one_code_per_parameters(self):
+        assert make_code(5, 3, 7) is make_code(5, 3, 7)
+        assert make_code(5, 3, 7) is not make_code(5, 3, 11)
 
 
 class TestEncode:

@@ -2,13 +2,17 @@ import itertools
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from codedpir import derive_params, encode_system, make_rng
 from codedpir import scheme
+from codedpir.linalg import matmul_mod
 from codedpir.rs import make_code
 from codedpir.scheme import (
+    AnswerMismatchError,
     DecodingError,
     ParameterError,
     ProtocolError,
@@ -20,6 +24,9 @@ from codedpir.scheme import (
 )
 
 from conftest import EXAMPLE_QUERY
+from oracle import decode_loop, server_answer_loop
+
+PRIMES = [7, 257, 65537, 2**31 - 1, 4294967291]
 
 
 class TestDeriveParams:
@@ -37,7 +44,11 @@ class TestDeriveParams:
 
     @pytest.mark.parametrize(
         "args",
-        [(3, 3, 2, 5), (2, 3, 2, 5), (5, 3, 1, 7), (5, 3, 3, 6), (5, 3, 3, 3)],
+        [
+            (3, 3, 2, 5), (2, 3, 2, 5), (5, 3, 1, 7), (5, 3, 3, 6), (5, 3, 3, 3),
+            (5, 3, 3, 2**32 + 15),  # prime, but wider than the wire's u32
+            (65537, 1, 2, 65537),  # n = 65537 query entries overflow u16
+        ],
     )
     def test_rejections(self, args):
         with pytest.raises(ParameterError):
@@ -49,7 +60,7 @@ class TestEncodeSystem:
         params = derive_params(5, 3, 2, 7)
         zeros = [[[0] * 3 for _ in range(2)] for _ in range(2)]
         _, storages = encode_system(params, zeros)
-        assert all(all(v == 0 for frag in st.fragments for v in frag) for st in storages)
+        assert all(all(v == 0 for frag in st.symbols[:, :2].tolist() for v in frag) for st in storages)
 
     def test_unit_rows_give_generator_columns(self):
         params = derive_params(5, 3, 2, 7)
@@ -58,10 +69,10 @@ class TestEncodeSystem:
         sources = [units, [[0] * 3] * 2]
         _, storages = encode_system(params, sources, code)
         for t in range(5):
-            assert storages[t].fragments[0] == (
+            assert storages[t].symbols[0, :2].tolist() == [
                 code.generator[0][t],
                 code.generator[1][t],
-            )
+            ]
 
     def test_reconstruct_from_any_k_storages(self, example_system):
         params, code, sources, _, storages = example_system
@@ -69,7 +80,7 @@ class TestEncodeSystem:
             for i in range(params.m_files):
                 rows = []
                 for j in range(params.rows_per_file):
-                    known = [(t, storages[t].fragments[i][j]) for t in subset]
+                    known = [(t, int(storages[t].symbols[i, j])) for t in subset]
                     rows.append(code.message_of(code.erasure_decode(known)))
                 assert rows == sources[i]
 
@@ -187,6 +198,44 @@ class TestServerAnswer:
             server_answer(storages[0], [[3, 4], [0, 1], [1, 0]], params)
 
 
+class TestAnswerPaths:
+    """server_answer takes a loop for small queries and the batch engine
+    for large ones; both must accept, reject and answer alike."""
+
+    @staticmethod
+    def outcome(answer, storage, query, params):
+        try:
+            return answer(storage, query, params)
+        except ProtocolError as exc:
+            return str(exc)
+
+    @staticmethod
+    def engine(storage, query, params):
+        q = scheme.validate_query(query, params)
+        values = scheme.answer_queries(storage.symbols[None], q[None], params)[0]
+        return [
+            int(v) if live else None
+            for v, live in zip(values, scheme.live_rounds(q, params))
+        ]
+
+    @pytest.mark.parametrize("m_files", [3, 50])  # 9 and 150 query entries
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_paths_agree(self, m_files, data):
+        params = derive_params(5, 3, m_files, 257)
+        assert (params.k_reduced * m_files > scheme.SMALL_QUERY_ENTRIES) == (m_files == 50)
+        _, storages = encode_system(params, scheme.random_sources(params, make_rng(m_files)))
+        columns = [data.draw(st.permutations(range(5)))[:3] for _ in range(m_files)]
+        query = [[col[s] for col in columns] for s in range(3)]
+        if data.draw(st.booleans()):
+            s, i = data.draw(st.integers(0, 2)), data.draw(st.integers(0, m_files - 1))
+            query[s][i] = data.draw(st.integers(-2, 6))
+        got = self.outcome(server_answer, storages[1], query, params)
+        assert got == self.outcome(self.engine, storages[1], query, params)
+        if not isinstance(got, str):
+            assert got == server_answer_loop(storages[1], query, params)
+
+
 class TestDecode:
     def test_worked_example_realization(self, example_system):
         params, code, sources, _, storages = example_system
@@ -254,6 +303,95 @@ class TestDecode:
         assert decoded != sources[0]
 
 
+class TestDecodeMap:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_servers=st.integers(2, 8),
+        data=st.data(),
+        m_files=st.integers(2, 4),
+        prime=st.sampled_from(PRIMES),
+        seed=st.integers(0, 2**32),
+    )
+    def test_agrees_with_oracle_on_random_answers(self, n_servers, data, m_files, prime, seed):
+        assume(prime >= n_servers)
+        k_mds = data.draw(st.integers(1, n_servers - 1))
+        params = derive_params(n_servers, k_mds, m_files, prime)
+        code = make_code(n_servers, k_mds, prime)
+        rng = make_rng(seed)
+        master = gen_master_query(params, rng)
+        theta = int(rng.integers(m_files))
+        answers = []
+        for t in range(n_servers):
+            query = build_server_query(master, theta, t, params)
+            answers.append([
+                None if all(e >= params.dummy_low for e in row) else int(rng.integers(prime))
+                for row in query
+            ])
+        expected = decode_loop(answers, master, theta, params, code)
+        assert decode(answers, master, theta, params, code) == expected
+        column = [row[theta] for row in master]
+        flat = np.array([a or 0 for answer in answers for a in answer], dtype=np.int64)
+        d_map = scheme.decode_map(column, params, code)
+        assert d_map.shape == (params.file_len, n_servers * params.k_reduced)
+        assert matmul_mod(d_map, flat, prime).tolist() == [v for row in expected for v in row]
+
+    def test_cache_holds_every_column_of_five_three(self):
+        params = derive_params(5, 3, 3, 257)
+        code = make_code(5, 3, 257)
+        for column in scheme.enumerate_omega(params):
+            scheme.decode_map(column, params, code)
+        assert set(code.decode_maps) == set(scheme.enumerate_omega(params))
+
+    def test_cache_is_bounded_in_bytes(self):
+        params = derive_params(8, 5, 2, 65537)
+        code = make_code(8, 5, 65537)
+        for column in itertools.islice(scheme.enumerate_omega(params), 400):
+            scheme.decode_map(column, params, code)
+        held = sum(d_map.nbytes for d_map in code.decode_maps.values())
+        assert 0 < held <= scheme.DECODE_MAP_CACHE_BYTES
+        assert len(code.decode_maps) < 400
+
+    def test_repeated_column_entry(self, example_system):
+        params, code, _, _, _ = example_system
+        with pytest.raises(DecodingError):
+            scheme.decode_map((1, 1, 2), params, code)
+
+
+class TestAnswerChecks:
+    """decode checks every answer against the query its server got."""
+
+    @pytest.fixture
+    def answers(self, example_system):
+        params, _, _, _, storages = example_system
+        return [
+            server_answer(st, build_server_query(EXAMPLE_QUERY, 0, st.server_index, params), params)
+            for st in storages
+        ]
+
+    def check(self, answers, example_system, server):
+        params, code, _, _, _ = example_system
+        with pytest.raises(AnswerMismatchError) as exc:
+            decode(answers, EXAMPLE_QUERY, 0, params, code)
+        assert isinstance(exc.value, ProtocolError)
+        assert exc.value.server_index == server
+
+    def test_dropped_live_round(self, answers, example_system):
+        answers[2][0] = None  # server 2 round 0 is live in the worked example
+        self.check(answers, example_system, 2)
+
+    def test_value_in_null_round(self, answers, example_system):
+        answers[0][0] = 0  # server 0 round 0 is NULL
+        self.check(answers, example_system, 0)
+
+    def test_short_vector(self, answers, example_system):
+        answers[4] = answers[4][:2]
+        self.check(answers, example_system, 4)
+
+    def test_value_out_of_field(self, answers, example_system):
+        answers[1][1] = 7  # p = 7
+        self.check(answers, example_system, 1)
+
+
 class TestRetrieve:
     def test_matches_source(self, example_system):
         params, code, sources, _, storages = example_system
@@ -281,6 +419,14 @@ class TestStorageFiles:
     def test_bad_format(self):
         with pytest.raises(ParameterError):
             scheme.storage_from_json({"format": "nope"})
+
+    @pytest.mark.parametrize("value", [-1, 7])
+    def test_fragment_outside_the_field(self, example_system, value):
+        params, _, _, _, storages = example_system
+        doc = scheme.storage_to_json(storages[0], params)
+        doc["fragments"][1][0] = value
+        with pytest.raises(ParameterError):
+            scheme.storage_from_json(doc)
 
     def test_ingest_round_trip(self):
         params = derive_params(5, 3, 3, 257)

@@ -1,11 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from codedpir import analysis, derive_params
-from codedpir import sim
-from codedpir.sim import exact_expectation_by_enumeration, run_trials, sweep
+from codedpir import scheme, sim
+from codedpir.sim import FailedTrialError, exact_expectation_by_enumeration, run_trials, sweep
+
+from oracle import run_trials_loop
+
+PRIMES = [7, 257, 65537, 2**31 - 1, 4294967291]
 
 
 class TestRunTrials:
@@ -42,6 +47,39 @@ class TestRunTrials:
         params = derive_params(5, 3, 3, 257)
         stats = run_trials(params, 5000, seed=7)
         assert chisquare(stats.per_server_load).pvalue >= 0.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_servers=st.integers(2, 8),
+        data=st.data(),
+        m_files=st.integers(2, 4),
+        prime=st.sampled_from(PRIMES),
+        n_trials=st.integers(1, 40),
+        seed=st.integers(0, 2**32),
+        uniform=st.booleans(),
+    )
+    def test_equals_loop_oracle(self, n_servers, data, m_files, prime, n_trials, seed, uniform):
+        assume(prime >= n_servers)
+        k_mds = data.draw(st.integers(1, n_servers - 1))
+        params = derive_params(n_servers, k_mds, m_files, prime)
+        policy = "uniform" if uniform else "fixed"
+        theta = data.draw(st.integers(0, m_files - 1))
+        expected = run_trials_loop(params, n_trials, seed, policy, theta)
+        assert run_trials(params, n_trials, seed, policy, theta) == expected
+
+    def test_first_bad_trial_is_reported(self, monkeypatch):
+        params = derive_params(5, 3, 3, 257)
+        decode_batch = scheme.decode_batch
+
+        def corrupt(answers, columns, params, code):
+            files = decode_batch(answers, columns, params, code)
+            files[[7, 9], 0, 0] += 1
+            return files
+
+        monkeypatch.setattr(scheme, "decode_batch", corrupt)
+        with pytest.raises(FailedTrialError) as exc:
+            run_trials(params, 20, seed=3, theta=2)
+        assert (exc.value.trial, exc.value.theta) == (7, 2)
 
     def test_mean_approaches_formula(self):
         params = derive_params(5, 3, 3, 257)
