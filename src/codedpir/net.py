@@ -7,7 +7,22 @@ k x M query entries as u16s row-major; an ANSWER carries a u16 round
 count then per round a flag byte (0 = NULL) and, when present, the
 field element as a u64 big-endian.  ERROR is a u16 code plus UTF-8
 detail.  All k rounds ride in one ANSWER: the scheme has no inter-round
-dependency, so a retrieval is a single round trip per server.
+dependency, so a retrieval is a single round trip per server.  Each
+side bounds the payload it reads by the size the system's parameters
+imply (16 + 2kM bytes for a QUERY, 2 + 9k for an ANSWER,
+MAX_ERROR_PAYLOAD for an ERROR) before reading it.
+
+Connections persist.  A server answers every QUERY on a connection
+until the client closes it, the connection stays idle for
+IDLE_TIMEOUT_S seconds, or the server is closed.  The client keeps idle
+sockets in a pool of at most MAX_IDLE_CONNECTIONS, keyed by address; a
+retrieval sends its N queries, each on its own connection, then reads
+the N answers in turn, in one thread.  A socket goes back to the pool
+only after its whole ANSWER frame was read; on any error or timeout it
+is closed, so a late answer cannot desync a later retrieval.  A pooled
+socket that turns out dead is replaced once by a new connection, which
+resends the identical query frame: a second copy of a query tells the
+server nothing new, whereas a fresh query for the same file would.
 
 Field elements travel as fixed u64s regardless of p; download
 accounting therefore reports element counts (the scheme's cost metric)
@@ -16,15 +31,12 @@ and raw byte counts separately.
 
 from __future__ import annotations
 
-import json
 import logging
 import socket
 import socketserver
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import scheme
 from .rs import make_code
@@ -40,6 +52,18 @@ MSG_ERROR = 3
 ERR_PARAM_MISMATCH = 1
 ERR_MALFORMED_QUERY = 2
 ERR_INTERNAL = 3
+
+# Idle client sockets kept for reuse, over all servers; the longest idle
+# is closed first.  A retrieval holds N of them, so this serves several
+# clients of up to a dozen servers each.
+MAX_IDLE_CONNECTIONS = 64
+
+# Seconds a server waits for the next frame on a connection before it
+# closes the connection, so a silent client does not hold a thread.
+IDLE_TIMEOUT_S = 60.0
+
+# Longest ERROR payload a client reads; a server cuts its detail to fit.
+MAX_ERROR_PAYLOAD = 1024
 
 _HEADER = struct.Struct(">4sBI")
 _QUERY_PARAMS = struct.Struct(">IIII")
@@ -79,26 +103,34 @@ class RetrievalAbortedError(RuntimeError):
 # framing
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = b""
-    while len(chunks) < count:
-        chunk = sock.recv(count - len(chunks))
-        if not chunk:
+def _recv_exact(sock: socket.socket, count: int) -> bytearray:
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    while view:
+        received = sock.recv_into(view)
+        if not received:
             raise ConnectionError("connection closed mid-frame")
-        chunks += chunk
-    return chunks
+        view = view[received:]
+    return buffer
 
 
 def send_message(sock: socket.socket, msg_type: int, payload: bytes) -> None:
     sock.sendall(_HEADER.pack(MAGIC, msg_type, len(payload)) + payload)
 
 
-def recv_message(sock: socket.socket) -> tuple[int, bytes]:
+def recv_message(
+    sock: socket.socket, limits: dict[int, int] | None = None
+) -> tuple[int, bytearray]:
+    """Read one frame.  With `limits`, mapping message type to the
+    longest payload accepted (0 for a type not listed), a longer frame
+    raises WireError before its payload is read."""
     magic, msg_type, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
     if magic != MAGIC:
         raise BadMagicError("bad magic")
     if msg_type not in (MSG_QUERY, MSG_ANSWER, MSG_ERROR):
         raise WireError(f"unknown message type {msg_type}")
+    if limits is not None and length > limits.get(msg_type, 0):
+        raise WireError(f"{length}-byte payload too long for message type {msg_type}")
     return msg_type, _recv_exact(sock, length)
 
 
@@ -161,7 +193,7 @@ def decode_answer_payload(payload: bytes) -> list[int | None]:
 
 
 def encode_error_payload(code: int, detail: str) -> bytes:
-    return struct.pack(">H", code) + detail.encode("utf-8")
+    return (struct.pack(">H", code) + detail.encode("utf-8"))[:MAX_ERROR_PAYLOAD]
 
 
 def decode_error_payload(payload: bytes) -> tuple[int, str]:
@@ -178,12 +210,13 @@ def decode_error_payload(payload: bytes) -> tuple[int, str]:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         server: StorageServer = self.server  # type: ignore[assignment]
+        self.request.settimeout(IDLE_TIMEOUT_S)
         while True:
             try:
-                msg_type, payload = recv_message(self.request)
+                msg_type, payload = recv_message(self.request, server.frame_limits)
             except BadMagicError:
                 return  # close without reply
-            except (ConnectionError, OSError):
+            except OSError:  # closed, idle too long, or server_close
                 return
             except WireError as exc:
                 self._reply_error(ERR_MALFORMED_QUERY, str(exc))
@@ -200,7 +233,10 @@ class _Handler(socketserver.BaseRequestHandler):
                 logger.exception("internal error answering query")
                 self._reply_error(ERR_INTERNAL, str(exc))
                 continue
-            send_message(self.request, MSG_ANSWER, encode_answer_payload(answer))
+            try:
+                send_message(self.request, MSG_ANSWER, encode_answer_payload(answer))
+            except OSError:  # the client gave up on this answer
+                return
 
     def _answer(self, server: "StorageServer", payload: bytes) -> list[int | None]:
         try:
@@ -231,7 +267,12 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class StorageServer(socketserver.ThreadingTCPServer):
-    """One PIR server over shared read-only storage."""
+    """One PIR server over shared read-only storage.
+
+    Each connection gets a handler thread that answers its queries until
+    the connection closes.  `server_close` also ends every open
+    connection, so a stopped server answers nothing more.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
@@ -239,12 +280,41 @@ class StorageServer(socketserver.ThreadingTCPServer):
     def __init__(self, storage: ServerStorage, params: SystemParams, address=("127.0.0.1", 0)):
         self.storage = storage
         self.params = params
+        self.frame_limits = {MSG_QUERY: _QUERY_PARAMS.size + 2 * params.k_reduced * params.m_files}
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
 
     def start(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         return thread
+
+    def process_request(self, request, client_address):
+        # Registered before its thread starts, so close_connections
+        # cannot miss a connection whose handler has not run yet.
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection; the server keeps listening."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for request in connections:
+            try:
+                request.shutdown(socket.SHUT_RDWR)  # wakes its handler
+            except OSError:
+                pass  # already closed by its handler
+
+    def server_close(self):
+        super().server_close()
+        self.close_connections()
 
 
 def serve(storage_path, listen_address: tuple[str, int]):
@@ -268,15 +338,95 @@ class RetrievalResult:
     download_bytes: int
 
 
-def _query_one(
-    address: tuple[str, int],
-    params: SystemParams,
-    query: list[list[int]],
-    timeout: float,
-) -> tuple[list[int | None], int]:
-    with socket.create_connection(address, timeout=timeout) as sock:
-        send_message(sock, MSG_QUERY, encode_query_payload(params, query))
-        msg_type, payload = recv_message(sock)
+class _ConnectionPool:
+    """Idle client sockets, each with the address it is connected to."""
+
+    def __init__(self):
+        self._idle: list[tuple[tuple[str, int], socket.socket]] = []
+        self._lock = threading.Lock()
+
+    def take(self, address) -> socket.socket | None:
+        """The socket to `address` returned last, if one is idle."""
+        with self._lock:
+            for i in range(len(self._idle) - 1, -1, -1):
+                if self._idle[i][0] == address:
+                    return self._idle.pop(i)[1]
+        return None
+
+    def put(self, address, sock: socket.socket) -> None:
+        """Keep `sock` for reuse, closing the longest idle socket when
+        more than MAX_IDLE_CONNECTIONS are kept."""
+        with self._lock:
+            self._idle.append((address, sock))
+            evicted = self._idle[: max(0, len(self._idle) - MAX_IDLE_CONNECTIONS)]
+            del self._idle[: len(evicted)]
+        for _, old in evicted:
+            old.close()
+
+    def clear(self) -> None:
+        """Close every idle socket."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for _, sock in idle:
+            sock.close()
+
+
+_pool = _ConnectionPool()
+
+
+class _Link:
+    """One server's share of a retrieval: its query, sent on a pooled
+    socket when one is idle and on a new connection otherwise."""
+
+    def __init__(self, address, payload: bytes, timeout: float):
+        self.address = address
+        self.payload = payload
+        self.timeout = timeout
+        self.sock = _pool.take(address)
+        self.fresh = self.sock is None
+        if self.fresh:
+            self.sock = socket.create_connection(address, timeout=timeout)
+        else:
+            self.sock.settimeout(timeout)
+
+    def send(self) -> None:
+        try:
+            send_message(self.sock, MSG_QUERY, self.payload)
+        except OSError as exc:
+            self._reconnect(exc)
+
+    def receive(self, limits: dict[int, int]) -> tuple[int, bytearray]:
+        """The server's reply.  After a whole ANSWER frame the socket
+        goes back to the pool; otherwise `close` closes it."""
+        try:
+            reply = recv_message(self.sock, limits)
+        except OSError as exc:
+            self._reconnect(exc)
+            reply = recv_message(self.sock, limits)
+        if reply[0] == MSG_ANSWER:
+            _pool.put(self.address, self.sock)
+            self.sock = None
+        return reply
+
+    def _reconnect(self, exc: OSError) -> None:
+        """Replace a pooled socket that turned out dead by a new
+        connection and send the identical query on it, once.  A timeout
+        is not taken for a dead socket: the server may still answer."""
+        if self.fresh or isinstance(exc, TimeoutError):
+            raise exc
+        self.sock.close()
+        self.fresh = True
+        self.sock = socket.create_connection(self.address, timeout=self.timeout)
+        send_message(self.sock, MSG_QUERY, self.payload)
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+
+
+def _read_answer(reply: tuple[int, bytearray], params: SystemParams) -> list[int | None]:
+    msg_type, payload = reply
     if msg_type == MSG_ERROR:
         raise ServerSideError(*decode_error_payload(payload))
     if msg_type != MSG_ANSWER:
@@ -284,7 +434,7 @@ def _query_one(
     answer = decode_answer_payload(payload)
     if any(value is not None and value >= params.prime for value in answer):
         raise WireError(f"answer value out of [0:{params.prime})")
-    return answer, len(payload)
+    return answer
 
 
 def client_retrieve(
@@ -296,9 +446,13 @@ def client_retrieve(
 ) -> RetrievalResult:
     """Networked retrieval; same seed gives the same file as scheme.retrieve.
 
-    An answer that does not fit its query (length, NULL pattern, a value
-    outside [0:p)) aborts the retrieval with RetrievalAbortedError naming
-    the server, its cause a WireError or scheme.AnswerMismatchError.
+    Sends every server its query, then reads the answers in turn, over
+    pooled connections (see the module docstring).  A server that
+    cannot be reached, times out, replies with an ERROR, or sends an
+    answer that does not fit its query (length, NULL pattern, a value
+    outside [0:p)) aborts the retrieval with RetrievalAbortedError
+    naming the server; for a misfit answer its cause is a WireError or
+    scheme.AnswerMismatchError.
     """
     addresses = list(server_addresses)
     if len(addresses) != params.n_servers:
@@ -307,19 +461,23 @@ def client_retrieve(
         )
     master = scheme.sample_master_queries(params, scheme.make_rng(seed), 1)
     queries = scheme.server_queries(master, [theta], params)[0].tolist()
-    answers: list[list[int | None] | None] = [None] * params.n_servers
+    limits = {MSG_ANSWER: 2 + 9 * params.k_reduced, MSG_ERROR: MAX_ERROR_PAYLOAD}
+    links: list[_Link] = []
+    answers: list[list[int | None]] = []
     payload_bytes = 0
-    with ThreadPoolExecutor(max_workers=params.n_servers) as pool:
-        futures = {
-            t: pool.submit(_query_one, addresses[t], params, queries[t], timeout)
-            for t in range(params.n_servers)
-        }
-        for t, future in futures.items():
-            try:
-                answers[t], nbytes = future.result()
-                payload_bytes += nbytes
-            except Exception as exc:
-                raise RetrievalAbortedError(t, exc) from exc
+    try:
+        for t, address in enumerate(addresses):
+            links.append(_Link(address, encode_query_payload(params, queries[t]), timeout))
+            links[t].send()
+        for t, link in enumerate(links):
+            reply = link.receive(limits)
+            answers.append(_read_answer(reply, params))
+            payload_bytes += len(reply[1])
+    except (OSError, WireError, ServerSideError) as exc:
+        raise RetrievalAbortedError(t, exc) from exc
+    finally:
+        for link in links:
+            link.close()
     code = make_code(params.n_servers, params.k_mds, params.prime)
     try:
         source = scheme.decode(answers, master[0], theta, params, code)
@@ -337,8 +495,3 @@ def parse_address(text: str) -> tuple[str, int]:
     if not host or not port.isdigit():
         raise ValueError(f"bad address {text!r}, expected host:port")
     return host, int(port)
-
-
-def load_endpoints(path) -> list[tuple[str, int]]:
-    """Read a JSON list of "host:port" strings."""
-    return [parse_address(entry) for entry in json.loads(Path(path).read_text())]

@@ -3,6 +3,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from codedpir import derive_params, make_rng
 from codedpir import net, scheme
 from codedpir.net import (
+    MSG_ANSWER,
+    MSG_ERROR,
     MSG_QUERY,
     RetrievalAbortedError,
     ServerSideError,
@@ -17,19 +20,42 @@ from codedpir.net import (
     WireError,
     client_retrieve,
     decode_answer_payload,
+    decode_error_payload,
     decode_query_payload,
     encode_answer_payload,
+    encode_error_payload,
     encode_query_payload,
     parse_address,
     recv_message,
     send_message,
 )
 
+from conftest import EXAMPLE_QUERY
+
+
+class CountingServer(StorageServer):
+    """Counts the connections it accepts."""
+
+    accepts = 0
+
+    def get_request(self):
+        request = super().get_request()
+        self.accepts += 1  # only the serving thread accepts
+        return request
+
+
+@pytest.fixture(autouse=True)
+def empty_pool():
+    """Each test starts and ends with no idle client connection."""
+    net._pool.clear()
+    yield
+    net._pool.clear()
+
 
 @pytest.fixture
 def cluster(example_system):
     params, _, sources, _, storages = example_system
-    servers = [StorageServer(st, params) for st in storages]
+    servers = [CountingServer(st, params) for st in storages]
     for server in servers:
         server.start()
     yield params, sources, [s.server_address for s in servers], servers
@@ -43,6 +69,13 @@ def cluster(example_system):
         assert not stopper.is_alive()
     for server in servers:
         server.server_close()
+
+
+def ask(address, payload):
+    """One QUERY on a new connection; returns the reply frame."""
+    with socket.create_connection(address, timeout=2.0) as sock:
+        send_message(sock, MSG_QUERY, payload)
+        return recv_message(sock)
 
 
 class TestPayloads:
@@ -76,6 +109,12 @@ class TestPayloads:
         with pytest.raises(WireError):
             decode_answer_payload(payload)
 
+    def test_error_payload_is_bounded(self):
+        payload = encode_error_payload(net.ERR_INTERNAL, "x" * 5000)
+        assert len(payload) == net.MAX_ERROR_PAYLOAD
+        code, detail = decode_error_payload(payload)
+        assert (code, detail) == (net.ERR_INTERNAL, "x" * (net.MAX_ERROR_PAYLOAD - 2))
+
     def test_parse_address(self):
         assert parse_address("127.0.0.1:8000") == ("127.0.0.1", 8000)
         with pytest.raises(ValueError):
@@ -98,17 +137,30 @@ class TestEndToEnd:
     def test_param_mismatch_error(self, cluster):
         params, _, addresses, _ = cluster
         other = derive_params(5, 3, 3, 11)
-        query = [[3, 4, 3], [0, 1, 0], [1, 0, 4]]
-        with pytest.raises(ServerSideError) as exc:
-            net._query_one(addresses[0], other, query, timeout=2.0)
-        assert exc.value.code == net.ERR_PARAM_MISMATCH
+        with pytest.raises(RetrievalAbortedError) as exc:
+            client_retrieve(addresses, 0, other, seed=0)
+        assert exc.value.server_index == 0
+        assert isinstance(exc.value.cause, ServerSideError)
+        assert exc.value.cause.code == net.ERR_PARAM_MISMATCH
 
     def test_malformed_query_error_code_2(self, cluster):
         params, _, addresses, _ = cluster
         dup = [[3, 4, 3], [3, 1, 0], [1, 0, 4]]  # repeated column entry
-        with pytest.raises(ServerSideError) as exc:
-            net._query_one(addresses[0], params, dup, timeout=2.0)
-        assert exc.value.code == net.ERR_MALFORMED_QUERY
+        msg_type, payload = ask(addresses[0], encode_query_payload(params, dup))
+        assert msg_type == MSG_ERROR
+        assert decode_error_payload(payload)[0] == net.ERR_MALFORMED_QUERY
+
+    def test_oversized_query_header_rejected(self, cluster):
+        params, _, addresses, _ = cluster
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            # announces 2^32 - 1 payload bytes and sends none
+            sock.sendall(net._HEADER.pack(net.MAGIC, MSG_QUERY, 2**32 - 1))
+            msg_type, payload = recv_message(sock)
+            assert msg_type == MSG_ERROR
+            assert decode_error_payload(payload)[0] == net.ERR_MALFORMED_QUERY
+            assert sock.recv(1) == b""
+        msg_type, _ = ask(addresses[0], encode_query_payload(params, EXAMPLE_QUERY))
+        assert msg_type == MSG_ANSWER
 
     def test_wrong_magic_closes_connection(self, cluster):
         _, _, addresses, _ = cluster
@@ -124,6 +176,29 @@ class TestEndToEnd:
         with pytest.raises(RetrievalAbortedError) as exc:
             client_retrieve(addresses, 0, params, seed=0, timeout=1.0)
         assert exc.value.server_index == 3
+
+    def test_stopped_server_ends_its_open_connections(self, cluster):
+        params, sources, addresses, servers = cluster
+        assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
+        servers[3].shutdown()
+        servers[3].server_close()
+        with pytest.raises(RetrievalAbortedError) as exc:
+            client_retrieve(addresses, 0, params, seed=1, timeout=1.0)
+        assert exc.value.server_index == 3
+
+    def test_idle_connection_closed_by_server(self, cluster, monkeypatch):
+        params, sources, addresses, servers = cluster
+        monkeypatch.setattr(net, "IDLE_TIMEOUT_S", 0.2)
+        with socket.create_connection(addresses[0], timeout=5.0) as sock:
+            assert sock.recv(1) == b""
+        assert client_retrieve(addresses, 1, params, seed=0).source == sources[1]
+        deadline = time.monotonic() + 5.0
+        while any(server._connections for server in servers):
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        # Every pooled connection is dead now: each query is resent once.
+        assert client_retrieve(addresses, 2, params, seed=1).source == sources[2]
+        assert [server.accepts for server in servers] == [3, 2, 2, 2, 2]
 
     def test_wrong_address_count(self, cluster):
         params, _, addresses, _ = cluster
@@ -177,9 +252,111 @@ class TestAnswerChecks:
         tamper(lambda answer, params: answer[:-1])
         self.aborted_by(cluster, scheme.AnswerMismatchError)
 
+    def test_frame_longer_than_k_rounds(self, cluster, tamper):
+        tamper(lambda answer, params: [0] * (len(answer) + 1))
+        self.aborted_by(cluster, WireError)
+
     def test_value_not_below_p(self, cluster, tamper):
         tamper(lambda answer, params: [None if a is None else a + params.prime for a in answer])
         self.aborted_by(cluster, WireError)
+
+
+class TestConnectionPool:
+    def test_retrievals_reuse_connections(self, cluster):
+        params, sources, addresses, servers = cluster
+        for i in range(50):
+            theta = i % 3
+            assert client_retrieve(addresses, theta, params, seed=i).source == sources[theta]
+        assert sum(server.accepts for server in servers) == params.n_servers
+
+    def test_concurrent_retrievals(self, cluster):
+        params, sources, addresses, servers = cluster
+        wrong = []
+
+        def client(worker):
+            for i in range(25):
+                theta = (worker + i) % 3
+                try:
+                    source = client_retrieve(addresses, theta, params, seed=100 * worker + i).source
+                except RetrievalAbortedError as exc:
+                    source = exc
+                if source != sources[theta]:
+                    wrong.append((worker, i, source))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=client, args=(w,)) for w in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+        # A connection is opened only while the others to that server are
+        # in use, by at most four retrievals at once.
+        assert all(1 <= server.accepts <= 4 for server in servers)
+
+    def test_timeout_mid_answer_closes_the_socket(self, cluster, monkeypatch):
+        params, sources, addresses, _ = cluster
+        assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
+        send = net.send_message
+        release = threading.Event()
+        stalled = []
+        lock = threading.Lock()
+
+        def stalling_send(sock, msg_type, payload):
+            """Send the first ANSWER in two parts, the second one late."""
+            with lock:
+                stall = msg_type == MSG_ANSWER and not stalled
+                if stall:
+                    stalled.append(sock)
+            if not stall:
+                return send(sock, msg_type, payload)
+            frame = net._HEADER.pack(net.MAGIC, msg_type, len(payload)) + payload
+            sock.sendall(frame[:7])
+            release.wait(10)
+            sock.sendall(frame[7:])
+
+        monkeypatch.setattr(net, "send_message", stalling_send)
+        with pytest.raises(RetrievalAbortedError) as exc:
+            client_retrieve(addresses, 1, params, seed=1, timeout=0.3)
+        assert isinstance(exc.value.cause, TimeoutError)
+        release.set()
+        for seed in (2, 3):
+            assert client_retrieve(addresses, 2, params, seed=seed).source == sources[2]
+
+    def test_resend_after_stale_connection_is_identical(self, cluster, monkeypatch):
+        params, sources, addresses, servers = cluster
+        frames = []
+        connect = socket.create_connection
+
+        class Recording:
+            """A client socket that logs every frame it sends."""
+
+            def __init__(self, address, *args, **kwargs):
+                self.address = address
+                self.sock = connect(address, *args, **kwargs)
+
+            def sendall(self, data):
+                frames.append((self.address, bytes(data)))
+                self.sock.sendall(data)
+
+            def __getattr__(self, attr):
+                return getattr(self.sock, attr)
+
+        monkeypatch.setattr(net.socket, "create_connection", Recording)
+        assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
+        servers[2].close_connections()
+        frames.clear()
+        assert client_retrieve(addresses, 1, params, seed=1).source == sources[1]
+        to_stale = [frame for address, frame in frames if address == addresses[2]]
+        assert len(to_stale) == 2
+        assert to_stale[0] == to_stale[1]
+        assert len(frames) == params.n_servers + 1
+        assert servers[2].accepts == 2
 
 
 def test_importing_net_does_not_load_scipy():
