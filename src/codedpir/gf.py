@@ -1,24 +1,14 @@
 """
-Arithmetic in the prime field F_p.
+Scalar helpers for the prime field F_p.
 
-All coding and rank computations in this package reduce to scalar
-arithmetic modulo a prime.  ``FieldElement`` is the checked, immutable
-carrier of a residue together with its modulus; mixing elements from
-different fields is a hard error, not undefined behavior.
-
-Bulk matrix code elsewhere works on plain ints for speed and uses the
-module-level helpers here for the scalar steps that need them.
+Field elements are plain ints (or int64 arrays) reduced modulo p; the
+matrix code elsewhere needs only a primality test for the modulus and
+the inverse of a residue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-class FieldMismatchError(ValueError):
-    """Operands belong to fields with different moduli."""
 
 
 class NonPrimeModulusError(ValueError):
@@ -57,80 +47,8 @@ def check_modulus(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical residue in [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_modulus(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise FieldMismatchError(
-                f"moduli differ: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement((self.value - other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value % self.modulus, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value % self.modulus, self.modulus)
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return pow(self.inverse(), -exponent)
-        return FieldElement(pow(self.value, exponent, self.modulus), self.modulus)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return self * other.inverse()
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        # Fermat: a^(p-2) = a^(-1) for prime p.
-        return FieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def power(a: FieldElement, exponent: int) -> FieldElement:
-    return a ** exponent
-
-
 def inv_mod(value: int, p: int) -> int:
-    """Inverse of a plain residue, for the int-based matrix kernels."""
+    """The inverse of value mod p, in [0:p); value may be any integer."""
     value %= p
     if value == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse")

@@ -3,8 +3,8 @@ Matrix arithmetic over F_p.
 
 `matmul_mod` is the one matrix product of the package: every encode,
 answer decode and decode-map build goes through it, so the int64
-overflow rule lives in one place.  Gaussian elimination works on plain
-int matrices given as lists of row lists; pivoting is first-nonzero in
+overflow rule lives in one place.  `rank_mod` eliminates on plain int
+matrices given as lists of row lists; pivoting is first-nonzero in
 column order, which keeps elimination deterministic.
 """
 
@@ -30,10 +30,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
 
 
-class SingularMatrixError(ValueError):
-    """The linear system has no unique solution over F_p."""
-
-
 def rank_mod(rows: list[list[int]], p: int) -> int:
     """Rank of a matrix over F_p."""
     if not rows:
@@ -56,21 +52,3 @@ def rank_mod(rows: list[list[int]], p: int) -> int:
         if rank == n_rows:
             break
     return rank
-
-
-def solve_mod(a: list[list[int]], b: list[int], p: int) -> list[int]:
-    """Solve the square system a·x = b over F_p."""
-    n = len(a)
-    aug = [[x % p for x in row] + [b[i] % p] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError("singular coefficient matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = inv_mod(aug[col][col], p)
-        aug[col] = [x * inv_p % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]

@@ -3,7 +3,10 @@ TCP transport for the retrieval protocol.
 
 Frame: 4-byte magic "PIR1", 1-byte message type, u32 big-endian payload
 length, payload.  A QUERY carries (N, K, M, p) as u32s followed by the
-k x M query entries as u16s row-major; an ANSWER carries a u16 round
+k x M query entries as big-endian u16s, row-major.  The client casts
+the N queries of a retrieval to that dtype in one step, so a payload is
+the header plus the bytes of one server's slice; the server reads the
+entries back with one np.frombuffer.  An ANSWER carries a u16 round
 count then per round a flag byte (0 = NULL) and, when present, the
 field element as a u64 big-endian.  ERROR is a u16 code plus UTF-8
 detail.  All k rounds ride in one ANSWER: the scheme has no inter-round
@@ -38,6 +41,8 @@ import struct
 import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import scheme
 from .rs import make_code
 from .scheme import ProtocolError, ServerStorage, SystemParams
@@ -67,6 +72,7 @@ MAX_ERROR_PAYLOAD = 1024
 
 _HEADER = struct.Struct(">4sBI")
 _QUERY_PARAMS = struct.Struct(">IIII")
+_QUERY_ENTRY = np.dtype(">u2")
 
 
 class WireError(ProtocolError):
@@ -138,23 +144,33 @@ def recv_message(
 # payloads
 
 
-def encode_query_payload(params: SystemParams, query: list[list[int]]) -> bytes:
+def encode_query_payload(params: SystemParams, query) -> bytes:
+    """QUERY payload of k x M entries, given as row lists or an array.
+
+    An array already of the wire dtype (big-endian u16) is copied as it
+    is; any other input is checked to be integers in [0:2^16) first.
+    """
     head = _QUERY_PARAMS.pack(
         params.n_servers, params.k_mds, params.m_files, params.prime
     )
-    entries = [e for row in query for e in row]
-    return head + struct.pack(f">{len(entries)}H", *entries)
+    entries = np.asarray(query)
+    if entries.dtype != _QUERY_ENTRY:
+        if entries.dtype.kind not in "iu":
+            raise WireError("query entries must be integers")
+        if entries.size and (entries.min() < 0 or entries.max() > 0xFFFF):
+            raise WireError("query entry out of the wire's u16 range")
+        entries = entries.astype(_QUERY_ENTRY)
+    return head + entries.tobytes()
 
 
-def decode_query_payload(payload: bytes) -> tuple[tuple[int, int, int, int], list[list[int]]]:
+def decode_query_payload(payload: bytes) -> tuple[tuple[int, int, int, int], np.ndarray]:
+    """The header (N, K, M, p) and the entries as a flat u16 array."""
     if len(payload) < _QUERY_PARAMS.size:
         raise WireError("query payload too short")
     header = _QUERY_PARAMS.unpack_from(payload)
-    body = payload[_QUERY_PARAMS.size:]
-    if len(body) % 2:
+    if (len(payload) - _QUERY_PARAMS.size) % 2:
         raise WireError("query entries not u16-aligned")
-    flat = struct.unpack(f">{len(body) // 2}H", body)
-    return header, list(flat)
+    return header, np.frombuffer(payload, _QUERY_ENTRY, offset=_QUERY_PARAMS.size)
 
 
 def encode_answer_payload(answer: list[int | None]) -> bytes:
@@ -253,7 +269,8 @@ class _Handler(socketserver.BaseRequestHandler):
         k, m = params.k_reduced, params.m_files
         if len(flat) != k * m:
             raise ServerSideError(ERR_MALFORMED_QUERY, f"expected {k * m} entries")
-        query = [list(flat[s * m : (s + 1) * m]) for s in range(k)]
+        # scheme.server_answer takes row lists of Python ints, not an array.
+        query = flat.reshape(k, m).tolist()
         try:
             return scheme.server_answer(server.storage, query, params)
         except ProtocolError as exc:
@@ -460,7 +477,9 @@ def client_retrieve(
             f"need {params.n_servers} server addresses, got {len(addresses)}"
         )
     master = scheme.sample_master_queries(params, scheme.make_rng(seed), 1)
-    queries = scheme.server_queries(master, [theta], params)[0].tolist()
+    # All N queries in the wire's dtype at once; n < 2^16 is checked by
+    # derive_params, so every entry fits.
+    queries = scheme.server_queries(master, [theta], params)[0].astype(_QUERY_ENTRY)
     limits = {MSG_ANSWER: 2 + 9 * params.k_reduced, MSG_ERROR: MAX_ERROR_PAYLOAD}
     links: list[_Link] = []
     answers: list[list[int | None]] = []

@@ -19,8 +19,11 @@ N*k answers to the file, and D_c is cached per column on the code.  A
 single retrieval is a batch of one; sim.run_trials runs many.
 
 The list-based calls (gen_master_query, build_server_query,
-server_answer, decode) carry what travels over the wire: k x M query
-row lists, and length-k answer lists with None marking NULL rounds.
+server_answer, decode) work on k x M query row lists and length-k
+answer lists with None marking NULL rounds.  server_answer takes row
+lists, which a networked server builds from the entries it receives;
+the networked client sends the server_queries array and passes decode
+the master array, building no lists.
 """
 
 from __future__ import annotations
@@ -412,14 +415,32 @@ def _build_decode_map(column: tuple, params: SystemParams, code: MdsCode) -> np.
     return d_map
 
 
-def _answer_values(answers, live: np.ndarray, params: SystemParams) -> np.ndarray:
+def _server_live_rounds(master: np.ndarray, theta: int, params: SystemParams) -> list:
+    """live_rounds(server_queries(...)) of one master as N lists of k
+    bools, without building the N queries.  They differ only in column
+    theta, so round s of server t is live when another column has an
+    entry below n-k in row s, or when (master[s, theta] + t) mod n is."""
+    if not 0 <= theta < params.m_files:
+        raise ParameterError(f"theta={theta} out of [0:{params.m_files})")
+    n, low = params.n_reduced, params.dummy_low
+    below = master < low
+    below[:, theta] = False
+    others = below.any(axis=1).tolist()
+    column = master[:, theta].tolist()
+    return [
+        [other or (entry + t) % n < low for entry, other in zip(column, others)]
+        for t in range(params.n_servers)
+    ]
+
+
+def _answer_values(answers, live: list, params: SystemParams) -> np.ndarray:
     """The N*k answers as int64, 0 in NULL rounds, after checking each
-    against the live rounds (N, k) its query implies."""
+    against the live rounds (N lists of k) its query implies."""
     k, p = params.k_reduced, params.prime
     if len(answers) != params.n_servers:
         raise DecodingError(f"expected {params.n_servers} answer vectors, got {len(answers)}")
     values = []
-    for t, (answer, expected) in enumerate(zip(answers, live.tolist())):
+    for t, (answer, expected) in enumerate(zip(answers, live)):
         if len(answer) != k:
             raise AnswerMismatchError(t, f"{len(answer)} rounds answered, the query has {k}")
         for s, (value, is_live) in enumerate(zip(answer, expected)):
@@ -450,8 +471,7 @@ def decode(
     names the first server whose answer does not.
     """
     master = np.asarray(master)
-    queries = server_queries(master[None], [theta], params)[0]
-    values = _answer_values(answers, live_rounds(queries, params), params)
+    values = _answer_values(answers, _server_live_rounds(master, theta, params), params)
     d_map = decode_map(master[:, theta].tolist(), params, code)
     source = matmul_mod(d_map, values, params.prime)
     return source.reshape(params.rows_per_file, params.k_mds).tolist()

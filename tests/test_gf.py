@@ -2,78 +2,46 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codedpir import gf
-from codedpir.gf import FieldElement, FieldMismatchError, NonPrimeModulusError
-
-
-def fe(v, p=7):
-    return FieldElement(v, p)
+from codedpir.gf import NonPrimeModulusError, inv_mod
 
 
 class TestExamples:
-    def test_add(self):
-        assert gf.add(fe(3), fe(5)).value == 1
-        assert gf.add(fe(0), fe(4)).value == 4
-        assert gf.add(fe(200, 257), fe(100, 257)).value == 43
-
-    def test_mul(self):
-        assert gf.mul(fe(3), fe(5)).value == 1
-        assert gf.mul(fe(1), fe(6)).value == 6
-        assert gf.mul(fe(16, 257), fe(16, 257)).value == 256
-
     def test_inv(self):
-        assert gf.inv(fe(3)).value == 5
-        assert gf.inv(fe(1)).value == 1
-        assert gf.inv(fe(2, 257)).value == 129
-
-    def test_neg_sub_pow(self):
-        assert gf.neg(fe(3)).value == 4
-        assert gf.power(fe(3), 6).value == 1
-        assert gf.sub(fe(2), fe(5)).value == 4
+        assert inv_mod(3, 7) == 5
+        assert inv_mod(1, 7) == 1
+        assert inv_mod(2, 257) == 129
 
     def test_inv_of_zero(self):
         with pytest.raises(ZeroDivisionError):
-            gf.inv(fe(0))
-
-    def test_mismatched_moduli(self):
-        with pytest.raises(FieldMismatchError):
-            fe(1, 7) + fe(1, 11)
-        with pytest.raises(FieldMismatchError):
-            fe(1, 7) * fe(1, 11)
+            inv_mod(0, 7)
+        with pytest.raises(ZeroDivisionError):
+            inv_mod(7, 7)
 
     def test_non_prime_modulus(self):
         with pytest.raises(NonPrimeModulusError):
-            FieldElement(1, 6)
+            gf.check_modulus(6)
+        assert gf.check_modulus(7) == 7
 
 
-elements = st.integers(min_value=0, max_value=10**6)
+primes = st.sampled_from([2, 7, 257, 65537, 2**31 - 1, 4294967291])
 
 
-@given(elements, elements, elements)
-def test_ring_axioms(a, b, c):
-    p = 257
-    x, y, z = FieldElement(a, p), FieldElement(b, p), FieldElement(c, p)
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert x * (y + z) == x * y + x * z
+@given(primes, st.data())
+def test_inverses(p, data):
+    a = data.draw(st.integers(1, p - 1))
+    assert a * inv_mod(a, p) % p == 1
 
 
-@given(elements)
-def test_inverses(a):
-    p = 257
-    x = FieldElement(a, p)
-    assert (x + (-x)).value == 0
-    if x.value != 0:
-        assert (x * x.inverse()).value == 1
-
-
-@given(elements, elements)
-def test_canonical_closure(a, b):
-    p = 101
-    x, y = FieldElement(a, p), FieldElement(b, p)
-    for result in (x + y, x - y, x * y, -x, x ** 5):
-        assert 0 <= result.value < p
+@given(primes, st.integers(-(10**12), 10**12))
+def test_canonical_closure(p, a):
+    # any integer representative of a residue gives its inverse in [0:p)
+    if a % p == 0:
+        with pytest.raises(ZeroDivisionError):
+            inv_mod(a, p)
+    else:
+        inverse = inv_mod(a, p)
+        assert 0 <= inverse < p
+        assert inverse == inv_mod(a % p, p)
 
 
 def test_is_prime():

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from codedpir.linalg import SingularMatrixError, matmul_mod, rank_mod, solve_mod
+from codedpir.linalg import matmul_mod, rank_mod
 
 
 def row_space_rank(rows, p):
@@ -40,24 +40,6 @@ def test_rank_edge_cases():
     assert rank_mod([[1, 0], [0, 1]], 7) == 2
     # rows equal mod 5 but not over the integers
     assert rank_mod([[1, 2], [6, 7]], 5) == 1
-
-
-def test_solve_round_trip():
-    rng = random.Random(11)
-    p = 13
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        if rank_mod(a, p) < n:
-            continue
-        x = [rng.randrange(p) for _ in range(n)]
-        b = [sum(a[i][j] * x[j] for j in range(n)) % p for i in range(n)]
-        assert solve_mod(a, b, p) == x
-
-
-def test_solve_singular():
-    with pytest.raises(SingularMatrixError):
-        solve_mod([[1, 2], [2, 4]], [1, 2], 7)
 
 
 @pytest.mark.parametrize("p", [7, 65537, 2**31 - 1, 4294967291, 2**61 - 1])

@@ -1,12 +1,15 @@
 import random
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from codedpir import derive_params, make_rng
 from codedpir import net, scheme
@@ -87,7 +90,38 @@ class TestPayloads:
             payload = encode_query_payload(params, query)
             header, flat = decode_query_payload(payload)
             assert header == (5, 3, 3, 7)
-            assert flat == [e for row in query for e in row]
+            assert flat.tolist() == [e for row in query for e in row]
+
+    def test_example_query_golden_bytes(self):
+        payload = encode_query_payload(derive_params(5, 3, 3, 7), EXAMPLE_QUERY)
+        assert payload == bytes.fromhex(
+            "00000005" "00000003" "00000003" "00000007"  # N, K, M, p
+            "0003" "0004" "0003" "0000" "0001" "0000" "0001" "0000" "0004"
+        )
+
+    def test_wide_query_matches_struct_reference(self):
+        params = derive_params(8, 5, 256, 65537)
+        master = scheme.sample_master_queries(params, make_rng(3), 1)
+        queries = scheme.server_queries(master, [200], params)[0]
+        head = struct.pack(">IIII", 8, 5, 256, 65537)
+        for t, query in enumerate(queries):
+            entries = query.ravel().tolist()
+            reference = head + struct.pack(f">{len(entries)}H", *entries)
+            assert encode_query_payload(params, query.tolist()) == reference
+            assert encode_query_payload(params, query) == reference
+            assert encode_query_payload(params, queries.astype(">u2")[t]) == reference
+            header, flat = decode_query_payload(bytearray(reference))
+            assert header == (8, 5, 256, 65537)
+            assert flat.tolist() == entries
+
+    @pytest.mark.parametrize("entry", [-1, 2**16, 1.5])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_query_entry_outside_u16(self, entry, as_array):
+        query = [[3, 4, 3], [0, entry, 0], [1, 0, 4]]
+        if as_array:
+            query = np.array(query)  # int64, or float64 with 1.5
+        with pytest.raises(WireError):
+            encode_query_payload(derive_params(5, 3, 3, 7), query)
 
     def test_answer_round_trip(self):
         rng = random.Random(1)
@@ -204,6 +238,46 @@ class TestEndToEnd:
         params, _, addresses, _ = cluster
         with pytest.raises(net.ParameterMismatch):
             client_retrieve(addresses[:4], 0, params, seed=0)
+
+    def test_query_frames_follow_the_seed(self, cluster, monkeypatch):
+        """client_retrieve sends each server its query of the seed's
+        master, in the reference layout."""
+        params, sources, addresses, _ = cluster
+        sent = []
+        send = net.send_message
+
+        def recording_send(sock, msg_type, payload):
+            if msg_type == MSG_QUERY:
+                sent.append(bytes(payload))
+            send(sock, msg_type, payload)
+
+        monkeypatch.setattr(net, "send_message", recording_send)
+        assert client_retrieve(addresses, 2, params, seed=9).source == sources[2]
+        master = scheme.gen_master_query(params, make_rng(9))
+        head = struct.pack(">IIII", 5, 3, 3, 7)
+        expected = []
+        for t in range(params.n_servers):
+            entries = [e for row in scheme.build_server_query(master, 2, t, params) for e in row]
+            expected.append(head + struct.pack(f">{len(entries)}H", *entries))
+        assert sent == expected
+
+    def test_server_answers_from_row_lists_of_ints(self, cluster, monkeypatch):
+        params, sources, addresses, _ = cluster
+        honest = scheme.server_answer
+        seen = []
+
+        def server_answer(storage, query, params):
+            seen.append(
+                type(query) is list
+                and len(query) == params.k_reduced
+                and all(type(row) is list and len(row) == params.m_files for row in query)
+                and all(type(entry) is int for row in query for entry in row)
+            )
+            return honest(storage, query, params)
+
+        monkeypatch.setattr(scheme, "server_answer", server_answer)
+        assert client_retrieve(addresses, 1, params, seed=4).source == sources[1]
+        assert seen == [True] * params.n_servers
 
     def test_multiple_queries_per_connection(self, cluster):
         params, _, addresses, _ = cluster
@@ -357,6 +431,73 @@ class TestConnectionPool:
         assert to_stale[0] == to_stale[1]
         assert len(frames) == params.n_servers + 1
         assert servers[2].accepts == 2
+
+
+class TestFuzz:
+    """Arbitrary bytes from a peer fail with WireError, or ConnectionError
+    when they end mid-frame, and never stop a server."""
+
+    # Frames that get past the magic, with any type, length and body,
+    # and QUERY payloads whose header matches the worked example.
+    frames = st.builds(
+        lambda msg_type, length, body: net._HEADER.pack(net.MAGIC, msg_type, length) + body,
+        st.integers(0, 255),
+        st.integers(0, 2**32 - 1) | st.integers(0, 64),
+        st.binary(max_size=64),
+    )
+    query_payloads = st.builds(
+        lambda body: net._QUERY_PARAMS.pack(5, 3, 3, 7) + body, st.binary(max_size=40)
+    )
+    peer_bytes = st.binary(max_size=128) | frames | query_payloads.map(
+        lambda payload: net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.binary(max_size=64) | query_payloads)
+    def test_payload_decoders(self, payload):
+        for decoder in (decode_query_payload, decode_answer_payload, decode_error_payload):
+            try:
+                decoder(payload)
+            except WireError:
+                pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=peer_bytes, limits=st.sampled_from([
+        {MSG_QUERY: 16 + 2 * 9},  # a (5,3,3) server's limits, then a client's
+        {MSG_ANSWER: 2 + 9 * 3, MSG_ERROR: net.MAX_ERROR_PAYLOAD},
+    ]))
+    def test_recv_message(self, data, limits):
+        left, right = socket.socketpair()
+        with left, right:
+            right.settimeout(2.0)
+            left.sendall(data)
+            left.shutdown(socket.SHUT_WR)
+            try:
+                while True:
+                    recv_message(right, limits)
+            except (WireError, ConnectionError):
+                pass
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=peer_bytes)
+    def test_server_survives(self, cluster, data):
+        params, _, addresses, _ = cluster
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            try:
+                sock.sendall(data)
+                sock.shutdown(socket.SHUT_WR)
+                while sock.recv(4096):  # until the server ends the connection
+                    pass
+            except TimeoutError:
+                raise
+            except OSError:
+                pass  # the server closed it first
+        msg_type, _ = ask(addresses[0], encode_query_payload(params, EXAMPLE_QUERY))
+        assert msg_type == MSG_ANSWER
 
 
 def test_importing_net_does_not_load_scipy():

@@ -391,6 +391,30 @@ class TestAnswerChecks:
         answers[1][1] = 7  # p = 7
         self.check(answers, example_system, 1)
 
+    @pytest.mark.parametrize("theta", [-1, 3])
+    def test_theta_out_of_range(self, answers, example_system, theta):
+        params, code, _, _, _ = example_system
+        with pytest.raises(ParameterError, match=f"theta={theta} out of"):
+            decode(answers, EXAMPLE_QUERY, theta, params, code)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_servers=st.integers(2, 9),
+        data=st.data(),
+        m_files=st.integers(2, 6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_live_rounds_from_the_master(self, n_servers, data, m_files, seed):
+        """decode's live-round mask, taken from the master alone, is the
+        one the N server queries imply."""
+        k_mds = data.draw(st.integers(1, n_servers - 1))
+        params = derive_params(n_servers, k_mds, m_files, 257)
+        master = scheme.sample_master_queries(params, make_rng(seed), 1)
+        theta = data.draw(st.integers(0, m_files - 1))
+        queries = scheme.server_queries(master, [theta], params)[0]
+        expected = scheme.live_rounds(queries, params).tolist()
+        assert scheme._server_live_rounds(master[0], theta, params) == expected
+
 
 class TestRetrieve:
     def test_matches_source(self, example_system):
