@@ -6,18 +6,25 @@ length, payload.  A QUERY carries (N, K, M, p) as u32s followed by the
 k x M query entries as big-endian u16s, row-major.  The client casts
 the N queries of a retrieval to that dtype in one step, so a payload is
 the header plus the bytes of one server's slice; the server reads the
-entries back with one np.frombuffer.  An ANSWER carries a u16 round
-count then per round a flag byte (0 = NULL) and, when present, the
-field element as a u64 big-endian.  ERROR is a u16 code plus UTF-8
-detail.  All k rounds ride in one ANSWER: the scheme has no inter-round
-dependency, so a retrieval is a single round trip per server.  Each
-side bounds the payload it reads by the size the system's parameters
-imply (16 + 2kM bytes for a QUERY, 2 + 9k for an ANSWER,
-MAX_ERROR_PAYLOAD for an ERROR) before reading it.
+entries back with one np.frombuffer.  A query of more than
+scheme.SMALL_QUERY_ENTRIES entries reaches scheme.server_answer as a
+(k, M) array, range-checked against n and then narrowed to the
+smallest dtype that holds [0:n) (u8 for n <= 256); a smaller one as
+row lists of Python ints, which its loop answers faster than numpy
+would.  An ANSWER carries a u16 round count then per round a flag byte
+(0 = NULL) and, when present, the field element as a u64 big-endian.
+ERROR is a u16 code plus UTF-8 detail.  All k rounds ride in one
+ANSWER: the scheme has no inter-round dependency, so a retrieval is a
+single round trip per server.  Each side bounds the payload it reads
+by the size the system's parameters imply (16 + 2kM bytes for a QUERY,
+2 + 9k for an ANSWER, MAX_ERROR_PAYLOAD for an ERROR) before reading
+it.
 
 Connections persist.  A server answers every QUERY on a connection
 until the client closes it, the connection stays idle for
-IDLE_TIMEOUT_S seconds, or the server is closed.  The client keeps idle
+IDLE_TIMEOUT_S seconds, or the server is closed; it keeps at most
+MAX_SERVER_CONNECTIONS open and closes any further one as it accepts
+it, so the number of its threads is bounded.  The client keeps idle
 sockets in a pool of at most MAX_IDLE_CONNECTIONS, keyed by address; a
 retrieval sends its N queries, each on its own connection, then reads
 the N answers in turn, in one thread.  A socket goes back to the pool
@@ -66,6 +73,11 @@ MAX_IDLE_CONNECTIONS = 64
 # Seconds a server waits for the next frame on a connection before it
 # closes the connection, so a silent client does not hold a thread.
 IDLE_TIMEOUT_S = 60.0
+
+# Connections a server keeps open at once, each served by its own
+# thread; one accepted beyond them is closed at once, so a flood of
+# connections cannot start threads without bound.
+MAX_SERVER_CONNECTIONS = 256
 
 # Longest ERROR payload a client reads; a server cuts its detail to fit.
 MAX_ERROR_PAYLOAD = 1024
@@ -269,8 +281,14 @@ class _Handler(socketserver.BaseRequestHandler):
         k, m = params.k_reduced, params.m_files
         if len(flat) != k * m:
             raise ServerSideError(ERR_MALFORMED_QUERY, f"expected {k * m} entries")
-        # scheme.server_answer takes row lists of Python ints, not an array.
-        query = flat.reshape(k, m).tolist()
+        query = flat.reshape(k, m)
+        if k * m <= scheme.SMALL_QUERY_ENTRIES:
+            query = query.tolist()  # the loop's input; numpy calls cost more
+        elif query.max() < params.n_reduced:
+            # Narrowed only once every entry is below n, so none wraps
+            # into [0:n); server_answer rejects a wider one with
+            # validate_query's message.
+            query = query.astype(server.entry_dtype)
         try:
             return scheme.server_answer(server.storage, query, params)
         except ProtocolError as exc:
@@ -287,8 +305,10 @@ class StorageServer(socketserver.ThreadingTCPServer):
     """One PIR server over shared read-only storage.
 
     Each connection gets a handler thread that answers its queries until
-    the connection closes.  `server_close` also ends every open
-    connection, so a stopped server answers nothing more.
+    the connection closes; a connection accepted while
+    MAX_SERVER_CONNECTIONS are open is closed without one.
+    `server_close` also ends every open connection, so a stopped server
+    answers nothing more.
     """
 
     allow_reuse_address = True
@@ -298,6 +318,9 @@ class StorageServer(socketserver.ThreadingTCPServer):
         self.storage = storage
         self.params = params
         self.frame_limits = {MSG_QUERY: _QUERY_PARAMS.size + 2 * params.k_reduced * params.m_files}
+        # The narrowest dtype holding [0:n), u8 for n <= 256: a large
+        # query reaches scheme.server_answer in it.
+        self.entry_dtype = np.min_scalar_type(params.n_reduced - 1)
         self._connections: set = set()
         self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
@@ -311,7 +334,12 @@ class StorageServer(socketserver.ThreadingTCPServer):
         # Registered before its thread starts, so close_connections
         # cannot miss a connection whose handler has not run yet.
         with self._connections_lock:
-            self._connections.add(request)
+            full = len(self._connections) >= MAX_SERVER_CONNECTIONS
+            if not full:
+                self._connections.add(request)
+        if full:
+            self.shutdown_request(request)
+            return
         super().process_request(request, client_address)
 
     def shutdown_request(self, request):

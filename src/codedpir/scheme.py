@@ -20,10 +20,12 @@ single retrieval is a batch of one; sim.run_trials runs many.
 
 The list-based calls (gen_master_query, build_server_query,
 server_answer, decode) work on k x M query row lists and length-k
-answer lists with None marking NULL rounds.  server_answer takes row
-lists, which a networked server builds from the entries it receives;
-the networked client sends the server_queries array and passes decode
-the master array, building no lists.
+answer lists with None marking NULL rounds.  server_answer also takes
+a (k, M) integer array: a networked server passes a query of more than
+SMALL_QUERY_ENTRIES entries as one, narrowed to the smallest dtype
+that holds [0:n), and a smaller query as row lists.  The networked
+client sends the server_queries array and passes decode the master
+array, building no lists.
 """
 
 from __future__ import annotations
@@ -50,12 +52,16 @@ SOURCE_FORMAT = "pir-mds-source/1"
 PRIME_LIMIT = 2**32
 MAX_REDUCED_N = 2**16 - 1
 
-# Queries up to this many entries are answered by a loop: numpy's
-# per-call costs outweigh the work of a small query.  In a warm thread
-# (2-core x86, Python 3.11, numpy 2.4) the 9-entry (5,3,3) answer took
-# a median 6-12 us by the loop against 13-24 us by the engine; at 1280
-# entries, (8,5,256), numpy's gather-sum is several times faster than
-# the loop.
+# Queries up to this many entries are answered by a loop over row
+# lists: numpy's per-call costs outweigh the work of a small query, and
+# more so in a threaded server than in a warm loop.  On a 2-core x86
+# (Python 3.11, numpy 2.4), passing the 9-entry (5,3,3) query to the
+# engine as a u8 array in the loopback server raised the traced time
+# per query from 37 to 85 us and the median retrieval from 0.41 to
+# 0.54 ms, where a warm loop had shown the engine only 7-12 us dearer.
+# At 1280 entries, (8,5,256), the engine answers the server's u8 array
+# in 36 us, range check and cast included, against 90 us through row
+# lists.
 SMALL_QUERY_ENTRIES = 128
 
 # Bytes of decode maps one code keeps: every column of (5,3) fits, and
@@ -248,19 +254,26 @@ def build_server_query(
 
 
 def validate_query(query, params: SystemParams) -> np.ndarray:
-    """The query, or a stack of queries (..., k, M), as an int64 array.
+    """The query, or a stack of queries (..., k, M), as an integer array.
 
-    Raises ProtocolError unless every column holds k distinct entries
-    of [0:n).
+    An integer array is checked in its own dtype, without a copy; row
+    lists are converted first.  Raises ProtocolError unless every entry
+    is an integer and every column holds k distinct entries of [0:n).
     """
     k, m, n = params.k_reduced, params.m_files, params.n_reduced
     try:
-        q = np.asarray(query, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError) as exc:
+        q = np.asarray(query)
+    except (ValueError, TypeError) as exc:
         raise ProtocolError(f"query must be {k} x {m} integers") from exc
     if q.ndim < 2 or q.shape[-2:] != (k, m):
         raise ProtocolError(f"query must be {k} x {m}")
-    if q.view(np.uint64).max() >= n:
+    # Lists holding a float, a string, None or an integer beyond int64
+    # convert to another kind.
+    if q.dtype.kind not in "iu":
+        raise ProtocolError(f"query must be {k} x {m} integers")
+    # As uint64 a negative entry is huge: one reduction checks both ends.
+    wide = q.astype(np.int64, copy=False).view(np.uint64) if q.dtype.kind == "i" else q
+    if wide.max() >= n:
         entry = q[(q < 0) | (q >= n)][0]
         raise ProtocolError(f"query entry {entry} out of [0:{n})")
     # Entry pairs of a column that are equal: only the k self-pairs when
@@ -316,37 +329,50 @@ def live_rounds(queries: np.ndarray, params: SystemParams) -> np.ndarray:
     return (queries < params.dummy_low).any(axis=-1)
 
 
-def server_answer(
-    storage: ServerStorage, query: list[list[int]], params: SystemParams
-) -> list[int | None]:
-    """k per-round responses; None marks a NULL (silent) round.
+def server_answer(storage: ServerStorage, query, params: SystemParams) -> list[int | None]:
+    """k per-round responses to a k x M query; None marks a NULL round.
 
-    The server sees only its own query, never the desired file index.
-    A query of more than SMALL_QUERY_ENTRIES entries is validated and
-    answered by the batch engine; a smaller one by a loop with the same
-    checks and messages, which is cheaper than a dozen numpy calls.
+    The query is k row lists or a (k, M) integer array.  The server sees
+    only its own query, never the desired file index.  A query of more
+    than SMALL_QUERY_ENTRIES entries is validated and answered by the
+    batch engine, in the array's own dtype; a smaller one by a loop over
+    row lists, which is cheaper than a dozen numpy calls.  Both raise
+    validate_query's ProtocolError for a query it rejects.
     """
     k, m, n = params.k_reduced, params.m_files, params.n_reduced
-    if len(query) != k or any(len(row) != m for row in query):
+    if isinstance(query, np.ndarray):
+        if query.shape != (k, m):
+            raise ProtocolError(f"query must be {k} x {m}")
+        if k * m <= SMALL_QUERY_ENTRIES:
+            query = query.tolist()
+    elif len(query) != k or any(len(row) != m for row in query):
         raise ProtocolError(f"query must be {k} x {m}")
     if k * m > SMALL_QUERY_ENTRIES:
         q = validate_query(query, params)
         values = answer_queries(storage.symbols[None], q[None], params)[0].tolist()
         live = live_rounds(q, params).tolist()
         return [value if is_live else None for value, is_live in zip(values, live)]
-    for row in query:
-        for entry in row:
-            if not 0 <= entry < n:
-                raise ProtocolError(f"query entry {entry} out of [0:{n})")
-    for i in range(m):
-        if len({row[i] for row in query}) != k:
-            raise ProtocolError(f"query column {i} has repeated entries")
-    symbol, low, p = storage.symbols.item, params.dummy_low, params.prime
+    if not _is_plain_query(query, n, k):
+        validate_query(query, params)  # the engine's checks decide
+    symbol, low, p, files = storage.symbols.item, params.dummy_low, params.prime, range(m)
     return [
-        None if all(entry >= low for entry in row)
-        else sum(symbol(i, entry) for i, entry in enumerate(row)) % p
+        None if min(row) >= low else sum(map(symbol, files, row)) % p
         for row in query
     ]
+
+
+def _is_plain_query(rows, n: int, k: int) -> bool:
+    """Whether every entry is a Python int in [0:n) and every column
+    distinct, as the loop of server_answer takes them.  Any other query
+    goes to validate_query, so both paths reject alike."""
+    for row in rows:
+        for entry in row:
+            if type(entry) is not int or not 0 <= entry < n:
+                return False
+    for column in zip(*rows):
+        if len(set(column)) != k:
+            return False
+    return True
 
 
 def realized_download(answers) -> int:

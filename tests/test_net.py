@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -55,23 +56,44 @@ def empty_pool():
     net._pool.clear()
 
 
-@pytest.fixture
-def cluster(example_system):
-    params, _, sources, _, storages = example_system
+@contextmanager
+def serving(storages, params):
+    """A started CountingServer per storage, all stopped on exit."""
     servers = [CountingServer(st, params) for st in storages]
     for server in servers:
         server.start()
-    yield params, sources, [s.server_address for s in servers], servers
-    # Each shutdown waits up to the server's 0.5 s poll interval; in
-    # parallel the five waits overlap.
-    stoppers = [threading.Thread(target=server.shutdown) for server in servers]
-    for stopper in stoppers:
-        stopper.start()
-    for stopper in stoppers:
-        stopper.join(timeout=10)
-        assert not stopper.is_alive()
-    for server in servers:
-        server.server_close()
+    try:
+        yield servers
+    finally:
+        # Each shutdown waits up to the server's 0.5 s poll interval; in
+        # parallel the waits overlap.
+        stoppers = [threading.Thread(target=server.shutdown) for server in servers]
+        for stopper in stoppers:
+            stopper.start()
+        for stopper in stoppers:
+            stopper.join(timeout=10)
+            assert not stopper.is_alive()
+        for server in servers:
+            server.server_close()
+
+
+@pytest.fixture
+def cluster(example_system):
+    params, _, sources, _, storages = example_system
+    with serving(storages, params) as servers:
+        yield params, sources, [s.server_address for s in servers], servers
+
+
+@pytest.fixture
+def wide_cluster():
+    """(8,5,32,257): 160 entries per query, above SMALL_QUERY_ENTRIES, so
+    the servers answer by the batch engine."""
+    params = derive_params(8, 5, 32, 257)
+    assert params.k_reduced * params.m_files > scheme.SMALL_QUERY_ENTRIES
+    sources = scheme.random_sources(params, make_rng(32))
+    _, storages = scheme.encode_system(params, sources)
+    with serving(storages, params) as servers:
+        yield params, sources, [s.server_address for s in servers], servers
 
 
 def ask(address, payload):
@@ -279,6 +301,31 @@ class TestEndToEnd:
         assert client_retrieve(addresses, 1, params, seed=4).source == sources[1]
         assert seen == [True] * params.n_servers
 
+    def test_connections_beyond_the_cap_are_closed(self, cluster, monkeypatch):
+        params, _, addresses, servers = cluster
+        monkeypatch.setattr(net, "MAX_SERVER_CONNECTIONS", 2)
+        payload = encode_query_payload(params, EXAMPLE_QUERY)
+
+        def answered(sock):
+            send_message(sock, MSG_QUERY, payload)
+            return recv_message(sock)[0] == MSG_ANSWER
+
+        first = socket.create_connection(addresses[0], timeout=2.0)
+        with first, socket.create_connection(addresses[0], timeout=2.0) as second:
+            assert answered(first) and answered(second)
+            with socket.create_connection(addresses[0], timeout=2.0) as third:
+                assert third.recv(1) == b""
+            assert answered(first) and answered(second)
+            first.close()
+            deadline = time.monotonic() + 5.0
+            while len(servers[0]._connections) > 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            with socket.create_connection(addresses[0], timeout=2.0) as fourth:
+                assert answered(fourth)
+            assert answered(second)
+        assert servers[0].accepts == 4
+
     def test_multiple_queries_per_connection(self, cluster):
         params, _, addresses, _ = cluster
         query = [[3, 4, 3], [0, 1, 0], [1, 0, 4]]
@@ -288,6 +335,63 @@ class TestEndToEnd:
                 msg_type, payload = recv_message(sock)
                 assert msg_type == net.MSG_ANSWER
                 assert decode_answer_payload(payload)[0] is None
+
+
+class TestLargeQueries:
+    """Queries of more than SMALL_QUERY_ENTRIES entries reach
+    scheme.server_answer as a narrowed array."""
+
+    def test_every_theta_decodes(self, wide_cluster):
+        params, sources, addresses, _ = wide_cluster
+        for theta in range(params.m_files):
+            result = client_retrieve(addresses, theta, params, seed=theta)
+            assert result.source == sources[theta]
+
+    @pytest.mark.parametrize("entry", [8, 255, 259, 65535])
+    def test_entry_outside_n(self, wide_cluster, entry):
+        params, _, addresses, servers = wide_cluster
+        master = scheme.sample_master_queries(params, make_rng(1), 1)
+        query = scheme.server_queries(master, [3], params)[0, 2]
+        bad = query.copy()
+        bad[2, 5] = entry  # 259 and 65535 would wrap to 3 and 255 in u8
+        with pytest.raises(scheme.ProtocolError) as expected:
+            scheme.validate_query(bad, params)
+        assert str(expected.value) == f"query entry {entry} out of [0:8)"
+        with socket.create_connection(addresses[2], timeout=2.0) as sock:
+            send_message(sock, MSG_QUERY, encode_query_payload(params, bad))
+            msg_type, payload = recv_message(sock)
+            assert msg_type == MSG_ERROR
+            assert decode_error_payload(payload) == (net.ERR_MALFORMED_QUERY, str(expected.value))
+            send_message(sock, MSG_QUERY, encode_query_payload(params, query))
+            msg_type, payload = recv_message(sock)
+            assert msg_type == MSG_ANSWER
+            assert decode_answer_payload(payload) == scheme.server_answer(
+                servers[2].storage, query.tolist(), params
+            )
+
+    def test_server_answers_from_u8_arrays(self, wide_cluster, monkeypatch):
+        params, sources, addresses, _ = wide_cluster
+        honest = scheme.server_answer
+        seen = {}
+
+        def server_answer(storage, query, params):
+            seen[storage.server_index] = (
+                type(query) is np.ndarray
+                and query.dtype == np.uint8
+                and query.flags.c_contiguous
+                and query.shape == (params.k_reduced, params.m_files),
+                [bytes(query[r]) for r in range(params.k_reduced)],
+            )
+            return honest(storage, query, params)
+
+        monkeypatch.setattr(scheme, "server_answer", server_answer)
+        assert client_retrieve(addresses, 7, params, seed=11).source == sources[7]
+        master = scheme.sample_master_queries(params, make_rng(11), 1)
+        queries = scheme.server_queries(master, [7], params)[0]
+        assert seen == {
+            t: (True, [bytes(row) for row in queries[t].tolist()])
+            for t in range(params.n_servers)
+        }
 
 
 class TestAnswerChecks:

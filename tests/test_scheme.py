@@ -196,6 +196,12 @@ class TestServerAnswer:
             server_answer(storages[0], [[5, 4, 3], [0, 1, 0], [1, 0, 4]], params)
         with pytest.raises(ProtocolError):
             server_answer(storages[0], [[3, 4], [0, 1], [1, 0]], params)
+        with pytest.raises(ProtocolError, match="must be 3 x 3$"):
+            server_answer(storages[0], np.zeros((3, 2), dtype=np.uint8), params)
+        negative = [[3, 4, 3], [0, -1, 0], [1, 0, 4]]
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
+            with pytest.raises(ProtocolError, match=r"^query entry -1 out of \[0:5\)$"):
+                scheme.validate_query(np.array(negative, dtype=dtype), params)
 
 
 class TestAnswerPaths:
@@ -218,6 +224,17 @@ class TestAnswerPaths:
             for v, live in zip(values, scheme.live_rounds(q, params))
         ]
 
+    @staticmethod
+    def forms(query):
+        """The query as row lists and as each array that holds it: u8,
+        u16 and int64 for integers (int64 alone with a negative one),
+        numpy's own dtype otherwise."""
+        if not all(type(entry) is int for row in query for entry in row):
+            return [query, np.array(query)]
+        ints = np.array(query)
+        dtypes = (np.uint8, np.uint16, np.int64) if ints.min() >= 0 else (np.int64,)
+        return [query, *(ints.astype(dtype) for dtype in dtypes)]
+
     @pytest.mark.parametrize("m_files", [3, 50])  # 9 and 150 query entries
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -229,11 +246,25 @@ class TestAnswerPaths:
         query = [[col[s] for col in columns] for s in range(3)]
         if data.draw(st.booleans()):
             s, i = data.draw(st.integers(0, 2)), data.draw(st.integers(0, m_files - 1))
-            query[s][i] = data.draw(st.integers(-2, 6))
-        got = self.outcome(server_answer, storages[1], query, params)
-        assert got == self.outcome(self.engine, storages[1], query, params)
-        if not isinstance(got, str):
-            assert got == server_answer_loop(storages[1], query, params)
+            query[s][i] = data.draw(st.integers(-2, 6) | st.sampled_from([1.5, 1.0, "1", None]))
+        expected = self.outcome(self.engine, storages[1], query, params)
+        for form in self.forms(query):
+            assert self.outcome(server_answer, storages[1], form, params) == expected
+        if not isinstance(expected, str):
+            assert expected == server_answer_loop(storages[1], query, params)
+
+    @pytest.mark.parametrize("m_files", [3, 50])
+    @pytest.mark.parametrize("entry", [1.5, 1.0, "1", None])
+    def test_non_integer_entry(self, m_files, entry):
+        params = derive_params(5, 3, m_files, 257)
+        _, storages = encode_system(params, scheme.random_sources(params, make_rng(m_files)))
+        query = scheme.server_queries(
+            scheme.sample_master_queries(params, make_rng(5), 1), [0], params
+        )[0, 1].tolist()
+        query[1][1] = entry
+        for form in (query, np.array(query)):
+            with pytest.raises(ProtocolError, match=f"^query must be 3 x {m_files} integers$"):
+                server_answer(storages[1], form, params)
 
 
 class TestDecode:
