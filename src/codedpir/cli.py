@@ -37,11 +37,21 @@ class CliError(Exception):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("PIR_SEED", "0"))
+    return _env_int("PIR_SEED", 0)
 
 
 def _default_prime() -> int:
-    return int(os.environ.get("PIR_PRIME", str(scheme.DEFAULT_PRIME)))
+    return _env_int("PIR_PRIME", scheme.DEFAULT_PRIME)
+
+
+def _env_int(name: str, default: int) -> int:
+    value = os.environ.get(name)
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError:
+        raise CliError(f"{name} must be an integer, got {value!r}", EXIT_USAGE) from None
 
 
 def _params_from_args(args) -> scheme.SystemParams:
@@ -368,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

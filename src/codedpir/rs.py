@@ -64,8 +64,11 @@ class MdsCode:
         self.eval_points = tuple(range(n_total))
         self._recovery_cache: dict[tuple[int, ...], np.ndarray] = {}
         self._residual_cache: dict[tuple[int, ...], np.ndarray] = {}
-        # Per-column decode maps of the PIR scheme, least recently used
-        # first; scheme.decode_map fills and bounds it under the lock.
+        # Decode maps of the PIR scheme, least recently used first: the
+        # maps built per column set, keyed by the sorted column, and the
+        # maps derived from them per column.  scheme.decode_map fills
+        # and bounds both under the one lock.
+        self.column_set_maps: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
         self.decode_maps: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
         self.decode_maps_lock = threading.Lock()
         self.generator = self.recovery_matrix(tuple(range(k_msg)))

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from codedpir import derive_params, encode_system, make_rng
@@ -17,3 +19,26 @@ def example_system():
     code = make_code(5, 3, 7)
     encoded, storages = encode_system(params, sources, code)
     return params, code, sources, encoded, storages
+
+
+def start_serving(server) -> threading.Thread:
+    """Run server.serve_forever on a daemon thread, polling for shutdown
+    every 50 ms: StorageServer.start keeps serve_forever's 0.5 s, which
+    every stop would wait out."""
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    return thread
+
+
+def stop_servers(servers) -> None:
+    """Shut the servers down in parallel, then close them."""
+    stoppers = [threading.Thread(target=server.shutdown) for server in servers]
+    for stopper in stoppers:
+        stopper.start()
+    for stopper in stoppers:
+        stopper.join(timeout=10)
+        assert not stopper.is_alive()
+    for server in servers:
+        server.server_close()

@@ -15,7 +15,7 @@ import pytest
 from codedpir import analysis, net, scheme, sim
 from codedpir.rs import make_code
 
-from conftest import EXAMPLE_QUERY
+from conftest import EXAMPLE_QUERY, start_serving, stop_servers
 
 
 def report(name: str, ok: bool) -> None:
@@ -155,7 +155,7 @@ class TestAcceptance:
         try:
             for storage in storages:
                 server = net.StorageServer(storage, params)
-                server.start()
+                start_serving(server)
                 servers.append(server)
             addresses = [s.server_address for s in servers]
             ok = True
@@ -169,9 +169,7 @@ class TestAcceptance:
                     ok &= remote.source == local
                     ok &= remote.download_elements == local_dl
         finally:
-            for server in servers:
-                server.shutdown()
-                server.server_close()
+            stop_servers(servers)
         elapsed = time.perf_counter() - start
         ok &= elapsed < 5.0
         report("network-equivalence", ok)

@@ -5,6 +5,8 @@ import pytest
 
 from codedpir import cli, net, scheme
 
+from conftest import start_serving
+
 
 def run(argv):
     return cli.main(argv)
@@ -71,7 +73,7 @@ class TestRetrieve:
     def test_networked_partial_cluster_aborts(self, system_dir, capsys):
         storage, params = scheme.load_storage(system_dir / "storage-0.json")
         server = net.StorageServer(storage, params)
-        server.start()
+        start_serving(server)
         host, port = server.server_address
         try:
             # 5 addresses, but 4 of them dead
@@ -114,6 +116,15 @@ class TestVerify:
                     "--m", "2", "--p", "257", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"] is True
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("name", ["PIR_SEED", "PIR_PRIME"])
+    def test_malformed_variable_is_a_usage_error(self, name, monkeypatch, capsys):
+        monkeypatch.setenv(name, "abc")
+        assert run(["verify", "--mode", "capacity", "--n", "5", "--k", "3",
+                    "--m", "3", "--p", "7"]) == 2
+        assert capsys.readouterr().err == f"error: {name} must be an integer, got 'abc'\n"
 
 
 class TestBench:

@@ -34,7 +34,7 @@ from codedpir.net import (
     send_message,
 )
 
-from conftest import EXAMPLE_QUERY
+from conftest import EXAMPLE_QUERY, start_serving, stop_servers
 
 
 class CountingServer(StorageServer):
@@ -61,20 +61,11 @@ def serving(storages, params):
     """A started CountingServer per storage, all stopped on exit."""
     servers = [CountingServer(st, params) for st in storages]
     for server in servers:
-        server.start()
+        start_serving(server)
     try:
         yield servers
     finally:
-        # Each shutdown waits up to the server's 0.5 s poll interval; in
-        # parallel the waits overlap.
-        stoppers = [threading.Thread(target=server.shutdown) for server in servers]
-        for stopper in stoppers:
-            stopper.start()
-        for stopper in stoppers:
-            stopper.join(timeout=10)
-            assert not stopper.is_alive()
-        for server in servers:
-            server.server_close()
+        stop_servers(servers)
 
 
 @pytest.fixture

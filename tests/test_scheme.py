@@ -1,5 +1,9 @@
 import itertools
 import json
+import math
+import random
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -10,7 +14,7 @@ from scipy.stats import chisquare
 from codedpir import derive_params, encode_system, make_rng
 from codedpir import scheme
 from codedpir.linalg import matmul_mod
-from codedpir.rs import make_code
+from codedpir.rs import MdsCode, make_code
 from codedpir.scheme import (
     AnswerMismatchError,
     DecodingError,
@@ -267,6 +271,31 @@ class TestAnswerPaths:
                 server_answer(storages[1], form, params)
 
 
+    @pytest.mark.parametrize("shape", [(8, 5, 32, 257), (8, 5, 256, 65537)])
+    def test_large_query_arrays_agree_with_the_loop(self, shape):
+        """Queries above SMALL_QUERY_ENTRIES, with one all-dummy (NULL)
+        round, answered from u8, u16 and int64 arrays."""
+        params = derive_params(*shape)
+        n, k, m, low = params.n_reduced, params.k_reduced, params.m_files, params.dummy_low
+        assert k * m > scheme.SMALL_QUERY_ENTRIES
+        _, storages = encode_system(params, scheme.random_sources(params, make_rng(m)))
+        rng = random.Random(m)
+        queries = scheme.server_queries(
+            scheme.sample_master_queries(params, make_rng(m), 3), [0, 1, m - 1], params
+        )[:, 2].tolist()
+        columns = []
+        for _ in range(m):
+            dummy = rng.randrange(low, n)
+            columns.append([dummy, *rng.sample([v for v in range(n) if v != dummy], k - 1)])
+        queries.append([[col[s] for col in columns] for s in range(k)])
+        for query in queries:
+            expected = server_answer_loop(storages[2], query, params)
+            assert self.engine(storages[2], query, params) == expected
+            for dtype in (np.uint8, np.uint16, np.int64):
+                assert server_answer(storages[2], np.array(query, dtype=dtype), params) == expected
+        assert expected[0] is None and None not in expected[1:]
+
+
 class TestDecode:
     def test_worked_example_realization(self, example_system):
         params, code, sources, _, storages = example_system
@@ -381,6 +410,75 @@ class TestDecodeMap:
         held = sum(d_map.nbytes for d_map in code.decode_maps.values())
         assert 0 < held <= scheme.DECODE_MAP_CACHE_BYTES
         assert len(code.decode_maps) < 400
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_servers=st.integers(2, 9), data=st.data(), prime=st.sampled_from(PRIMES))
+    def test_derived_maps_equal_built_maps(self, n_servers, data, prime):
+        assume(prime >= n_servers)
+        k_mds = data.draw(st.integers(1, n_servers - 1))
+        params = derive_params(n_servers, k_mds, 2, prime)
+        n, k = params.n_reduced, params.k_reduced
+        column = tuple(data.draw(st.permutations(range(n)))[:k])
+        expected = scheme._build_decode_map(column, params, MdsCode(n_servers, k_mds, prime))
+        for set_cached_first in (False, True):
+            code = MdsCode(n_servers, k_mds, prime)
+            if set_cached_first:
+                scheme.decode_map(sorted(column), params, code)
+            d_map = scheme.decode_map(column, params, code)
+            assert d_map.dtype == expected.dtype
+            assert np.array_equal(d_map, expected)
+            assert not d_map.flags.writeable
+            assert scheme.decode_map(column, params, code) is d_map
+
+    @pytest.mark.parametrize("n,k", [(5, 3), (8, 5)])
+    def test_one_build_per_column_set(self, n, k, monkeypatch):
+        params = derive_params(n, k, 2, 65537)
+        code = MdsCode(n, k, 65537)
+        built = []
+        build = scheme._build_decode_map
+
+        def counting_build(column, params, code):
+            built.append(column)
+            return build(column, params, code)
+
+        monkeypatch.setattr(scheme, "_build_decode_map", counting_build)
+        for column in scheme.enumerate_omega(params):
+            scheme.decode_map(column, params, code)
+        assert len(built) == len(set(built)) == math.comb(n, k)  # 10 and 56
+        assert all(list(column) == sorted(column) for column in built)
+        for cache in (code.column_set_maps, code.decode_maps):
+            assert 0 < sum(d_map.nbytes for d_map in cache.values()) <= scheme.DECODE_MAP_CACHE_BYTES
+
+    def test_threads_get_identical_maps(self):
+        params = derive_params(8, 5, 2, 65537)
+        code = MdsCode(8, 5, 65537)
+        columns = list(itertools.islice(scheme.enumerate_omega(params), 0, None, 12))
+        maps = [{} for _ in range(4)]
+
+        def worker(w):
+            order = columns[:]
+            random.Random(w).shuffle(order)
+            for column in order:
+                maps[w][column] = scheme.decode_map(column, params, code)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for column in columns:
+            expected = scheme._build_decode_map(column, params, code)
+            for held in maps:
+                assert np.array_equal(held[column], expected)
+                assert not held[column].flags.writeable
+        for cache in (code.column_set_maps, code.decode_maps):
+            assert sum(d_map.nbytes for d_map in cache.values()) <= scheme.DECODE_MAP_CACHE_BYTES
 
     def test_repeated_column_entry(self, example_system):
         params, code, _, _, _ = example_system
