@@ -82,11 +82,11 @@ def build_answer_matrix(query: list[list[int]], params: SystemParams) -> list[li
     file order, and dummy indices (>= lam) contribute no column.
     """
     scheme.validate_query(query, params)
-    lam, low = params.rows_per_file, params.dummy_low
+    lam = params.rows_per_file
     width = params.m_files * lam
     rows = []
     for qrow in query:
-        if all(entry >= low for entry in qrow):
+        if all(entry >= lam for entry in qrow):
             continue
         row = [0] * width
         for i, entry in enumerate(qrow):
@@ -205,7 +205,7 @@ def _verify_privacy_exhaustive(params: SystemParams, budget: int) -> PrivacyRepo
     size = scheme.query_space_size(params)
     if size > budget:
         raise BudgetExceededError(f"|query space| = {size} exceeds budget {budget}")
-    space = np.array(list(scheme.enumerate_query_space(params)))
+    space = scheme.query_space(params, np.arange(size))
     # The space holds each query once, so server t's image of it is the
     # whole space exactly when the sorted images equal the sorted space.
     universe = _sorted_rows(space.reshape(size, -1))

@@ -36,14 +36,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_seed() -> int:
-    return _env_int("PIR_SEED", 0)
-
-
-def _default_prime() -> int:
-    return _env_int("PIR_PRIME", scheme.DEFAULT_PRIME)
-
-
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
     if value is None:
@@ -52,6 +44,15 @@ def _env_int(name: str, default: int) -> int:
         return int(value)
     except ValueError:
         raise CliError(f"{name} must be an integer, got {value!r}", EXIT_USAGE) from None
+
+
+def _fill_from_environment(args) -> None:
+    """Give an absent --seed or --p of the parsed subcommand the value of
+    PIR_SEED or PIR_PRIME, else its default.  A subcommand without the
+    flag, or a flag that was given, never reads the variable."""
+    for attr, name, default in (("seed", "PIR_SEED", 0), ("p", "PIR_PRIME", scheme.DEFAULT_PRIME)):
+        if getattr(args, attr, default) is None:
+            setattr(args, attr, _env_int(name, default))
 
 
 def _params_from_args(args) -> scheme.SystemParams:
@@ -65,7 +66,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="number of servers N")
     parser.add_argument("--k", type=int, required=True, help="MDS dimension K")
     parser.add_argument("--m", type=int, required=True, help="number of files M")
-    parser.add_argument("--p", type=int, default=_default_prime(), help="field prime p")
+    parser.add_argument("--p", type=int, help="field prime p")
 
 
 def _emit(doc, fmt: str) -> None:
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_setup = sub.add_parser("setup", help="encode files into per-server storage")
     _add_param_flags(p_setup)
-    p_setup.add_argument("--seed", type=int, default=_default_seed())
+    p_setup.add_argument("--seed", type=int)
     p_setup.add_argument("--out", required=True, help="output directory")
     p_setup.add_argument(
         "--source", default="random", help="'random' or a path to ingest as bytes"
@@ -345,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_retr.add_argument("--n", type=int)
     p_retr.add_argument("--k", type=int)
     p_retr.add_argument("--m", type=int)
-    p_retr.add_argument("--p", type=int, default=_default_prime())
-    p_retr.add_argument("--seed", type=int, default=_default_seed())
+    p_retr.add_argument("--p", type=int)
+    p_retr.add_argument("--seed", type=int)
     p_retr.add_argument("--format", choices=("text", "json"), default="text")
     p_retr.set_defaults(func=cmd_retrieve)
 
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     _add_param_flags(p_verify)
-    p_verify.add_argument("--seed", type=int, default=_default_seed())
+    p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--budget", type=int, default=10**6)
     p_verify.add_argument("--trials", type=int, default=100,
                           help="random realizations for --mode rank")
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="sweep a parameter grid")
     p_bench.add_argument("--grid", required=True, help="semicolon-separated N,K,M[,p]")
     p_bench.add_argument("--trials", type=int, default=0)
-    p_bench.add_argument("--seed", type=int, default=_default_seed())
+    p_bench.add_argument("--seed", type=int)
     p_bench.add_argument("--out", help="output path (stdout if omitted)")
     p_bench.add_argument("--format", choices=("csv", "json"), default="csv")
     p_bench.set_defaults(func=cmd_bench)
@@ -380,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _fill_from_environment(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

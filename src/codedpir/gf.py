@@ -11,10 +11,6 @@ from __future__ import annotations
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class NonPrimeModulusError(ValueError):
-    """The requested modulus is not a prime number."""
-
-
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, exact for all m < 3.3e24."""
     if m < 2:
@@ -39,12 +35,6 @@ def is_prime(m: int) -> bool:
         else:
             return False
     return True
-
-
-def check_modulus(p: int) -> int:
-    if not is_prime(p):
-        raise NonPrimeModulusError(f"modulus {p} is not prime")
-    return p
 
 
 def inv_mod(value: int, p: int) -> int:

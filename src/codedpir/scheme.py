@@ -105,13 +105,8 @@ class SystemParams:
     d: int                  # gcd(N, K)
     n_reduced: int          # n = N/d
     k_reduced: int          # k = K/d
-    rows_per_file: int      # lam = n - k
+    rows_per_file: int      # lam = n - k; [lam:n) is the dummy range
     file_len: int           # L = K * lam
-
-    @property
-    def dummy_low(self) -> int:
-        """Start of the dummy-index range [n-k : n)."""
-        return self.n_reduced - self.k_reduced
 
 
 @functools.lru_cache(maxsize=64)
@@ -296,21 +291,25 @@ def enumerate_omega(params: SystemParams):
     return itertools.permutations(range(params.n_reduced), params.k_reduced)
 
 
-def omega_size(params: SystemParams) -> int:
-    n, k = params.n_reduced, params.k_reduced
-    return math.perm(n, k)
-
-
 def query_space_size(params: SystemParams) -> int:
-    return omega_size(params) ** params.m_files
+    """|Omega^M|, the number of master queries."""
+    return math.perm(params.n_reduced, params.k_reduced) ** params.m_files
 
 
-def enumerate_query_space(params: SystemParams):
-    """All k x M master query matrices (columns range over Omega^M)."""
-    omega = list(enumerate_omega(params))
-    k, m = params.k_reduced, params.m_files
-    for cols in itertools.product(omega, repeat=m):
-        yield [[cols[i][s] for i in range(m)] for s in range(k)]
+def query_space(params: SystemParams, indices) -> np.ndarray:
+    """The (len(indices), k, M) master queries at `indices` of Omega^M,
+    in itertools.product order: the last file's column varies fastest."""
+    omega = _omega(params)
+    digits = np.unravel_index(indices, (len(omega),) * params.m_files)
+    return np.stack([omega[d] for d in digits], axis=-1)
+
+
+@functools.lru_cache(maxsize=8)
+def _omega(params: SystemParams) -> np.ndarray:
+    """Omega as a read-only (|Omega|, k) array, in enumerate_omega's order."""
+    omega = np.array(list(enumerate_omega(params)), dtype=np.int64)
+    omega.flags.writeable = False
+    return omega
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,7 @@ def answer_queries(symbols: np.ndarray, queries: np.ndarray, params: SystemParam
 
 def live_rounds(queries: np.ndarray, params: SystemParams) -> np.ndarray:
     """(..., k) mask of the rounds that transmit: some entry below n-k."""
-    return (queries < params.dummy_low).any(axis=-1)
+    return (queries < params.rows_per_file).any(axis=-1)
 
 
 def server_answer(storage: ServerStorage, query, params: SystemParams) -> list[int | None]:
@@ -365,7 +364,7 @@ def server_answer(storage: ServerStorage, query, params: SystemParams) -> list[i
         return [value if is_live else None for value, is_live in zip(values, live)]
     if not _is_plain_query(query, n, k):
         validate_query(query, params)  # the engine's checks decide
-    symbol, low, p, files = storage.symbols.item, params.dummy_low, params.prime, range(m)
+    symbol, low, p, files = storage.symbols.item, params.rows_per_file, params.prime, range(m)
     return [
         None if min(row) >= low else sum(map(symbol, files, row)) % p
         for row in query
@@ -485,7 +484,7 @@ def _server_live_rounds(master: np.ndarray, theta: int, params: SystemParams) ->
     entry below n-k in row s, or when (master[s, theta] + t) mod n is."""
     if not 0 <= theta < params.m_files:
         raise ParameterError(f"theta={theta} out of [0:{params.m_files})")
-    n, low = params.n_reduced, params.dummy_low
+    n, low = params.n_reduced, params.rows_per_file
     below = master < low
     below[:, theta] = False
     others = below.any(axis=1).tolist()
@@ -661,13 +660,6 @@ def source_to_json(
     if byte_length is not None:
         doc["byte_length"] = byte_length
     return doc
-
-
-def source_from_json(doc: dict):
-    if doc.get("format") != SOURCE_FORMAT:
-        raise ParameterError(f"unexpected source format {doc.get('format')!r}")
-    rows = [[int(x) for x in row] for row in doc["rows"]]
-    return rows, int(doc["file_index"]), doc.get("byte_length")
 
 
 def ingest_bytes(data: bytes, params: SystemParams):

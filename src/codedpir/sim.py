@@ -115,21 +115,18 @@ def exact_expectation_by_enumeration(
     same mask the batch engine uses; this is an enumeration-based check
     on the closed-form expectation, so it uses no distributional
     shortcuts.  Master queries are taken ENUM_CHUNK_ENTRIES query
-    entries at a time, by their index in Omega^M.
+    entries at a time, by their index in Omega^M (scheme.query_space).
     """
     size = scheme.query_space_size(params)
     if size > budget:
         raise analysis.BudgetExceededError(
             f"|query space| = {size} exceeds budget {budget}"
         )
-    omega = np.array(list(scheme.enumerate_omega(params)))
     per_master = params.n_servers * params.k_reduced * params.m_files
     chunk = max(1, ENUM_CHUNK_ENTRIES // per_master)
-    digits_shape = (len(omega),) * params.m_files
     total = 0
     for start in range(0, size, chunk):
-        digits = np.unravel_index(np.arange(start, min(start + chunk, size)), digits_shape)
-        masters = np.stack([omega[d] for d in digits], axis=-1)
+        masters = scheme.query_space(params, np.arange(start, min(start + chunk, size)))
         queries = scheme.server_queries(masters, np.full(len(masters), theta), params)
         total += int(scheme.live_rounds(queries, params).sum())
     return Fraction(total, size)
@@ -188,11 +185,7 @@ CSV_COLUMNS = [
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def rows_to_csv(rows) -> str:

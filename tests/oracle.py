@@ -3,9 +3,11 @@ Loop reference implementations that the batch engine is checked against.
 
 They are the package's earlier scalar code paths: a round-by-round
 decoder built on erasure decoding, a per-row server answer, and a
-trial-by-trial Monte-Carlo loop.  They read the same dense storage and
-draw from the RNG in the same order, so their results must equal the
-engine's exactly.
+trial-by-trial Monte-Carlo loop.  The erasure decoder interpolates in
+Python ints from the code's recovery matrix alone, where the engine's
+decode maps also use the residual matrices.  They read the same dense
+storage and draw from the RNG in the same order, so their results must
+equal the engine's exactly.
 """
 
 from fractions import Fraction
@@ -13,6 +15,13 @@ from fractions import Fraction
 from codedpir import analysis, scheme
 from codedpir.rs import make_code
 from codedpir.sim import FailedTrialError, TrialStats
+
+
+def erasure_decode(code, known):
+    """The codeword through K known (position, value) pairs."""
+    positions, values = zip(*sorted(known))
+    recovery = code.recovery_matrix(positions).tolist()
+    return [sum(v * r for v, r in zip(values, column)) % code.prime for column in zip(*recovery)]
 
 
 def decode_loop(answers, master, theta, params, code):
@@ -26,31 +35,31 @@ def decode_loop(answers, master, theta, params, code):
     """
     nn, kk = params.n_servers, params.k_mds
     n, k = params.n_reduced, params.k_reduced
-    lam, p, low = params.rows_per_file, params.prime, params.dummy_low
+    lam, p = params.rows_per_file, params.prime
     exposed = {j: [] for j in range(lam)}
     for s in range(k):
         v = master[s][theta]
-        delta = [t for t in range(nn) if (v + t) % n >= low]
+        delta = [t for t in range(nn) if (v + t) % n >= lam]
         assert len(delta) == kk
         known = [(t, answers[t][s] or 0) for t in delta]
-        interference = code.erasure_decode(known)
+        interference = erasure_decode(code, known)
         for t in range(nn):
             j = (v + t) % n
-            if j < low:
+            if j < lam:
                 exposed[j].append((t, ((answers[t][s] or 0) - interference[t]) % p))
     rows = []
     for j in range(lam):
         assert len(exposed[j]) == kk
-        rows.append(code.message_of(code.erasure_decode(exposed[j])))
+        rows.append(erasure_decode(code, exposed[j])[:kk])
     return rows
 
 
 def server_answer_loop(storage, query, params):
     """k per-round responses from one row lookup per file; None if NULL."""
     symbols = storage.symbols.tolist()
-    low, p = params.dummy_low, params.prime
+    lam, p = params.rows_per_file, params.prime
     return [
-        None if all(e >= low for e in row)
+        None if all(e >= lam for e in row)
         else sum(symbols[i][e] for i, e in enumerate(row)) % p
         for row in query
     ]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from codedpir import analysis, derive_params, make_rng
@@ -146,7 +147,8 @@ class TestRankIdentity:
 
     def test_exhaustive_tiny(self):
         params = derive_params(2, 1, 2, 257)
-        for master in scheme.enumerate_query_space(params):
+        size = scheme.query_space_size(params)
+        for master in scheme.query_space(params, np.arange(size)).tolist():
             for theta in range(2):
                 assert verify_rank_identity(master, theta, params).passed
 

@@ -119,12 +119,49 @@ class TestVerify:
 
 
 class TestEnvironment:
+    # A command that falls back on the variable: its flag is absent.
+    UNFLAGGED = {
+        "PIR_SEED": ["verify", "--mode", "rank", "--n", "4", "--k", "2", "--m", "2",
+                     "--p", "257", "--trials", "1"],
+        "PIR_PRIME": ["verify", "--mode", "capacity", "--n", "5", "--k", "3", "--m", "3"],
+    }
+
     @pytest.mark.parametrize("name", ["PIR_SEED", "PIR_PRIME"])
     def test_malformed_variable_is_a_usage_error(self, name, monkeypatch, capsys):
         monkeypatch.setenv(name, "abc")
-        assert run(["verify", "--mode", "capacity", "--n", "5", "--k", "3",
-                    "--m", "3", "--p", "7"]) == 2
+        assert run(self.UNFLAGGED[name]) == 2
         assert capsys.readouterr().err == f"error: {name} must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--mode", "capacity", "--n", "5", "--k", "3", "--m", "3",
+         "--p", "7", "--seed", "4"],
+        ["verify", "--mode", "rank", "--n", "4", "--k", "2", "--m", "2",
+         "--p", "257", "--trials", "1", "--seed", "4"],
+        ["bench", "--grid", "5,3,3", "--seed", "1"],
+    ])
+    def test_flag_beats_malformed_variable(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("PIR_SEED", "abc")
+        monkeypatch.setenv("PIR_PRIME", "x")
+        assert run(argv) == 0
+
+    def test_serve_reads_neither_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PIR_SEED", "abc")
+        monkeypatch.setenv("PIR_PRIME", "x")
+        missing = tmp_path / "storage-0.json"
+        assert run(["serve", "--storage", str(missing), "--listen", "127.0.0.1:0"]) == 3
+        assert "PIR_" not in capsys.readouterr().err
+
+    def test_variables_fill_absent_flags(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PIR_SEED", "9")
+        monkeypatch.setenv("PIR_PRIME", "11")
+        run(["setup", "--n", "4", "--k", "2", "--m", "2", "--out", str(tmp_path / "env")])
+        monkeypatch.delenv("PIR_SEED")
+        monkeypatch.delenv("PIR_PRIME")
+        run(["setup", "--n", "4", "--k", "2", "--m", "2", "--p", "11", "--seed", "9",
+             "--out", str(tmp_path / "flags")])
+        for t in range(4):
+            name = f"storage-{t}.json"
+            assert (tmp_path / "env" / name).read_text() == (tmp_path / "flags" / name).read_text()
 
 
 class TestBench:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from codedpir import gf
-from codedpir.gf import NonPrimeModulusError, inv_mod
+from codedpir.gf import inv_mod
 
 
 class TestExamples:
@@ -16,11 +16,6 @@ class TestExamples:
             inv_mod(0, 7)
         with pytest.raises(ZeroDivisionError):
             inv_mod(7, 7)
-
-    def test_non_prime_modulus(self):
-        with pytest.raises(NonPrimeModulusError):
-            gf.check_modulus(6)
-        assert gf.check_modulus(7) == 7
 
 
 primes = st.sampled_from([2, 7, 257, 65537, 2**31 - 1, 4294967291])

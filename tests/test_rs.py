@@ -1,15 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from codedpir.linalg import rank_mod
-from codedpir.rs import (
-    CodeParameterError,
-    CorruptCodewordError,
-    InsufficientDataError,
-    make_code,
-)
+from codedpir.linalg import matmul_mod, rank_mod
+from codedpir.rs import CodeParameterError, make_code
 
 
 def interpolate_brute_force(points, values, degree_bound, p):
@@ -56,9 +52,14 @@ class TestMakeCode:
         assert make_code(5, 3, 7) is not make_code(5, 3, 11)
 
 
+def encode(code, message):
+    """The codeword of a message: message @ generator mod p."""
+    return matmul_mod(np.array(message, dtype=np.int64), code.generator, code.prime).tolist()
+
+
 class TestEncode:
     def test_zero_message(self):
-        assert make_code(5, 3, 7).encode([0, 0, 0]) == [0] * 5
+        assert encode(make_code(5, 3, 7), [0, 0, 0]) == [0] * 5
 
     def test_unit_vector_against_oracle(self):
         # frozen from the brute-force interpolation oracle below
@@ -66,14 +67,10 @@ class TestEncode:
         poly = interpolate_brute_force([0, 1, 2], [1, 0, 0], 3, 7)
         expected = [poly(t) for t in range(5)]
         assert expected == [1, 0, 0, 1, 3]
-        assert code.encode([1, 0, 0]) == expected
+        assert encode(code, [1, 0, 0]) == expected
 
     def test_constant_polynomial(self):
-        assert make_code(2, 1, 7).encode([5]) == [5, 5]
-
-    def test_wrong_length(self):
-        with pytest.raises(CodeParameterError):
-            make_code(5, 3, 7).encode([1, 2])
+        assert encode(make_code(2, 1, 7), [5]) == [5, 5]
 
     def test_linearity(self):
         rng = random.Random(3)
@@ -83,53 +80,75 @@ class TestEncode:
             m2 = [rng.randrange(11) for _ in range(4)]
             a = rng.randrange(11)
             combo = [(a * x + y) % 11 for x, y in zip(m1, m2)]
-            c1, c2 = code.encode(m1), code.encode(m2)
-            assert code.encode(combo) == [(a * x + y) % 11 for x, y in zip(c1, c2)]
+            c1, c2 = encode(code, m1), encode(code, m2)
+            assert encode(code, combo) == [(a * x + y) % 11 for x, y in zip(c1, c2)]
 
 
 class TestErasureDecode:
+    """Any K symbols of a codeword give it back through their recovery matrix."""
+
     @pytest.mark.parametrize("n,k,p", [(5, 3, 7), (4, 2, 5), (6, 4, 7), (8, 5, 11)])
     def test_every_k_subset_round_trip(self, n, k, p):
         rng = random.Random(n * 100 + k)
         code = make_code(n, k, p)
         for _ in range(5):
-            message = [rng.randrange(p) for _ in range(k)]
-            codeword = code.encode(message)
+            codeword = encode(code, [rng.randrange(p) for _ in range(k)])
             for subset in itertools.combinations(range(n), k):
-                known = [(t, codeword[t]) for t in subset]
-                assert code.erasure_decode(known) == codeword
-                assert code.message_of(code.erasure_decode(known)) == message
+                known = np.array([codeword[t] for t in subset], dtype=np.int64)
+                assert matmul_mod(known, code.recovery_matrix(subset), p).tolist() == codeword
 
     def test_full_codeword_identity(self):
+        # interpolating through K symbols reproduces those K symbols
         code = make_code(5, 3, 7)
-        codeword = code.encode([1, 2, 3])
-        assert code.erasure_decode(list(enumerate(codeword))) == codeword
-
-    def test_insufficient_data(self):
-        code = make_code(5, 3, 7)
-        with pytest.raises(InsufficientDataError):
-            code.erasure_decode([(0, 1), (1, 2)])
-
-    def test_corrupt_extra_entry(self):
-        code = make_code(5, 3, 7)
-        codeword = code.encode([1, 2, 3])
-        known = [(0, codeword[0]), (1, codeword[1]), (2, codeword[2]),
-                 (3, (codeword[3] + 1) % 7)]
-        with pytest.raises(CorruptCodewordError):
-            code.erasure_decode(known)
-
-    def test_position_out_of_range(self):
-        code = make_code(5, 3, 7)
-        with pytest.raises(CodeParameterError):
-            code.erasure_decode([(0, 1), (1, 2), (9, 3)])
+        for subset in itertools.combinations(range(5), 3):
+            assert code.recovery_matrix(subset)[:, list(subset)].tolist() == np.eye(3).tolist()
 
 
-class TestMessageOf:
-    def test_systematic_extraction(self):
+class TestRecoveryMatrix:
+    def test_rows_are_lagrange_bases(self):
+        # row j: the polynomial of degree < K that is 1 at subset[j], 0 at the rest
         code = make_code(5, 3, 7)
-        assert code.message_of(code.encode([4, 5, 6])) == [4, 5, 6]
-        assert code.message_of([0] * 5) == [0, 0, 0]
-        assert make_code(2, 1, 7).message_of([5, 5]) == [5]
+        for subset in itertools.combinations(range(5), 3):
+            for j in range(3):
+                unit = [1 if i == j else 0 for i in range(3)]
+                poly = interpolate_brute_force(subset, unit, 3, 7)
+                assert code.recovery_matrix(subset)[j].tolist() == [poly(t) for t in range(5)]
+
+    def test_cached_and_read_only(self):
+        code = make_code(6, 4, 7)
+        recovery = code.recovery_matrix((0, 2, 3, 5))
+        assert code.recovery_matrix((0, 2, 3, 5)) is recovery
+        residual = code.residual_matrix((0, 2, 3, 5))
+        assert code.residual_matrix((0, 2, 3, 5)) is residual
+        assert not recovery.flags.writeable and not residual.flags.writeable
+
+
+class TestResidualMatrix:
+    def test_zero_rows_at_positions(self):
+        code = make_code(5, 3, 7)
+        for subset in itertools.combinations(range(5), 3):
+            residual = code.residual_matrix(subset)
+            assert residual.shape == (5, 5)
+            assert not residual[list(subset)].any()
+
+    def test_every_codeword_maps_to_zero(self):
+        code = make_code(5, 3, 7)
+        messages = np.array(list(itertools.product(range(7), repeat=3)), dtype=np.int64)
+        codewords = matmul_mod(messages, code.generator, 7)
+        for subset in itertools.combinations(range(5), 3):
+            assert not matmul_mod(codewords, code.residual_matrix(subset).T, 7).any()
+
+    def test_strips_the_interpolation(self):
+        # X @ y = y minus the polynomial of degree < K through y at the subset
+        code = make_code(5, 3, 7)
+        rng = random.Random(5)
+        for subset in itertools.combinations(range(5), 3):
+            residual = code.residual_matrix(subset)
+            for _ in range(3):
+                word = [rng.randrange(7) for _ in range(5)]
+                poly = interpolate_brute_force(subset, [word[t] for t in subset], 3, 7)
+                expected = [(word[t] - poly(t)) % 7 for t in range(5)]
+                assert matmul_mod(residual, np.array(word, dtype=np.int64), 7).tolist() == expected
 
 
 @pytest.mark.parametrize("n,k,p", [(5, 3, 7), (6, 4, 7), (8, 3, 11), (4, 2, 5)])

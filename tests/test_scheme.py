@@ -84,8 +84,9 @@ class TestEncodeSystem:
             for i in range(params.m_files):
                 rows = []
                 for j in range(params.rows_per_file):
-                    known = [(t, int(storages[t].symbols[i, j])) for t in subset]
-                    rows.append(code.message_of(code.erasure_decode(known)))
+                    known = np.array([storages[t].symbols[i, j] for t in subset])
+                    codeword = matmul_mod(known, code.recovery_matrix(subset), params.prime)
+                    rows.append(codeword[: params.k_mds].tolist())
                 assert rows == sources[i]
 
     def test_dimension_mismatch(self):
@@ -108,7 +109,7 @@ class TestQueries:
     def test_omega_uniformity_chi2(self):
         # |Omega| = 60 for (5,3); column samples should be uniform on it
         params = derive_params(5, 3, 3, 7)
-        assert scheme.omega_size(params) == 60
+        assert scheme.query_space_size(params) == 60**3
         rng = make_rng(0)
         samples = scheme.sample_master_queries(params, rng, 100_000)
         counts = Counter(tuple(samples[i, :, 0]) for i in range(samples.shape[0]))
@@ -121,6 +122,22 @@ class TestQueries:
         rng = make_rng(9)
         seen = {gen_master_query(params, rng)[0][0] for _ in range(50)}
         assert seen == {0, 1}
+
+    @pytest.mark.parametrize("n,k,m", [(2, 1, 2), (3, 2, 2), (5, 3, 2)])
+    def test_query_space_in_product_order(self, n, k, m):
+        params = derive_params(n, k, m, 257)
+        size = scheme.query_space_size(params)
+        omega = list(itertools.permutations(range(n), k))
+        expected = [
+            [[cols[i][s] for i in range(m)] for s in range(k)]
+            for cols in itertools.product(omega, repeat=m)
+        ]
+        assert size == len(expected)
+        space = scheme.query_space(params, np.arange(size))
+        assert space.shape == (size, k, m)
+        assert space.tolist() == expected
+        for a, b in [(0, 1), (1, size // 3), (size // 2, size)]:
+            assert scheme.query_space(params, np.arange(a, b)).tolist() == expected[a:b]
 
     def test_build_server_query_worked_values(self):
         assert build_server_query(EXAMPLE_QUERY, 0, 2, derive_params(5, 3, 3, 7)) == [
@@ -276,7 +293,7 @@ class TestAnswerPaths:
         """Queries above SMALL_QUERY_ENTRIES, with one all-dummy (NULL)
         round, answered from u8, u16 and int64 arrays."""
         params = derive_params(*shape)
-        n, k, m, low = params.n_reduced, params.k_reduced, params.m_files, params.dummy_low
+        n, k, m, low = params.n_reduced, params.k_reduced, params.m_files, params.rows_per_file
         assert k * m > scheme.SMALL_QUERY_ENTRIES
         _, storages = encode_system(params, scheme.random_sources(params, make_rng(m)))
         rng = random.Random(m)
@@ -342,7 +359,8 @@ class TestDecode:
         code = make_code(2, 1, 257)
         _, storages = encode_system(params, sources, code)
         downloads = set()
-        for master in scheme.enumerate_query_space(params):
+        size = scheme.query_space_size(params)
+        for master in scheme.query_space(params, np.arange(size)).tolist():
             for theta in range(2):
                 answers = [
                     server_answer(storages[t], build_server_query(master, theta, t, params), params)
@@ -384,7 +402,7 @@ class TestDecodeMap:
         for t in range(n_servers):
             query = build_server_query(master, theta, t, params)
             answers.append([
-                None if all(e >= params.dummy_low for e in row) else int(rng.integers(prime))
+                None if all(e >= params.rows_per_file for e in row) else int(rng.integers(prime))
                 for row in query
             ])
         expected = decode_loop(answers, master, theta, params, code)
