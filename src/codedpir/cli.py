@@ -10,6 +10,9 @@ Operator entry point: one binary, five subcommands.
 Exit codes: 0 success/pass, 1 check failure, 2 usage or parameter
 error, 3 I/O or network error.  Flags beat the PIR_SEED / PIR_PRIME
 environment variables, which beat the defaults (seed 0, p 257).
+PIR_PRIME is read only where the parameters come from flags, so
+`pir retrieve --storage-dir`, which takes p from the storage files,
+never reads it.
 """
 
 from __future__ import annotations
@@ -47,17 +50,19 @@ def _env_int(name: str, default: int) -> int:
 
 
 def _fill_from_environment(args) -> None:
-    """Give an absent --seed or --p of the parsed subcommand the value of
-    PIR_SEED or PIR_PRIME, else its default.  A subcommand without the
-    flag, or a flag that was given, never reads the variable."""
-    for attr, name, default in (("seed", "PIR_SEED", 0), ("p", "PIR_PRIME", scheme.DEFAULT_PRIME)):
-        if getattr(args, attr, default) is None:
-            setattr(args, attr, _env_int(name, default))
+    """Give an absent --seed of the parsed subcommand the value of
+    PIR_SEED, else 0.  A subcommand without the flag, or a flag that was
+    given, never reads the variable."""
+    if getattr(args, "seed", 0) is None:
+        args.seed = _env_int("PIR_SEED", 0)
 
 
 def _params_from_args(args) -> scheme.SystemParams:
+    """The parameters the flags give; an absent --p is PIR_PRIME's value,
+    else the default prime."""
+    prime = args.p if args.p is not None else _env_int("PIR_PRIME", scheme.DEFAULT_PRIME)
     try:
-        return scheme.derive_params(args.n, args.k, args.m, args.p)
+        return scheme.derive_params(args.n, args.k, args.m, prime)
     except scheme.ParameterError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
 
@@ -173,7 +178,7 @@ def cmd_retrieve(args) -> int:
             source, downloaded = scheme.retrieve(args.theta, storages, params, rng)
         except scheme.DecodingError as exc:
             raise CliError(str(exc), EXIT_CHECK_FAILED) from exc
-        byte_count = None
+        result = None
     else:
         if not (args.n and args.k and args.m):
             raise CliError("--servers mode needs --n/--k/--m", EXIT_USAGE)
@@ -187,11 +192,7 @@ def cmd_retrieve(args) -> int:
             raise CliError(str(exc), EXIT_IO) from exc
         except net.ParameterMismatch as exc:
             raise CliError(str(exc), EXIT_USAGE) from exc
-        source, downloaded, byte_count = (
-            result.source,
-            result.download_elements,
-            result.download_bytes,
-        )
+        source, downloaded = result.source, result.download_elements
     doc = {
         "theta": args.theta,
         "rows": source,
@@ -200,8 +201,9 @@ def cmd_retrieve(args) -> int:
         "expected_download": analysis.expected_download(params),
         "capacity": analysis.capacity(params.n_servers, params.k_mds, params.m_files),
     }
-    if byte_count is not None:
-        doc["download_payload_bytes"] = byte_count
+    if result is not None:
+        doc["download_payload_bytes"] = result.download_bytes
+        doc["upload_payload_bytes"] = result.upload_bytes
     _emit(doc, args.format)
     return EXIT_OK
 

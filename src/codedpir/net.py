@@ -1,24 +1,42 @@
 """
-TCP transport for the retrieval protocol.
+TCP transport for the retrieval protocol, wire format v2.
 
-Frame: 4-byte magic "PIR1", 1-byte message type, u32 big-endian payload
-length, payload.  A QUERY carries (N, K, M, p) as u32s followed by the
-k x M query entries as big-endian u16s, row-major.  The client casts
-the N queries of a retrieval to that dtype in one step, so a payload is
-the header plus the bytes of one server's slice; the server reads the
-entries back with one np.frombuffer.  A query of more than
+Frame: 4-byte magic "PIR2", 1-byte message type, u32 big-endian payload
+length, payload.  A peer that sends another magic, such as v1's "PIR1",
+gets no reply and a closed connection.
+
+QUERY: (N, K, M, p) as four big-endian u32s, then the k x M entries,
+row-major, each in the narrowest of 4, 8 or 16 bits that holds n-1
+(nibbles for n <= 16, bytes for n <= 256), a nibble pair per byte high
+nibble first, and 16-bit entries big-endian.  An odd count of nibbles
+ends in one zero pad nibble; a server rejects a non-zero pad, so each
+query has exactly one encoding.  The client casts the N queries of a
+retrieval in one numpy step and packs them together, through hex
+digits for a small query and by numpy for a large one.  A server checks the header against its
+own parameters first, then unpacks at the width its own n implies,
+never at one the peer names.  A query of more than
 scheme.SMALL_QUERY_ENTRIES entries reaches scheme.server_answer as a
-(k, M) array, range-checked against n and then narrowed to the
-smallest dtype that holds [0:n) (u8 for n <= 256); a smaller one as
-row lists of Python ints, which its loop answers faster than numpy
-would.  An ANSWER carries a u16 round count then per round a flag byte
-(0 = NULL) and, when present, the field element as a u64 big-endian.
-ERROR is a u16 code plus UTF-8 detail.  All k rounds ride in one
-ANSWER: the scheme has no inter-round dependency, so a retrieval is a
-single round trip per server.  Each side bounds the payload it reads
-by the size the system's parameters imply (16 + 2kM bytes for a QUERY,
-2 + 9k for an ANSWER, MAX_ERROR_PAYLOAD for an ERROR) before reading
-it.
+C-contiguous (k, M) array, u8 for n <= 256; a smaller one as row lists
+of Python ints, unpacked without numpy, as its loop answers them faster
+than numpy would.
+
+ANSWER: one width byte w, the fewest of 1, 2 or 4 bytes that hold the
+largest live value (1 when no round is live), then the live values
+only, big-endian, in round order.  There is no round count and no
+flag: the client derives each server's live rounds from the query it
+sent (scheme.live_rounds) and puts the values back in a k-list with
+None in NULL rounds.  A width outside {1, 2, 4} or wider than p-1
+needs, or a value not below p, is a WireError; a length other than
+1 + live*w an AnswerMismatchError.  Both widths are functions of what
+the server sees, n and its own answer values, so neither tells it
+anything about the desired file.
+
+ERROR: a u16 code plus UTF-8 detail.  All k rounds ride in one ANSWER:
+the scheme has no inter-round dependency, so a retrieval is a single
+round trip per server.  Each side bounds the payload it reads by the
+size the system's parameters imply before reading it: 16 + ceil(kM *
+bits / 8) bytes for a QUERY, 1 + w_p * k for an ANSWER, where w_p is
+the width of p-1, and MAX_ERROR_PAYLOAD for an ERROR.
 
 Connections persist.  A server answers every QUERY on a connection
 until the client closes it, the connection stays idle for
@@ -34,13 +52,14 @@ socket that turns out dead is replaced once by a new connection, which
 resends the identical query frame: a second copy of a query tells the
 server nothing new, whereas a fresh query for the same file would.
 
-Field elements travel as fixed u64s regardless of p; download
-accounting therefore reports element counts (the scheme's cost metric)
-and raw byte counts separately.
+Download accounting reports element counts (the scheme's cost metric)
+and payload byte counts separately.
 """
 
 from __future__ import annotations
 
+import binascii
+import functools
 import logging
 import socket
 import socketserver
@@ -56,7 +75,7 @@ from .scheme import ProtocolError, ServerStorage, SystemParams
 
 logger = logging.getLogger(__name__)
 
-MAGIC = b"PIR1"
+MAGIC = b"PIR2"
 MSG_QUERY = 1
 MSG_ANSWER = 2
 MSG_ERROR = 3
@@ -84,7 +103,12 @@ MAX_ERROR_PAYLOAD = 1024
 
 _HEADER = struct.Struct(">4sBI")
 _QUERY_PARAMS = struct.Struct(">IIII")
-_QUERY_ENTRY = np.dtype(">u2")
+# struct code of an answer value of each width, in bytes
+_VALUE_CODES = {1: "B", 2: "H", 4: "I"}
+# Each hex digit's ASCII code to its value, and back: a query's nibbles
+# are the hex digits of its bytes.
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_HEX_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 
 
 class WireError(ProtocolError):
@@ -93,6 +117,14 @@ class WireError(ProtocolError):
 
 class BadMagicError(WireError):
     """Frame does not start with the protocol magic."""
+
+
+class HeaderMismatchError(WireError):
+    """A QUERY header names other (N, K, M, p) than the server's."""
+
+
+class AnswerLengthError(WireError):
+    """An ANSWER does not hold exactly one value per live round."""
 
 
 class ServerSideError(RuntimeError):
@@ -156,67 +188,172 @@ def recv_message(
 # payloads
 
 
-def encode_query_payload(params: SystemParams, query) -> bytes:
-    """QUERY payload of k x M entries, given as row lists or an array.
+def _entry_bits(n: int) -> int:
+    """Bits of a query entry of [0:n) on the wire: the narrowest of 4,
+    8 or 16 that holds n-1."""
+    return 4 if n <= 16 else 8 if n <= 256 else 16
 
-    An array already of the wire dtype (big-endian u16) is copied as it
-    is; any other input is checked to be integers in [0:2^16) first.
+
+def _query_entry_bytes(params: SystemParams) -> int:
+    """Bytes of a query's k x M entries on the wire."""
+    return -(-params.k_reduced * params.m_files * _entry_bits(params.n_reduced) // 8)
+
+
+def _value_width(value: int) -> int:
+    """Bytes of an answer value on the wire: the fewest of 1, 2 or 4
+    that hold it."""
+    if value < 1 << 8:
+        return 1
+    if value < 1 << 16:
+        return 2
+    if value < 1 << 32:
+        return 4
+    raise WireError(f"answer value {value} does not fit the wire's u32")
+
+
+def _pack_entries(entries: np.ndarray, bits: int) -> list[bytes]:
+    """The wire bytes of each row of `entries`, (rows, count) integers
+    that fit `bits`."""
+    rows, count = entries.shape
+    if bits == 16:
+        blob, size = entries.astype(">u2").tobytes(), 2 * count
+    elif bits == 8:
+        blob, size = entries.astype(np.uint8, copy=False).tobytes(), count
+    elif count <= scheme.SMALL_QUERY_ENTRIES:
+        # Each entry as its hex digit, the digits read back two to a
+        # byte: C string calls, which on a small query cost less than
+        # the seven numpy calls below, and more on a large one.
+        digits = entries.astype(np.uint8, copy=False).tobytes().translate(_HEX_DIGITS)
+        pad = b"0" * (count % 2)
+        starts = range(0, rows * count, count)
+        return [binascii.a2b_hex(digits[i : i + count] + pad) for i in starts]
+    else:
+        narrow = np.zeros((rows, count + count % 2), np.uint8)  # with a zero pad nibble
+        narrow[:, :count] = entries
+        # Each nibble pair (a, b) read as the little-endian u16 a + 256b:
+        # its low byte after this is a << 4 | b.
+        pairs = narrow.view("<u2")
+        blob, size = (pairs << 4 | pairs >> 8).astype(np.uint8).tobytes(), pairs.shape[1]
+    return [blob[i : i + size] for i in range(0, rows * size, size)]
+
+
+def encode_query_payload(params: SystemParams, query) -> bytes:
+    """QUERY payload of k x M entries at the width n implies.
+
+    `query` is row lists or an integer array, checked to be integers
+    that fit the width, or its entries already packed, as bytes, which
+    are copied as they are.
     """
     head = _QUERY_PARAMS.pack(
         params.n_servers, params.k_mds, params.m_files, params.prime
     )
+    if isinstance(query, bytes):
+        return head + query
+    bits = _entry_bits(params.n_reduced)
     entries = np.asarray(query)
-    if entries.dtype != _QUERY_ENTRY:
-        if entries.dtype.kind not in "iu":
-            raise WireError("query entries must be integers")
-        if entries.size and (entries.min() < 0 or entries.max() > 0xFFFF):
-            raise WireError("query entry out of the wire's u16 range")
-        entries = entries.astype(_QUERY_ENTRY)
-    return head + entries.tobytes()
+    if entries.dtype.kind not in "iu":
+        raise WireError("query entries must be integers")
+    if entries.size and (entries.min() < 0 or entries.max() >= 1 << bits):
+        raise WireError(f"query entry out of the wire's {bits}-bit range")
+    return head + _pack_entries(entries.reshape(1, -1), bits)[0]
 
 
-def decode_query_payload(payload: bytes) -> tuple[tuple[int, int, int, int], np.ndarray]:
-    """The header (N, K, M, p) and the entries as a flat u16 array."""
+def decode_query_payload(payload: bytes, params: SystemParams):
+    """The query of a QUERY payload sent to a server of `params`.
+
+    The header must be params' own (HeaderMismatchError otherwise); the
+    entries are then read at the width params' n implies and must fill
+    k x M exactly, with a zero pad nibble (WireError otherwise).  A
+    query of more than SMALL_QUERY_ENTRIES entries comes back as a
+    C-contiguous (k, M) array, u8 for n <= 256 and u16 above, a smaller
+    one as k row lists of Python ints.  Entries are not checked against
+    n: scheme.server_answer checks them.
+    """
     if len(payload) < _QUERY_PARAMS.size:
         raise WireError("query payload too short")
     header = _QUERY_PARAMS.unpack_from(payload)
-    if (len(payload) - _QUERY_PARAMS.size) % 2:
-        raise WireError("query entries not u16-aligned")
-    return header, np.frombuffer(payload, _QUERY_ENTRY, offset=_QUERY_PARAMS.size)
+    expected = (params.n_servers, params.k_mds, params.m_files, params.prime)
+    if header != expected:
+        raise HeaderMismatchError(f"query params {header} do not match storage {expected}")
+    k, m = params.k_reduced, params.m_files
+    count, bits = k * m, _entry_bits(params.n_reduced)
+    entries = payload[_QUERY_PARAMS.size :]
+    size = _query_entry_bytes(params)
+    if len(entries) != size:
+        raise WireError(f"expected {count} {bits}-bit entries in {size} bytes")
+    if bits == 4:
+        if count % 2 and entries[-1] & 0x0F:
+            raise WireError("query pad nibble is not zero")
+        # one byte per nibble (and the pad), by C string calls
+        entries = binascii.b2a_hex(entries).translate(_HEX_VALUES)
+    if count > scheme.SMALL_QUERY_ENTRIES:
+        if bits == 16:
+            return np.frombuffer(entries, ">u2").astype(np.uint16).reshape(k, m)
+        return np.frombuffer(entries, np.uint8)[:count].reshape(k, m)
+    if bits == 16:
+        entries = struct.unpack(f">{count}H", entries)
+    # A loop, no numpy and no comprehension: each costs more than the
+    # work of a small query in a server whose caches have cooled.
+    rows = []
+    for start in range(0, count, m):
+        rows.append(list(entries[start : start + m]))
+    return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _answer_layout(count: int, width: int) -> struct.Struct:
+    """An ANSWER payload of `count` values of `width` bytes.  (Compiled
+    once: building the format on every call doubled the codec's cost
+    in a server whose caches had cooled.)"""
+    return struct.Struct(f">B{count}{_VALUE_CODES[width]}")
 
 
 def encode_answer_payload(answer: list[int | None]) -> bytes:
-    parts = [struct.pack(">H", len(answer))]
+    """ANSWER payload of k round answers, None in NULL rounds: the width
+    byte, then the live values at that width."""
+    values = []
+    top = 0
     for value in answer:
-        if value is None:
-            parts.append(b"\x00")
-        else:
-            parts.append(b"\x01" + struct.pack(">Q", value))
-    return b"".join(parts)
+        if value is not None:
+            values.append(value)
+            if value > top:
+                top = value
+    width = _value_width(top)
+    try:
+        return _answer_layout(len(values), width).pack(width, *values)
+    except struct.error as exc:
+        raise WireError(f"answer values must be integers in [0:2^32): {exc}") from exc
 
 
-def decode_answer_payload(payload: bytes) -> list[int | None]:
-    if len(payload) < 2:
-        raise WireError("answer payload too short")
-    (count,) = struct.unpack_from(">H", payload)
-    answer: list[int | None] = []
-    offset = 2
-    for _ in range(count):
-        if offset >= len(payload):
-            raise WireError("answer payload truncated")
-        flag = payload[offset]
-        offset += 1
-        if flag == 0:
+def decode_answer_payload(payload: bytes, live, prime: int) -> list[int | None]:
+    """The k round answers of an ANSWER payload, None in NULL rounds,
+    given the k live-round flags of the query it answers and p.
+
+    Raises WireError for a width byte outside {1, 2, 4} or wider than
+    p-1 needs and for a value not below p, and AnswerLengthError when
+    the payload does not hold exactly one value per live round.
+    """
+    if not payload:
+        raise WireError("answer payload empty")
+    width = payload[0]
+    if width not in _VALUE_CODES or width > _value_width(prime - 1):
+        raise WireError(f"answer value width {width} is not allowed for p={prime}")
+    count = sum(live)
+    if len(payload) != 1 + count * width:
+        raise AnswerLengthError(
+            f"{len(payload) - 1} value bytes of width {width}, the query has {count} live rounds"
+        )
+    values = _answer_layout(count, width).unpack(payload)
+    answer = []
+    index = 0  # values[0] is the width
+    for is_live in live:
+        if not is_live:
             answer.append(None)
-        elif flag == 1:
-            if offset + 8 > len(payload):
-                raise WireError("answer payload truncated")
-            answer.append(struct.unpack_from(">Q", payload, offset)[0])
-            offset += 8
-        else:
-            raise WireError(f"bad round flag {flag}")
-    if offset != len(payload):
-        raise WireError("trailing bytes in answer payload")
+            continue
+        index += 1
+        if values[index] >= prime:
+            raise WireError(f"answer value out of [0:{prime})")
+        answer.append(values[index])
     return answer
 
 
@@ -262,37 +399,24 @@ class _Handler(socketserver.BaseRequestHandler):
                 self._reply_error(ERR_INTERNAL, str(exc))
                 continue
             try:
-                send_message(self.request, MSG_ANSWER, encode_answer_payload(answer))
+                send_message(self.request, MSG_ANSWER, answer)
             except OSError:  # the client gave up on this answer
                 return
 
-    def _answer(self, server: "StorageServer", payload: bytes) -> list[int | None]:
+    def _answer(self, server: "StorageServer", payload: bytes) -> bytes:
+        """The ANSWER payload of a QUERY payload."""
+        params = server.params
         try:
-            header, flat = decode_query_payload(payload)
+            query = decode_query_payload(payload, params)
+        except HeaderMismatchError as exc:
+            raise ServerSideError(ERR_PARAM_MISMATCH, str(exc)) from exc
         except WireError as exc:
             raise ServerSideError(ERR_MALFORMED_QUERY, str(exc)) from exc
-        params = server.params
-        expected = (params.n_servers, params.k_mds, params.m_files, params.prime)
-        if header != expected:
-            raise ServerSideError(
-                ERR_PARAM_MISMATCH,
-                f"query params {header} do not match storage {expected}",
-            )
-        k, m = params.k_reduced, params.m_files
-        if len(flat) != k * m:
-            raise ServerSideError(ERR_MALFORMED_QUERY, f"expected {k * m} entries")
-        query = flat.reshape(k, m)
-        if k * m <= scheme.SMALL_QUERY_ENTRIES:
-            query = query.tolist()  # the loop's input; numpy calls cost more
-        elif query.max() < params.n_reduced:
-            # Narrowed only once every entry is below n, so none wraps
-            # into [0:n); server_answer rejects a wider one with
-            # validate_query's message.
-            query = query.astype(server.entry_dtype)
         try:
-            return scheme.server_answer(server.storage, query, params)
+            answer = scheme.server_answer(server.storage, query, params)
         except ProtocolError as exc:
             raise ServerSideError(ERR_MALFORMED_QUERY, str(exc)) from exc
+        return encode_answer_payload(answer)
 
     def _reply_error(self, code: int, detail: str) -> None:
         try:
@@ -317,10 +441,7 @@ class StorageServer(socketserver.ThreadingTCPServer):
     def __init__(self, storage: ServerStorage, params: SystemParams, address=("127.0.0.1", 0)):
         self.storage = storage
         self.params = params
-        self.frame_limits = {MSG_QUERY: _QUERY_PARAMS.size + 2 * params.k_reduced * params.m_files}
-        # The narrowest dtype holding [0:n), u8 for n <= 256: a large
-        # query reaches scheme.server_answer in it.
-        self.entry_dtype = np.min_scalar_type(params.n_reduced - 1)
+        self.frame_limits = {MSG_QUERY: _QUERY_PARAMS.size + _query_entry_bytes(params)}
         self._connections: set = set()
         self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
@@ -380,7 +501,8 @@ def serve(storage_path, listen_address: tuple[str, int]):
 class RetrievalResult:
     source: list[list[int]]
     download_elements: int
-    download_bytes: int
+    download_bytes: int  # ANSWER payload bytes read, one answer per server
+    upload_bytes: int  # QUERY payload bytes, one query per server
 
 
 class _ConnectionPool:
@@ -470,16 +592,20 @@ class _Link:
             self.sock = None
 
 
-def _read_answer(reply: tuple[int, bytearray], params: SystemParams) -> list[int | None]:
+def _read_answer(
+    reply: tuple[int, bytearray], live: list[bool], server_index: int, prime: int
+) -> list[int | None]:
+    """Server `server_index`'s answer as a k-list, None in NULL rounds,
+    given the live rounds of the query it was sent."""
     msg_type, payload = reply
     if msg_type == MSG_ERROR:
         raise ServerSideError(*decode_error_payload(payload))
     if msg_type != MSG_ANSWER:
         raise WireError("expected ANSWER")
-    answer = decode_answer_payload(payload)
-    if any(value is not None and value >= params.prime for value in answer):
-        raise WireError(f"answer value out of [0:{params.prime})")
-    return answer
+    try:
+        return decode_answer_payload(payload, live, prime)
+    except AnswerLengthError as exc:
+        raise scheme.AnswerMismatchError(server_index, str(exc)) from exc
 
 
 def client_retrieve(
@@ -494,10 +620,11 @@ def client_retrieve(
     Sends every server its query, then reads the answers in turn, over
     pooled connections (see the module docstring).  A server that
     cannot be reached, times out, replies with an ERROR, or sends an
-    answer that does not fit its query (length, NULL pattern, a value
-    outside [0:p)) aborts the retrieval with RetrievalAbortedError
-    naming the server; for a misfit answer its cause is a WireError or
-    scheme.AnswerMismatchError.
+    answer that does not fit its query aborts the retrieval with
+    RetrievalAbortedError naming the server.  For a misfit answer its
+    cause is a WireError (a frame longer than k values of p-1's width, a
+    bad width byte, a value outside [0:p)) or scheme.AnswerMismatchError
+    (a length other than one value per live round).
     """
     addresses = list(server_addresses)
     if len(addresses) != params.n_servers:
@@ -505,22 +632,31 @@ def client_retrieve(
             f"need {params.n_servers} server addresses, got {len(addresses)}"
         )
     master = scheme.sample_master_queries(params, scheme.make_rng(seed), 1)
-    # All N queries in the wire's dtype at once; n < 2^16 is checked by
-    # derive_params, so every entry fits.
-    queries = scheme.server_queries(master, [theta], params)[0].astype(_QUERY_ENTRY)
-    limits = {MSG_ANSWER: 2 + 9 * params.k_reduced, MSG_ERROR: MAX_ERROR_PAYLOAD}
+    # The N queries narrowed once, u8 for n <= 256, for the live rounds
+    # and the packing: their entries are in [0:n), so none wraps and
+    # each fits the wire's width.
+    queries = scheme.server_queries(master, [theta], params)[0]
+    queries = queries.astype(np.min_scalar_type(params.n_reduced - 1))
+    live = scheme.live_rounds(queries, params).tolist()
+    packed = _pack_entries(queries.reshape(len(queries), -1), _entry_bits(params.n_reduced))
+    limits = {
+        MSG_ANSWER: 1 + _value_width(params.prime - 1) * params.k_reduced,
+        MSG_ERROR: MAX_ERROR_PAYLOAD,
+    }
     links: list[_Link] = []
     answers: list[list[int | None]] = []
-    payload_bytes = 0
+    upload_bytes = download_bytes = 0
     try:
         for t, address in enumerate(addresses):
-            links.append(_Link(address, encode_query_payload(params, queries[t]), timeout))
+            payload = encode_query_payload(params, packed[t])
+            upload_bytes += len(payload)
+            links.append(_Link(address, payload, timeout))
             links[t].send()
         for t, link in enumerate(links):
             reply = link.receive(limits)
-            answers.append(_read_answer(reply, params))
-            payload_bytes += len(reply[1])
-    except (OSError, WireError, ServerSideError) as exc:
+            answers.append(_read_answer(reply, live[t], t, params.prime))
+            download_bytes += len(reply[1])
+    except (OSError, WireError, ServerSideError, scheme.AnswerMismatchError) as exc:
         raise RetrievalAbortedError(t, exc) from exc
     finally:
         for link in links:
@@ -533,7 +669,8 @@ def client_retrieve(
     return RetrievalResult(
         source=source,
         download_elements=scheme.realized_download(answers),
-        download_bytes=payload_bytes,
+        download_bytes=download_bytes,
+        upload_bytes=upload_bytes,
     )
 
 

@@ -25,10 +25,10 @@ The list-based calls (gen_master_query, build_server_query,
 server_answer, decode) work on k x M query row lists and length-k
 answer lists with None marking NULL rounds.  server_answer also takes
 a (k, M) integer array: a networked server passes a query of more than
-SMALL_QUERY_ENTRIES entries as one, narrowed to the smallest dtype
-that holds [0:n), and a smaller query as row lists.  The networked
-client sends the server_queries array and passes decode the master
-array, building no lists.
+SMALL_QUERY_ENTRIES entries as one, u8 for n <= 256 and u16 above, and
+a smaller query as row lists.  The networked client packs the
+server_queries array and passes decode the master array, building no
+lists.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ DEFAULT_PRIME = 257
 STORAGE_FORMAT = "pir-mds-storage/1"
 SOURCE_FORMAT = "pir-mds-source/1"
 
-# A query on the wire carries p as a u32 and its entries as u16s.
+# On the wire a query header carries p as a u32, an answer value takes
+# at most 4 bytes, and a query entry at most 16 bits.
 PRIME_LIMIT = 2**32
 MAX_REDUCED_N = 2**16 - 1
 
@@ -64,7 +65,9 @@ MAX_REDUCED_N = 2**16 - 1
 # 0.54 ms, where a warm loop had shown the engine only 7-12 us dearer.
 # At 1280 entries, (8,5,256), the engine answers the server's u8 array
 # in 36 us, range check and cast included, against 90 us through row
-# lists.
+# lists.  The wire codec (net) uses the same bound: a query this small
+# is unpacked into row lists, and the client packs it with string calls
+# rather than numpy.
 SMALL_QUERY_ENTRIES = 128
 
 # Bytes of decode maps one code keeps in each of its two caches, the
@@ -127,7 +130,7 @@ def derive_params(n_servers: int, k_mds: int, m_files: int, prime: int) -> Syste
     n = n_servers // d
     k = k_mds // d
     if n > MAX_REDUCED_N:
-        raise ParameterError(f"n={n} > {MAX_REDUCED_N}: query entries are u16 on the wire")
+        raise ParameterError(f"n={n} > {MAX_REDUCED_N}: query entries take 16 bits on the wire")
     lam = n - k
     return SystemParams(
         n_servers=n_servers,

@@ -5,7 +5,7 @@ import pytest
 
 from codedpir import cli, net, scheme
 
-from conftest import start_serving
+from conftest import start_serving, stop_servers
 
 
 def run(argv):
@@ -85,6 +85,27 @@ class TestRetrieve:
             server.shutdown()
             server.server_close()
 
+    def test_networked_json_counts_payload_bytes(self, system_dir, capsys):
+        servers = []
+        for t in range(5):
+            storage, params = scheme.load_storage(system_dir / f"storage-{t}.json")
+            servers.append(net.StorageServer(storage, params))
+            start_serving(servers[-1])
+        addrs = ",".join(f"{host}:{port}" for host, port in (s.server_address for s in servers))
+        try:
+            assert run(["retrieve", "--theta", "1", "--servers", addrs, "--n", "5", "--k", "3",
+                        "--m", "3", "--p", "7", "--seed", "2", "--format", "json"]) == 0
+        finally:
+            net._pool.clear()
+            stop_servers(servers)
+        doc = json.loads(capsys.readouterr().out)
+        source = json.loads((system_dir / "source-1.json").read_text())
+        assert doc["rows"] == source["rows"]
+        # 5 queries of a 16-byte header and 9 nibbles; a width byte and
+        # one byte per element back
+        assert doc["upload_payload_bytes"] == 5 * (16 + 5) == 105
+        assert doc["download_payload_bytes"] == 5 + doc["download_elements"]
+
 
 class TestVerify:
     def test_capacity(self, capsys):
@@ -143,6 +164,20 @@ class TestEnvironment:
         monkeypatch.setenv("PIR_SEED", "abc")
         monkeypatch.setenv("PIR_PRIME", "x")
         assert run(argv) == 0
+
+    def test_storage_dir_retrieve_ignores_prime_variable(self, tmp_path, monkeypatch, capsys):
+        """`retrieve --storage-dir` takes p from the storage files, so a
+        malformed PIR_PRIME does not stop it; `--servers` mode reads it."""
+        out = tmp_path / "sys"
+        run(["setup", "--n", "5", "--k", "3", "--m", "3", "--p", "7", "--seed", "1",
+             "--out", str(out)])
+        capsys.readouterr()
+        monkeypatch.setenv("PIR_PRIME", "x")
+        assert run(["retrieve", "--storage-dir", str(out), "--theta", "0"]) == 0
+        capsys.readouterr()
+        assert run(["retrieve", "--servers", "127.0.0.1:1", "--n", "5", "--k", "3",
+                    "--m", "3", "--theta", "0"]) == 2
+        assert capsys.readouterr().err == "error: PIR_PRIME must be an integer, got 'x'\n"
 
     def test_serve_reads_neither_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PIR_SEED", "abc")

@@ -18,6 +18,8 @@ from codedpir.net import (
     MSG_ANSWER,
     MSG_ERROR,
     MSG_QUERY,
+    BadMagicError,
+    HeaderMismatchError,
     RetrievalAbortedError,
     ServerSideError,
     StorageServer,
@@ -87,6 +89,40 @@ def wide_cluster():
         yield params, sources, [s.server_address for s in servers], servers
 
 
+def pack_reference(entries, bits):
+    """Wire bytes of a flat entry list, packed with plain Python ints."""
+    if bits == 16:
+        return struct.pack(f">{len(entries)}H", *entries)
+    if bits == 8:
+        return bytes(entries)
+    padded = list(entries) + [0] * (len(entries) % 2)
+    return bytes(high << 4 | low for high, low in zip(padded[0::2], padded[1::2]))
+
+
+# The largest prime below 2^32, the widest field the wire carries.
+WIDEST_PRIME = 2**32 - 5
+
+
+def record_frames(monkeypatch, frames: list) -> None:
+    """Make every client socket opened from now on append (address,
+    bytes) to `frames` for each frame it sends."""
+    connect = socket.create_connection
+
+    class Recording:
+        def __init__(self, address, *args, **kwargs):
+            self.address = address
+            self.sock = connect(address, *args, **kwargs)
+
+        def sendall(self, data):
+            frames.append((self.address, bytes(data)))
+            self.sock.sendall(data)
+
+        def __getattr__(self, attr):
+            return getattr(self.sock, attr)
+
+    monkeypatch.setattr(net.socket, "create_connection", Recording)
+
+
 def ask(address, payload):
     """One QUERY on a new connection; returns the reply frame."""
     with socket.create_connection(address, timeout=2.0) as sock:
@@ -99,17 +135,15 @@ class TestPayloads:
         params = derive_params(5, 3, 3, 7)
         rng = random.Random(0)
         for _ in range(50):
-            query = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
+            query = [[rng.randrange(16) for _ in range(3)] for _ in range(3)]
             payload = encode_query_payload(params, query)
-            header, flat = decode_query_payload(payload)
-            assert header == (5, 3, 3, 7)
-            assert flat.tolist() == [e for row in query for e in row]
+            assert decode_query_payload(bytearray(payload), params) == query
 
     def test_example_query_golden_bytes(self):
         payload = encode_query_payload(derive_params(5, 3, 3, 7), EXAMPLE_QUERY)
         assert payload == bytes.fromhex(
             "00000005" "00000003" "00000003" "00000007"  # N, K, M, p
-            "0003" "0004" "0003" "0000" "0001" "0000" "0001" "0000" "0004"
+            "34" "30" "10" "10" "40"  # nibbles 3 4 3 0 1 0 1 0 4, then the pad
         )
 
     def test_wide_query_matches_struct_reference(self):
@@ -117,15 +151,74 @@ class TestPayloads:
         master = scheme.sample_master_queries(params, make_rng(3), 1)
         queries = scheme.server_queries(master, [200], params)[0]
         head = struct.pack(">IIII", 8, 5, 256, 65537)
+        packed = net._pack_entries(queries.reshape(8, -1), 4)
         for t, query in enumerate(queries):
-            entries = query.ravel().tolist()
-            reference = head + struct.pack(f">{len(entries)}H", *entries)
+            reference = head + pack_reference(query.ravel().tolist(), 4)
+            assert len(reference) == 16 + 640
             assert encode_query_payload(params, query.tolist()) == reference
             assert encode_query_payload(params, query) == reference
-            assert encode_query_payload(params, queries.astype(">u2")[t]) == reference
-            header, flat = decode_query_payload(bytearray(reference))
-            assert header == (8, 5, 256, 65537)
-            assert flat.tolist() == entries
+            assert encode_query_payload(params, packed[t]) == reference
+            decoded = decode_query_payload(bytearray(reference), params)
+            assert decoded.dtype == np.uint8 and decoded.flags.c_contiguous
+            assert decoded.tolist() == query.tolist()
+
+    @pytest.mark.parametrize("n_servers, prime, bits", [
+        (16, 17, 4), (17, 17, 8), (256, 257, 8), (257, 257, 16),
+    ])
+    @pytest.mark.parametrize("m_files", [3, 4, 129, 130])
+    def test_query_width_follows_n(self, n_servers, prime, bits, m_files):
+        """n-1 picks 4, 8 or 16 bits, on the row-list (M = 3, 4) and the
+        array (M = 129, 130) path alike, for odd and even entry counts;
+        an entry beyond the width cannot be encoded."""
+        params = derive_params(n_servers, 1, m_files, prime)
+        n = params.n_reduced
+        query = [[(n - 1 - i) % n for i in range(m_files)]]
+        payload = encode_query_payload(params, query)
+        assert payload[16:] == pack_reference(query[0], bits)
+        assert len(payload) == 16 + -(-m_files * bits // 8)
+        decoded = decode_query_payload(bytearray(payload), params)
+        if m_files > scheme.SMALL_QUERY_ENTRIES:
+            assert decoded.dtype == (np.uint16 if bits == 16 else np.uint8)
+            assert decoded.flags.c_contiguous
+            decoded = decoded.tolist()
+        assert decoded == query
+        with pytest.raises(WireError):
+            encode_query_payload(params, [[1 << bits] + query[0][1:]])
+
+    @pytest.mark.parametrize("m_files", [3, 27])
+    def test_odd_nibble_count_pads_a_zero_nibble(self, m_files):
+        """9 and 135 entries: the last byte's low nibble is the pad, and a
+        payload with it set is rejected on either path."""
+        params = derive_params(5 if m_files == 3 else 8, 3 if m_files == 3 else 5, m_files, 257)
+        count = params.k_reduced * m_files
+        assert count % 2 and (count > scheme.SMALL_QUERY_ENTRIES) == (m_files == 27)
+        master = scheme.sample_master_queries(params, make_rng(5), 1)
+        query = scheme.server_queries(master, [1], params)[0, 0]
+        payload = bytearray(encode_query_payload(params, query))
+        assert len(payload) == 16 + (count + 1) // 2
+        assert payload[-1] & 0x0F == 0
+        assert np.array_equal(decode_query_payload(payload, params), query)
+        payload[-1] |= 0x01
+        with pytest.raises(WireError, match="pad nibble"):
+            decode_query_payload(payload, params)
+
+    def test_query_decoder_checks_header_then_own_width(self):
+        params = derive_params(5, 3, 3, 7)
+        payload = encode_query_payload(params, EXAMPLE_QUERY)
+        for bad in (payload[:-1], payload + b"\x00", payload[:15]):
+            with pytest.raises(WireError) as exc:
+                decode_query_payload(bad, params)
+            assert not isinstance(exc.value, HeaderMismatchError)
+        other = derive_params(5, 3, 3, 11)
+        with pytest.raises(HeaderMismatchError):
+            decode_query_payload(encode_query_payload(other, EXAMPLE_QUERY), params)
+        with pytest.raises(HeaderMismatchError):  # the header decides first
+            decode_query_payload(encode_query_payload(other, EXAMPLE_QUERY) + bytes(7), params)
+        # The same header with the entries as bytes: a server of n = 5
+        # reads nibbles, so the length is wrong.
+        wide = payload[:16] + bytes(e for row in EXAMPLE_QUERY for e in row)
+        with pytest.raises(WireError, match="4-bit entries"):
+            decode_query_payload(wide, params)
 
     @pytest.mark.parametrize("entry", [-1, 2**16, 1.5])
     @pytest.mark.parametrize("as_array", [False, True])
@@ -139,22 +232,60 @@ class TestPayloads:
     def test_answer_round_trip(self):
         rng = random.Random(1)
         for _ in range(100):
+            top = rng.choice([7, 2**8, 2**16, WIDEST_PRIME])
             answer = [
-                None if rng.random() < 0.3 else rng.randrange(2**40)
+                None if rng.random() < 0.3 else rng.randrange(top)
                 for _ in range(rng.randint(0, 6))
             ]
-            assert decode_answer_payload(encode_answer_payload(answer)) == answer
+            live = [value is not None for value in answer]
+            payload = encode_answer_payload(answer)
+            assert decode_answer_payload(payload, live, WIDEST_PRIME) == answer
 
     def test_answer_byte_sizes(self):
-        # present round = 9 bytes (flag + u64), NULL round = 1 byte
-        assert len(encode_answer_payload([5])) == 2 + 9
-        assert len(encode_answer_payload([None])) == 2 + 1
-        assert len(encode_answer_payload([None, 5, 7])) == 2 + 1 + 9 + 9
+        # a width byte, then the live values only, in the fewest of 1, 2
+        # or 4 bytes that hold the largest
+        assert encode_answer_payload([5]) == bytes([1, 5])
+        assert encode_answer_payload([None]) == bytes([1])
+        assert encode_answer_payload([]) == bytes([1])
+        assert encode_answer_payload([None, 5, 7]) == bytes([1, 5, 7])
+        assert encode_answer_payload([255, None]) == bytes([1, 255])
+        assert encode_answer_payload([7, 256]) == bytes.fromhex("02" "0007" "0100")
+        assert encode_answer_payload([65535]) == bytes.fromhex("02" "ffff")
+        assert encode_answer_payload([65536, 1]) == bytes.fromhex("04" "00010000" "00000001")
+        assert encode_answer_payload([2**32 - 1]) == bytes.fromhex("04" "ffffffff")
+        for values in ([2**32], [-1], [1.5]):
+            with pytest.raises(WireError):
+                encode_answer_payload(values)
 
     def test_truncated_answer(self):
-        payload = encode_answer_payload([1, 2])[:-3]
+        payload = encode_answer_payload([1, 2])
         with pytest.raises(WireError):
-            decode_answer_payload(payload)
+            decode_answer_payload(payload[:-3], [True, True], 7)
+        with pytest.raises(net.AnswerLengthError):
+            decode_answer_payload(payload[:-1], [True, True], 7)
+        with pytest.raises(net.AnswerLengthError):
+            decode_answer_payload(payload + b"\x00", [True, True], 7)
+
+    @pytest.mark.parametrize("prime, widths", [
+        (7, [1]), (257, [1, 2]), (65537, [1, 2, 4]), (WIDEST_PRIME, [1, 2, 4]),
+    ])
+    def test_answer_width_byte(self, prime, widths):
+        """Only 1, 2 or 4, and none wider than p-1 needs."""
+        for width in range(256):
+            payload = bytes([width]) + bytes(2 * width)
+            if width in widths:
+                assert decode_answer_payload(payload, [True, True], prime) == [0, 0]
+            else:
+                with pytest.raises(WireError) as exc:
+                    decode_answer_payload(payload, [True, True], prime)
+                assert not isinstance(exc.value, net.AnswerLengthError)
+
+    @pytest.mark.parametrize("prime", [7, 257, 65537, WIDEST_PRIME])
+    def test_answer_value_below_p(self, prime):
+        top = encode_answer_payload([None, prime - 1])
+        assert decode_answer_payload(top, [False, True], prime) == [None, prime - 1]
+        with pytest.raises(WireError, match="out of"):
+            decode_answer_payload(encode_answer_payload([None, prime]), [False, True], prime)
 
     def test_error_payload_is_bounded(self):
         payload = encode_error_payload(net.ERR_INTERNAL, "x" * 5000)
@@ -216,6 +347,32 @@ class TestEndToEnd:
             sock.settimeout(2.0)
             assert sock.recv(1024) == b""
 
+    def test_v1_frame_gets_no_reply(self, cluster):
+        """A PIR1 peer's query, the worked example as u16s, is refused
+        by magic alone: no reply, a closed connection; and a client
+        reading a PIR1 frame raises BadMagicError."""
+        _, _, addresses, _ = cluster
+        payload = struct.pack(">IIII9H", 5, 3, 3, 7, *[e for row in EXAMPLE_QUERY for e in row])
+        v1_frame = struct.pack(">4sBI", b"PIR1", MSG_QUERY, len(payload)) + payload
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            sock.sendall(v1_frame)
+            assert sock.recv(1024) == b""
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(struct.pack(">4sBI", b"PIR1", MSG_ANSWER, 3) + bytes(3))
+            with pytest.raises(BadMagicError):
+                recv_message(right)
+
+    def test_payload_bytes_both_ways(self, cluster):
+        """(5,3,3,7): 16 header bytes and 9 entries in 5 bytes per server
+        up; a width byte and one byte per element down."""
+        params, sources, addresses, _ = cluster
+        for seed in range(5):
+            result = client_retrieve(addresses, seed % 3, params, seed)
+            assert result.source == sources[seed % 3]
+            assert result.upload_bytes == 5 * (16 + 5) == 105
+            assert result.download_bytes == 5 + result.download_elements
+
     def test_server_down_aborts_with_index(self, cluster):
         params, _, addresses, servers = cluster
         servers[3].shutdown()
@@ -271,7 +428,7 @@ class TestEndToEnd:
         expected = []
         for t in range(params.n_servers):
             entries = [e for row in scheme.build_server_query(master, 2, t, params) for e in row]
-            expected.append(head + struct.pack(f">{len(entries)}H", *entries))
+            expected.append(head + pack_reference(entries, 4))
         assert sent == expected
 
     def test_server_answers_from_row_lists_of_ints(self, cluster, monkeypatch):
@@ -325,7 +482,7 @@ class TestEndToEnd:
                 send_message(sock, MSG_QUERY, encode_query_payload(params, query))
                 msg_type, payload = recv_message(sock)
                 assert msg_type == net.MSG_ANSWER
-                assert decode_answer_payload(payload)[0] is None
+                assert decode_answer_payload(payload, [False, True, True], 7)[0] is None
 
 
 class TestLargeQueries:
@@ -338,16 +495,23 @@ class TestLargeQueries:
             result = client_retrieve(addresses, theta, params, seed=theta)
             assert result.source == sources[theta]
 
-    @pytest.mark.parametrize("entry", [8, 255, 259, 65535])
+    @pytest.mark.parametrize("entry", [8, 15, 255, 259, 65535])
     def test_entry_outside_n(self, wide_cluster, entry):
+        """At n = 8 entries travel as nibbles: one of [8:16) reaches the
+        server and gets validate_query's message; a wider one cannot be
+        encoded at all."""
         params, _, addresses, servers = wide_cluster
         master = scheme.sample_master_queries(params, make_rng(1), 1)
         query = scheme.server_queries(master, [3], params)[0, 2]
         bad = query.copy()
-        bad[2, 5] = entry  # 259 and 65535 would wrap to 3 and 255 in u8
+        bad[2, 5] = entry
         with pytest.raises(scheme.ProtocolError) as expected:
             scheme.validate_query(bad, params)
         assert str(expected.value) == f"query entry {entry} out of [0:8)"
+        if entry >= 16:
+            with pytest.raises(WireError, match="4-bit range"):
+                encode_query_payload(params, bad)
+            return
         with socket.create_connection(addresses[2], timeout=2.0) as sock:
             send_message(sock, MSG_QUERY, encode_query_payload(params, bad))
             msg_type, payload = recv_message(sock)
@@ -356,9 +520,57 @@ class TestLargeQueries:
             send_message(sock, MSG_QUERY, encode_query_payload(params, query))
             msg_type, payload = recv_message(sock)
             assert msg_type == MSG_ANSWER
-            assert decode_answer_payload(payload) == scheme.server_answer(
+            live = scheme.live_rounds(query, params).tolist()
+            assert decode_answer_payload(payload, live, params.prime) == scheme.server_answer(
                 servers[2].storage, query.tolist(), params
             )
+
+    @pytest.mark.parametrize("entry", [257, 4095, 65535])
+    def test_entry_outside_n_at_16_bits(self, entry):
+        """At n = 257 entries travel as u16s and reach server_answer as a
+        native u16 array, unnarrowed, so none wraps into [0:n)."""
+        params = derive_params(257, 1, 129, 257)
+        assert params.k_reduced * params.m_files > scheme.SMALL_QUERY_ENTRIES
+        sources = scheme.random_sources(params, make_rng(7))
+        _, storages = scheme.encode_system(params, sources)
+        query = scheme.server_queries(
+            scheme.sample_master_queries(params, make_rng(2), 1), [4], params
+        )[0, 9]
+        bad = query.copy()
+        bad[0, 100] = entry
+        decoded = decode_query_payload(encode_query_payload(params, bad), params)
+        assert decoded.dtype == np.uint16 and decoded[0, 100] == entry
+        with serving([storages[9]], params) as servers:
+            with socket.create_connection(servers[0].server_address, timeout=2.0) as sock:
+                send_message(sock, MSG_QUERY, encode_query_payload(params, bad))
+                assert decode_error_payload(recv_message(sock)[1]) == (
+                    net.ERR_MALFORMED_QUERY, f"query entry {entry} out of [0:257)"
+                )
+                send_message(sock, MSG_QUERY, encode_query_payload(params, query))
+                msg_type, payload = recv_message(sock)
+                assert msg_type == MSG_ANSWER
+                live = scheme.live_rounds(query, params).tolist()
+                assert decode_answer_payload(payload, live, 257) == scheme.server_answer(
+                    storages[9], query.tolist(), params
+                )
+
+    def test_wide_retrieval_sends_5320_query_bytes(self, monkeypatch):
+        """(8,5,256,65537), the benchmark's tcp-wide system: 8 QUERY frames
+        of 9 + 16 + 640 bytes, 5,320 B, where u16 entries took 20,680."""
+        params = derive_params(8, 5, 256, 65537)
+        sources = scheme.random_sources(params, make_rng(8))
+        _, storages = scheme.encode_system(params, sources)
+        frames = []
+        record_frames(monkeypatch, frames)
+        with serving(storages, params) as servers:
+            addresses = [server.server_address for server in servers]
+            result = client_retrieve(addresses, 200, params, seed=1)
+        assert result.source == sources[200]
+        assert [frame[4] for _, frame in frames] == [MSG_QUERY] * 8
+        assert sum(len(frame) for _, frame in frames) == 5320
+        assert result.upload_bytes == 5320 - 8 * net._HEADER.size
+        # 2 bytes per element (p-1 needs 3, so 4 at most) and a width byte
+        assert result.download_bytes <= 8 + 4 * result.download_elements
 
     def test_server_answers_from_u8_arrays(self, wide_cluster, monkeypatch):
         params, sources, addresses, _ = wide_cluster
@@ -402,6 +614,20 @@ class TestAnswerChecks:
 
         return install
 
+    @pytest.fixture
+    def tamper_payload(self, monkeypatch):
+        """Make server 2 send `change(payload)` as its ANSWER payload."""
+        honest = net._Handler._answer
+
+        def install(change):
+            def answer(handler, server, payload):
+                reply = honest(handler, server, payload)
+                return change(reply) if server.storage.server_index == 2 else reply
+
+            monkeypatch.setattr(net._Handler, "_answer", answer)
+
+        return install
+
     def aborted_by(self, cluster, cause):
         params, _, addresses, _ = cluster
         with pytest.raises(RetrievalAbortedError) as exc:
@@ -427,6 +653,16 @@ class TestAnswerChecks:
 
     def test_value_not_below_p(self, cluster, tamper):
         tamper(lambda answer, params: [None if a is None else a + params.prime for a in answer])
+        self.aborted_by(cluster, WireError)
+
+    @pytest.mark.parametrize("width", [0, 2, 3, 255])
+    def test_width_byte_not_allowed(self, cluster, tamper_payload, width):
+        """At p = 7 only width 1 is allowed; the values stay as sent."""
+        tamper_payload(lambda payload: bytes([width]) + payload[1:])
+        self.aborted_by(cluster, WireError)
+
+    def test_empty_payload(self, cluster, tamper_payload):
+        tamper_payload(lambda payload: b"")
         self.aborted_by(cluster, WireError)
 
 
@@ -500,23 +736,7 @@ class TestConnectionPool:
     def test_resend_after_stale_connection_is_identical(self, cluster, monkeypatch):
         params, sources, addresses, servers = cluster
         frames = []
-        connect = socket.create_connection
-
-        class Recording:
-            """A client socket that logs every frame it sends."""
-
-            def __init__(self, address, *args, **kwargs):
-                self.address = address
-                self.sock = connect(address, *args, **kwargs)
-
-            def sendall(self, data):
-                frames.append((self.address, bytes(data)))
-                self.sock.sendall(data)
-
-            def __getattr__(self, attr):
-                return getattr(self.sock, attr)
-
-        monkeypatch.setattr(net.socket, "create_connection", Recording)
+        record_frames(monkeypatch, frames)
         assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
         servers[2].close_connections()
         frames.clear()
@@ -546,20 +766,35 @@ class TestFuzz:
     peer_bytes = st.binary(max_size=128) | frames | query_payloads.map(
         lambda payload: net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
     )
+    # (8,5,32,257): 160 nibbles in 80 bytes, decoded to an array
+    wide_query_payloads = st.builds(
+        lambda body: net._QUERY_PARAMS.pack(8, 5, 32, 257) + body,
+        st.binary(min_size=80, max_size=80) | st.binary(max_size=100),
+    )
 
-    @settings(max_examples=200, deadline=None)
-    @given(payload=st.binary(max_size=64) | query_payloads)
-    def test_payload_decoders(self, payload):
-        for decoder in (decode_query_payload, decode_answer_payload, decode_error_payload):
+    @settings(max_examples=300, deadline=None)
+    @given(
+        payload=st.binary(max_size=64) | query_payloads | wide_query_payloads,
+        live=st.lists(st.booleans(), max_size=6),
+        prime=st.sampled_from([7, 257, 65537, WIDEST_PRIME]),
+    )
+    def test_payload_decoders(self, payload, live, prime):
+        decoders = [
+            lambda: decode_query_payload(payload, derive_params(5, 3, 3, 7)),
+            lambda: decode_query_payload(payload, derive_params(8, 5, 32, 257)),
+            lambda: decode_answer_payload(payload, live, prime),
+            lambda: decode_error_payload(payload),
+        ]
+        for decoder in decoders:
             try:
-                decoder(payload)
+                decoder()
             except WireError:
                 pass
 
     @settings(max_examples=60, deadline=None)
     @given(data=peer_bytes, limits=st.sampled_from([
-        {MSG_QUERY: 16 + 2 * 9},  # a (5,3,3) server's limits, then a client's
-        {MSG_ANSWER: 2 + 9 * 3, MSG_ERROR: net.MAX_ERROR_PAYLOAD},
+        {MSG_QUERY: 16 + 5},  # a (5,3,3,7) server's limits, then a client's
+        {MSG_ANSWER: 1 + 1 * 3, MSG_ERROR: net.MAX_ERROR_PAYLOAD},
     ]))
     def test_recv_message(self, data, limits):
         left, right = socket.socketpair()
