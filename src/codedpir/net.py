@@ -11,10 +11,10 @@ row-major, each in the narrowest of 4, 8 or 16 bits that holds n-1
 nibble first, and 16-bit entries big-endian.  An odd count of nibbles
 ends in one zero pad nibble; a server rejects a non-zero pad, so each
 query has exactly one encoding.  The client casts the N queries of a
-retrieval in one numpy step and packs them together, through hex
-digits for a small query and by numpy for a large one.  A server checks the header against its
-own parameters first, then unpacks at the width its own n implies,
-never at one the peer names.  A query of more than
+retrieval in one numpy step and packs their entries together, nibbles
+through hex digits, under one header.  A server checks the header
+against its own parameters first, then unpacks at the width its own n
+implies, never at one the peer names.  A query of more than
 scheme.SMALL_QUERY_ENTRIES entries reaches scheme.server_answer as a
 C-contiguous (k, M) array, u8 for n <= 256; a smaller one as row lists
 of Python ints, unpacked without numpy, as its loop answers them faster
@@ -211,6 +211,11 @@ def _value_width(value: int) -> int:
     raise WireError(f"answer value {value} does not fit the wire's u32")
 
 
+def _query_head(params: SystemParams) -> bytes:
+    """The (N, K, M, p) header of a QUERY payload."""
+    return _QUERY_PARAMS.pack(params.n_servers, params.k_mds, params.m_files, params.prime)
+
+
 def _pack_entries(entries: np.ndarray, bits: int) -> list[bytes]:
     """The wire bytes of each row of `entries`, (rows, count) integers
     that fit `bits`."""
@@ -219,43 +224,25 @@ def _pack_entries(entries: np.ndarray, bits: int) -> list[bytes]:
         blob, size = entries.astype(">u2").tobytes(), 2 * count
     elif bits == 8:
         blob, size = entries.astype(np.uint8, copy=False).tobytes(), count
-    elif count <= scheme.SMALL_QUERY_ENTRIES:
-        # Each entry as its hex digit, the digits read back two to a
-        # byte: C string calls, which on a small query cost less than
-        # the seven numpy calls below, and more on a large one.
+    else:
+        # Each entry as its hex digit, the digits read back two to a byte.
         digits = entries.astype(np.uint8, copy=False).tobytes().translate(_HEX_DIGITS)
         pad = b"0" * (count % 2)
         starts = range(0, rows * count, count)
         return [binascii.a2b_hex(digits[i : i + count] + pad) for i in starts]
-    else:
-        narrow = np.zeros((rows, count + count % 2), np.uint8)  # with a zero pad nibble
-        narrow[:, :count] = entries
-        # Each nibble pair (a, b) read as the little-endian u16 a + 256b:
-        # its low byte after this is a << 4 | b.
-        pairs = narrow.view("<u2")
-        blob, size = (pairs << 4 | pairs >> 8).astype(np.uint8).tobytes(), pairs.shape[1]
     return [blob[i : i + size] for i in range(0, rows * size, size)]
 
 
 def encode_query_payload(params: SystemParams, query) -> bytes:
-    """QUERY payload of k x M entries at the width n implies.
-
-    `query` is row lists or an integer array, checked to be integers
-    that fit the width, or its entries already packed, as bytes, which
-    are copied as they are.
-    """
-    head = _QUERY_PARAMS.pack(
-        params.n_servers, params.k_mds, params.m_files, params.prime
-    )
-    if isinstance(query, bytes):
-        return head + query
+    """QUERY payload of k x M entries, row lists or an integer array,
+    at the width n implies; WireError for an entry that does not fit it."""
     bits = _entry_bits(params.n_reduced)
     entries = np.asarray(query)
     if entries.dtype.kind not in "iu":
         raise WireError("query entries must be integers")
     if entries.size and (entries.min() < 0 or entries.max() >= 1 << bits):
         raise WireError(f"query entry out of the wire's {bits}-bit range")
-    return head + _pack_entries(entries.reshape(1, -1), bits)[0]
+    return _query_head(params) + _pack_entries(entries.reshape(1, -1), bits)[0]
 
 
 def decode_query_payload(payload: bytes, params: SystemParams):
@@ -638,6 +625,7 @@ def client_retrieve(
     queries = scheme.server_queries(master, [theta], params)[0]
     queries = queries.astype(np.min_scalar_type(params.n_reduced - 1))
     live = scheme.live_rounds(queries, params).tolist()
+    head = _query_head(params)
     packed = _pack_entries(queries.reshape(len(queries), -1), _entry_bits(params.n_reduced))
     limits = {
         MSG_ANSWER: 1 + _value_width(params.prime - 1) * params.k_reduced,
@@ -648,7 +636,7 @@ def client_retrieve(
     upload_bytes = download_bytes = 0
     try:
         for t, address in enumerate(addresses):
-            payload = encode_query_payload(params, packed[t])
+            payload = head + packed[t]
             upload_bytes += len(payload)
             links.append(_Link(address, payload, timeout))
             links[t].send()

@@ -157,7 +157,9 @@ class TestPayloads:
             assert len(reference) == 16 + 640
             assert encode_query_payload(params, query.tolist()) == reference
             assert encode_query_payload(params, query) == reference
-            assert encode_query_payload(params, packed[t]) == reference
+            assert head + packed[t] == reference  # the client's path
+            with pytest.raises(WireError, match="integers"):
+                encode_query_payload(params, packed[t])
             decoded = decode_query_payload(bytearray(reference), params)
             assert decoded.dtype == np.uint8 and decoded.flags.c_contiguous
             assert decoded.tolist() == query.tolist()
