@@ -24,12 +24,12 @@ ANSWER: one width byte w, the fewest of 1, 2 or 4 bytes that hold the
 largest live value (1 when no round is live), then the live values
 only, big-endian, in round order.  There is no round count and no
 flag: the client derives each server's live rounds from the query it
-sent (scheme.live_rounds) and puts the values back in a k-list with
-None in NULL rounds.  A width outside {1, 2, 4} or wider than p-1
-needs, or a value not below p, is a WireError; a length other than
-1 + live*w an AnswerMismatchError.  Both widths are functions of what
-the server sees, n and its own answer values, so neither tells it
-anything about the desired file.
+sent (scheme.live_rounds) and places the values of all N answers in
+the (N, k) array, 0 in NULL rounds, that scheme.decode takes.  A width
+outside {1, 2, 4} or wider than p-1 needs, or a value not below p, is
+a WireError; a length other than 1 + live*w an AnswerMismatchError.
+Both widths are functions of what the server sees, n and its own
+answer values, so neither tells it anything about the desired file.
 
 ERROR: a u16 code plus UTF-8 detail.  All k rounds ride in one ANSWER:
 the scheme has no inter-round dependency, so a retrieval is a single
@@ -312,36 +312,27 @@ def encode_answer_payload(answer: list[int | None]) -> bytes:
         raise WireError(f"answer values must be integers in [0:2^32): {exc}") from exc
 
 
-def decode_answer_payload(payload: bytes, live, prime: int) -> list[int | None]:
-    """The k round answers of an ANSWER payload, None in NULL rounds,
-    given the k live-round flags of the query it answers and p.
+def decode_answer_payload(payload: bytes, count: int, prime: int) -> tuple[int, ...]:
+    """The live values of an ANSWER payload, in round order, given the
+    count of live rounds of the query it answers and p.
 
-    Raises WireError for a width byte outside {1, 2, 4} or wider than
-    p-1 needs and for a value not below p, and AnswerLengthError when
-    the payload does not hold exactly one value per live round.
+    Raises WireError for an empty payload, a width byte outside {1, 2, 4}
+    or wider than p-1 needs, or a value not below p, and
+    AnswerLengthError unless the payload holds exactly `count` values.
     """
     if not payload:
         raise WireError("answer payload empty")
     width = payload[0]
     if width not in _VALUE_CODES or width > _value_width(prime - 1):
         raise WireError(f"answer value width {width} is not allowed for p={prime}")
-    count = sum(live)
     if len(payload) != 1 + count * width:
         raise AnswerLengthError(
             f"{len(payload) - 1} value bytes of width {width}, the query has {count} live rounds"
         )
-    values = _answer_layout(count, width).unpack(payload)
-    answer = []
-    index = 0  # values[0] is the width
-    for is_live in live:
-        if not is_live:
-            answer.append(None)
-            continue
-        index += 1
-        if values[index] >= prime:
-            raise WireError(f"answer value out of [0:{prime})")
-        answer.append(values[index])
-    return answer
+    values = _answer_layout(count, width).unpack(payload)[1:]  # after the width
+    if values and max(values) >= prime:
+        raise WireError(f"answer value out of [0:{prime})")
+    return values
 
 
 def encode_error_payload(code: int, detail: str) -> bytes:
@@ -580,17 +571,17 @@ class _Link:
 
 
 def _read_answer(
-    reply: tuple[int, bytearray], live: list[bool], server_index: int, prime: int
-) -> list[int | None]:
-    """Server `server_index`'s answer as a k-list, None in NULL rounds,
-    given the live rounds of the query it was sent."""
+    reply: tuple[int, bytearray], count: int, server_index: int, prime: int
+) -> tuple[int, ...]:
+    """Server `server_index`'s live values, given the count of live
+    rounds of the query it was sent."""
     msg_type, payload = reply
     if msg_type == MSG_ERROR:
         raise ServerSideError(*decode_error_payload(payload))
     if msg_type != MSG_ANSWER:
         raise WireError("expected ANSWER")
     try:
-        return decode_answer_payload(payload, live, prime)
+        return decode_answer_payload(payload, count, prime)
     except AnswerLengthError as exc:
         raise scheme.AnswerMismatchError(server_index, str(exc)) from exc
 
@@ -605,7 +596,8 @@ def client_retrieve(
     """Networked retrieval; same seed gives the same file as scheme.retrieve.
 
     Sends every server its query, then reads the answers in turn, over
-    pooled connections (see the module docstring).  A server that
+    pooled connections (see the module docstring), and hands their live
+    values, placed in one (N, k) array, to scheme.decode.  A server that
     cannot be reached, times out, replies with an ERROR, or sends an
     answer that does not fit its query aborts the retrieval with
     RetrievalAbortedError naming the server.  For a misfit answer its
@@ -624,7 +616,8 @@ def client_retrieve(
     # each fits the wire's width.
     queries = scheme.server_queries(master, [theta], params)[0]
     queries = queries.astype(np.min_scalar_type(params.n_reduced - 1))
-    live = scheme.live_rounds(queries, params).tolist()
+    live = scheme.live_rounds(queries, params)
+    counts = live.sum(axis=1).tolist()
     head = _query_head(params)
     packed = _pack_entries(queries.reshape(len(queries), -1), _entry_bits(params.n_reduced))
     limits = {
@@ -632,7 +625,7 @@ def client_retrieve(
         MSG_ERROR: MAX_ERROR_PAYLOAD,
     }
     links: list[_Link] = []
-    answers: list[list[int | None]] = []
+    values: list[int] = []
     upload_bytes = download_bytes = 0
     try:
         for t, address in enumerate(addresses):
@@ -642,21 +635,19 @@ def client_retrieve(
             links[t].send()
         for t, link in enumerate(links):
             reply = link.receive(limits)
-            answers.append(_read_answer(reply, live[t], t, params.prime))
+            values += _read_answer(reply, counts[t], t, params.prime)
             download_bytes += len(reply[1])
     except (OSError, WireError, ServerSideError, scheme.AnswerMismatchError) as exc:
         raise RetrievalAbortedError(t, exc) from exc
     finally:
         for link in links:
             link.close()
+    answers = np.zeros(live.shape, dtype=np.int64)
+    answers[live] = values
     code = make_code(params.n_servers, params.k_mds, params.prime)
-    try:
-        source = scheme.decode(answers, master[0], theta, params, code)
-    except scheme.AnswerMismatchError as exc:
-        raise RetrievalAbortedError(exc.server_index, exc) from exc
     return RetrievalResult(
-        source=source,
-        download_elements=scheme.realized_download(answers),
+        source=scheme.decode(answers, master[0], theta, params, code),
+        download_elements=len(values),
         download_bytes=download_bytes,
         upload_bytes=upload_bytes,
     )

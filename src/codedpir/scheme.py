@@ -22,13 +22,13 @@ kinds, each up to DECODE_MAP_CACHE_BYTES.  A single retrieval is a
 batch of one; sim.run_trials runs many.
 
 The list-based calls (gen_master_query, build_server_query,
-server_answer, decode) work on k x M query row lists and length-k
-answer lists with None marking NULL rounds.  server_answer also takes
-a (k, M) integer array: a networked server passes a query of more than
+server_answer) work on k x M query row lists and length-k answer lists
+with None marking NULL rounds.  server_answer also takes a (k, M)
+integer array: a networked server passes a query of more than
 SMALL_QUERY_ENTRIES entries as one, u8 for n <= 256 and u16 above, and
-a smaller query as row lists.  The networked client packs the
-server_queries array and passes decode the master array, building no
-lists.
+a smaller query as row lists.  decode is decode_batch of one
+retrieval's (N, k) answer array, 0 in NULL rounds, which the networked
+client fills with the values it has checked on the wire.
 """
 
 from __future__ import annotations
@@ -86,9 +86,8 @@ class ProtocolError(ValueError):
 
 
 class AnswerMismatchError(ProtocolError):
-    """An answer vector does not fit the query it answers: a wrong
-    length, a NULL in a live round, a value in a NULL round, or a value
-    outside [0:p)."""
+    """An answer does not fit the query it answers: it holds other than
+    one value per live round."""
 
     def __init__(self, server_index: int, detail: str):
         super().__init__(f"server {server_index}: {detail}")
@@ -388,11 +387,6 @@ def _is_plain_query(rows, n: int, k: int) -> bool:
     return True
 
 
-def realized_download(answers) -> int:
-    """Count of transmitted field elements across all servers."""
-    return sum(1 for ans in answers for a in ans if a is not None)
-
-
 # ---------------------------------------------------------------------------
 # decoding
 
@@ -480,66 +474,24 @@ def _build_decode_map(column: tuple, params: SystemParams, code: MdsCode) -> np.
     return d_map
 
 
-def _server_live_rounds(master: np.ndarray, theta: int, params: SystemParams) -> list:
-    """live_rounds(server_queries(...)) of one master as N lists of k
-    bools, without building the N queries.  They differ only in column
-    theta, so round s of server t is live when another column has an
-    entry below n-k in row s, or when (master[s, theta] + t) mod n is."""
-    if not 0 <= theta < params.m_files:
-        raise ParameterError(f"theta={theta} out of [0:{params.m_files})")
-    n, low = params.n_reduced, params.rows_per_file
-    below = master < low
-    below[:, theta] = False
-    others = below.any(axis=1).tolist()
-    column = master[:, theta].tolist()
-    return [
-        [other or (entry + t) % n < low for entry, other in zip(column, others)]
-        for t in range(params.n_servers)
-    ]
-
-
-def _answer_values(answers, live: list, params: SystemParams) -> np.ndarray:
-    """The N*k answers as int64, 0 in NULL rounds, after checking each
-    against the live rounds (N lists of k) its query implies."""
-    k, p = params.k_reduced, params.prime
-    if len(answers) != params.n_servers:
-        raise DecodingError(f"expected {params.n_servers} answer vectors, got {len(answers)}")
-    values = []
-    for t, (answer, expected) in enumerate(zip(answers, live)):
-        if len(answer) != k:
-            raise AnswerMismatchError(t, f"{len(answer)} rounds answered, the query has {k}")
-        for s, (value, is_live) in enumerate(zip(answer, expected)):
-            if value is None:
-                if is_live:
-                    raise AnswerMismatchError(t, f"round {s} is live but came back NULL")
-                values.append(0)
-            elif not is_live:
-                raise AnswerMismatchError(t, f"round {s} is NULL but carries a value")
-            elif not 0 <= value < p:
-                raise AnswerMismatchError(t, f"round {s} value {value} out of [0:{p})")
-            else:
-                values.append(value)
-    return np.array(values, dtype=np.int64)
-
-
 def decode(
-    answers,
+    answers: np.ndarray,
     master: list[list[int]],
     theta: int,
     params: SystemParams,
     code: MdsCode,
 ) -> list[list[int]]:
-    """Reconstruct source file theta from all N answers as D_c @ answers.
-
-    Each answer vector must have the length and NULL pattern that its
-    server's query implies and values in [0:p); AnswerMismatchError
-    names the first server whose answer does not.
-    """
-    master = np.asarray(master)
-    values = _answer_values(answers, _server_live_rounds(master, theta, params), params)
-    d_map = decode_map(master[:, theta].tolist(), params, code)
-    source = matmul_mod(d_map, values, params.prime)
-    return source.reshape(params.rows_per_file, params.k_mds).tolist()
+    """Source file theta from one retrieval's (N, k) int64 answers, 0 in
+    NULL rounds, as decode_batch of one; the values are taken as checked."""
+    if not 0 <= theta < params.m_files:
+        raise ParameterError(f"theta={theta} out of [0:{params.m_files})")
+    answers = np.asarray(answers, dtype=np.int64)
+    if answers.shape != (params.n_servers, params.k_reduced):
+        raise DecodingError(
+            f"answers must be {params.n_servers} x {params.k_reduced}, got {answers.shape}"
+        )
+    column = np.asarray(master)[:, theta]
+    return decode_batch(answers[None], column[None], params, code)[0].tolist()
 
 
 def decode_batch(
@@ -691,12 +643,3 @@ def ingest_bytes(data: bytes, params: SystemParams):
             ]
         )
     return sources, len(data)
-
-
-def emit_bytes(sources, byte_length: int) -> bytes:
-    """Inverse of ingest_bytes for decoded source files."""
-    out = bytearray()
-    for rows in sources:
-        for row in rows:
-            out.extend(row)
-    return bytes(out[:byte_length])

@@ -7,10 +7,13 @@ trial-by-trial Monte-Carlo loop.  The erasure decoder interpolates in
 Python ints from the code's recovery matrix alone, where the engine's
 decode maps also use the residual matrices.  They read the same dense
 storage and draw from the RNG in the same order, so their results must
-equal the engine's exactly.
+equal the engine's exactly.  answer_array turns the per-server answer
+lists into the (N, k) array that scheme.decode takes.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from codedpir import analysis, scheme
 from codedpir.rs import make_code
@@ -22,6 +25,12 @@ def erasure_decode(code, known):
     positions, values = zip(*sorted(known))
     recovery = code.recovery_matrix(positions).tolist()
     return [sum(v * r for v, r in zip(values, column)) % code.prime for column in zip(*recovery)]
+
+
+def answer_array(answers):
+    """N servers' server_answer lists as the (N, k) int64 array that
+    scheme.decode takes, 0 in NULL rounds."""
+    return np.array([[value or 0 for value in answer] for answer in answers], dtype=np.int64)
 
 
 def decode_loop(answers, master, theta, params, code):

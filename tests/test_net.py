@@ -103,6 +103,12 @@ def pack_reference(entries, bits):
 WIDEST_PRIME = 2**32 - 5
 
 
+def live_values(answer):
+    """The values of a k-list answer's live rounds, as the ANSWER
+    decoder returns them."""
+    return tuple(value for value in answer if value is not None)
+
+
 def record_frames(monkeypatch, frames: list) -> None:
     """Make every client socket opened from now on append (address,
     bytes) to `frames` for each frame it sends."""
@@ -239,9 +245,9 @@ class TestPayloads:
                 None if rng.random() < 0.3 else rng.randrange(top)
                 for _ in range(rng.randint(0, 6))
             ]
-            live = [value is not None for value in answer]
             payload = encode_answer_payload(answer)
-            assert decode_answer_payload(payload, live, WIDEST_PRIME) == answer
+            values = live_values(answer)
+            assert decode_answer_payload(payload, len(values), WIDEST_PRIME) == values
 
     def test_answer_byte_sizes(self):
         # a width byte, then the live values only, in the fewest of 1, 2
@@ -262,11 +268,11 @@ class TestPayloads:
     def test_truncated_answer(self):
         payload = encode_answer_payload([1, 2])
         with pytest.raises(WireError):
-            decode_answer_payload(payload[:-3], [True, True], 7)
+            decode_answer_payload(payload[:-3], 2, 7)
         with pytest.raises(net.AnswerLengthError):
-            decode_answer_payload(payload[:-1], [True, True], 7)
+            decode_answer_payload(payload[:-1], 2, 7)
         with pytest.raises(net.AnswerLengthError):
-            decode_answer_payload(payload + b"\x00", [True, True], 7)
+            decode_answer_payload(payload + b"\x00", 2, 7)
 
     @pytest.mark.parametrize("prime, widths", [
         (7, [1]), (257, [1, 2]), (65537, [1, 2, 4]), (WIDEST_PRIME, [1, 2, 4]),
@@ -276,18 +282,18 @@ class TestPayloads:
         for width in range(256):
             payload = bytes([width]) + bytes(2 * width)
             if width in widths:
-                assert decode_answer_payload(payload, [True, True], prime) == [0, 0]
+                assert decode_answer_payload(payload, 2, prime) == (0, 0)
             else:
                 with pytest.raises(WireError) as exc:
-                    decode_answer_payload(payload, [True, True], prime)
+                    decode_answer_payload(payload, 2, prime)
                 assert not isinstance(exc.value, net.AnswerLengthError)
 
     @pytest.mark.parametrize("prime", [7, 257, 65537, WIDEST_PRIME])
     def test_answer_value_below_p(self, prime):
         top = encode_answer_payload([None, prime - 1])
-        assert decode_answer_payload(top, [False, True], prime) == [None, prime - 1]
+        assert decode_answer_payload(top, 1, prime) == (prime - 1,)
         with pytest.raises(WireError, match="out of"):
-            decode_answer_payload(encode_answer_payload([None, prime]), [False, True], prime)
+            decode_answer_payload(encode_answer_payload([None, prime]), 1, prime)
 
     def test_error_payload_is_bounded(self):
         payload = encode_error_payload(net.ERR_INTERNAL, "x" * 5000)
@@ -484,7 +490,7 @@ class TestEndToEnd:
                 send_message(sock, MSG_QUERY, encode_query_payload(params, query))
                 msg_type, payload = recv_message(sock)
                 assert msg_type == net.MSG_ANSWER
-                assert decode_answer_payload(payload, [False, True, True], 7)[0] is None
+                assert len(decode_answer_payload(payload, 2, 7)) == 2
 
 
 class TestLargeQueries:
@@ -522,9 +528,9 @@ class TestLargeQueries:
             send_message(sock, MSG_QUERY, encode_query_payload(params, query))
             msg_type, payload = recv_message(sock)
             assert msg_type == MSG_ANSWER
-            live = scheme.live_rounds(query, params).tolist()
-            assert decode_answer_payload(payload, live, params.prime) == scheme.server_answer(
-                servers[2].storage, query.tolist(), params
+            count = int(scheme.live_rounds(query, params).sum())
+            assert decode_answer_payload(payload, count, params.prime) == live_values(
+                scheme.server_answer(servers[2].storage, query.tolist(), params)
             )
 
     @pytest.mark.parametrize("entry", [257, 4095, 65535])
@@ -551,9 +557,9 @@ class TestLargeQueries:
                 send_message(sock, MSG_QUERY, encode_query_payload(params, query))
                 msg_type, payload = recv_message(sock)
                 assert msg_type == MSG_ANSWER
-                live = scheme.live_rounds(query, params).tolist()
-                assert decode_answer_payload(payload, live, 257) == scheme.server_answer(
-                    storages[9], query.tolist(), params
+                count = int(scheme.live_rounds(query, params).sum())
+                assert decode_answer_payload(payload, count, 257) == live_values(
+                    scheme.server_answer(storages[9], query.tolist(), params)
                 )
 
     def test_wide_retrieval_sends_5320_query_bytes(self, monkeypatch):
@@ -597,6 +603,48 @@ class TestLargeQueries:
             t: (True, [bytes(row) for row in queries[t].tolist()])
             for t in range(params.n_servers)
         }
+
+
+class TestClientPipeline:
+    """client_retrieve places the servers' live values in one (N, k)
+    array, 0 in NULL rounds, and decodes it with one scheme.decode."""
+
+    @pytest.mark.parametrize("shape, seeds, nulls", [
+        ((5, 3, 3, 7), range(12), True),
+        # 256 files: a round is NULL with probability (5/8)^256
+        ((8, 5, 256, 65537), range(3), False),
+    ])
+    def test_decode_gets_the_answer_array(self, shape, seeds, nulls, monkeypatch):
+        params = derive_params(*shape)
+        sources = scheme.random_sources(params, make_rng(shape[2]))
+        _, storages = scheme.encode_system(params, sources)
+        symbols = np.stack([storage.symbols for storage in storages])
+        honest = scheme.decode
+        handed = []
+
+        def decode(answers, master, theta, params, code):
+            handed.append(answers.copy())
+            return honest(answers, master, theta, params, code)
+
+        monkeypatch.setattr(scheme, "decode", decode)
+        null_rounds = 0
+        with serving(storages, params) as servers:
+            addresses = [server.server_address for server in servers]
+            for seed in seeds:
+                theta = seed % params.m_files
+                handed.clear()
+                result = client_retrieve(addresses, theta, params, seed=seed)
+                master = scheme.sample_master_queries(params, make_rng(seed), 1)
+                queries = scheme.server_queries(master, [theta], params)[0]
+                live = scheme.live_rounds(queries, params)
+                assert len(handed) == 1
+                assert handed[0].dtype == np.int64
+                assert np.array_equal(handed[0], scheme.answer_queries(symbols, queries, params))
+                assert not handed[0][~live].any()
+                assert result.download_elements == live.sum()
+                assert result.source == sources[theta]
+                null_rounds += int((~live).sum())
+        assert (null_rounds > 0) == nulls
 
 
 class TestAnswerChecks:
@@ -777,14 +825,14 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(
         payload=st.binary(max_size=64) | query_payloads | wide_query_payloads,
-        live=st.lists(st.booleans(), max_size=6),
+        count=st.integers(0, 6),
         prime=st.sampled_from([7, 257, 65537, WIDEST_PRIME]),
     )
-    def test_payload_decoders(self, payload, live, prime):
+    def test_payload_decoders(self, payload, count, prime):
         decoders = [
             lambda: decode_query_payload(payload, derive_params(5, 3, 3, 7)),
             lambda: decode_query_payload(payload, derive_params(8, 5, 32, 257)),
-            lambda: decode_answer_payload(payload, live, prime),
+            lambda: decode_answer_payload(payload, count, prime),
             lambda: decode_error_payload(payload),
         ]
         for decoder in decoders:

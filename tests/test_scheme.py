@@ -16,7 +16,6 @@ from codedpir import scheme
 from codedpir.linalg import matmul_mod
 from codedpir.rs import MdsCode, make_code
 from codedpir.scheme import (
-    AnswerMismatchError,
     DecodingError,
     ParameterError,
     ProtocolError,
@@ -28,7 +27,7 @@ from codedpir.scheme import (
 )
 
 from conftest import EXAMPLE_QUERY
-from oracle import decode_loop, server_answer_loop
+from oracle import answer_array, decode_loop, server_answer_loop
 
 PRIMES = [7, 257, 65537, 2**31 - 1, 4294967291]
 
@@ -320,8 +319,8 @@ class TestDecode:
             server_answer(st, build_server_query(EXAMPLE_QUERY, 0, st.server_index, params), params)
             for st in storages
         ]
-        assert scheme.realized_download(answers) == 12
-        assert decode(answers, EXAMPLE_QUERY, 0, params, code) == sources[0]
+        assert sum(a is not None for answer in answers for a in answer) == 12
+        assert decode(answer_array(answers), EXAMPLE_QUERY, 0, params, code) == sources[0]
 
     def test_all_zero_files(self):
         params = derive_params(5, 3, 3, 7)
@@ -332,7 +331,7 @@ class TestDecode:
             server_answer(storages[t], build_server_query(EXAMPLE_QUERY, 1, t, params), params)
             for t in range(5)
         ]
-        assert decode(answers, EXAMPLE_QUERY, 1, params, code) == zeros[1]
+        assert decode(answer_array(answers), EXAMPLE_QUERY, 1, params, code) == zeros[1]
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 4)])
     @pytest.mark.parametrize("m", [2, 3])
@@ -349,7 +348,7 @@ class TestDecode:
                 server_answer(storages[t], build_server_query(master, theta, t, params), params)
                 for t in range(n)
             ]
-            assert decode(answers, master, theta, params, code) == sources[theta]
+            assert decode(answer_array(answers), master, theta, params, code) == sources[theta]
 
     def test_exhaustive_tiny_query_space(self):
         # every master query and theta at (2,1,2)
@@ -366,8 +365,8 @@ class TestDecode:
                     server_answer(storages[t], build_server_query(master, theta, t, params), params)
                     for t in range(2)
                 ]
-                assert decode(answers, master, theta, params, code) == sources[theta]
-                downloads.add(scheme.realized_download(answers))
+                assert decode(answer_array(answers), master, theta, params, code) == sources[theta]
+                downloads.add(sum(a is not None for answer in answers for a in answer))
         assert downloads == {1, 2}
 
     def test_corrupt_answers_do_not_decode_silently(self, example_system):
@@ -377,7 +376,7 @@ class TestDecode:
             for st in storages
         ]
         answers[2][0] = (answers[2][0] + 1) % 7  # flip a transmitted element
-        decoded = decode(answers, EXAMPLE_QUERY, 0, params, code)
+        decoded = decode(answer_array(answers), EXAMPLE_QUERY, 0, params, code)
         assert decoded != sources[0]
 
 
@@ -406,9 +405,9 @@ class TestDecodeMap:
                 for row in query
             ])
         expected = decode_loop(answers, master, theta, params, code)
-        assert decode(answers, master, theta, params, code) == expected
+        assert decode(answer_array(answers), master, theta, params, code) == expected
         column = [row[theta] for row in master]
-        flat = np.array([a or 0 for answer in answers for a in answer], dtype=np.int64)
+        flat = answer_array(answers).ravel()
         d_map = scheme.decode_map(column, params, code)
         assert d_map.shape == (params.file_len, n_servers * params.k_reduced)
         assert matmul_mod(d_map, flat, prime).tolist() == [v for row in expected for v in row]
@@ -505,38 +504,16 @@ class TestDecodeMap:
 
 
 class TestAnswerChecks:
-    """decode checks every answer against the query its server got."""
+    """decode checks theta and the answers' shape; each answer's values
+    are checked on the wire (test_net.py's TestAnswerChecks)."""
 
     @pytest.fixture
     def answers(self, example_system):
         params, _, _, _, storages = example_system
-        return [
+        return answer_array([
             server_answer(st, build_server_query(EXAMPLE_QUERY, 0, st.server_index, params), params)
             for st in storages
-        ]
-
-    def check(self, answers, example_system, server):
-        params, code, _, _, _ = example_system
-        with pytest.raises(AnswerMismatchError) as exc:
-            decode(answers, EXAMPLE_QUERY, 0, params, code)
-        assert isinstance(exc.value, ProtocolError)
-        assert exc.value.server_index == server
-
-    def test_dropped_live_round(self, answers, example_system):
-        answers[2][0] = None  # server 2 round 0 is live in the worked example
-        self.check(answers, example_system, 2)
-
-    def test_value_in_null_round(self, answers, example_system):
-        answers[0][0] = 0  # server 0 round 0 is NULL
-        self.check(answers, example_system, 0)
-
-    def test_short_vector(self, answers, example_system):
-        answers[4] = answers[4][:2]
-        self.check(answers, example_system, 4)
-
-    def test_value_out_of_field(self, answers, example_system):
-        answers[1][1] = 7  # p = 7
-        self.check(answers, example_system, 1)
+        ])
 
     @pytest.mark.parametrize("theta", [-1, 3])
     def test_theta_out_of_range(self, answers, example_system, theta):
@@ -544,23 +521,19 @@ class TestAnswerChecks:
         with pytest.raises(ParameterError, match=f"theta={theta} out of"):
             decode(answers, EXAMPLE_QUERY, theta, params, code)
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n_servers=st.integers(2, 9),
-        data=st.data(),
-        m_files=st.integers(2, 6),
-        seed=st.integers(0, 2**32),
-    )
-    def test_live_rounds_from_the_master(self, n_servers, data, m_files, seed):
-        """decode's live-round mask, taken from the master alone, is the
-        one the N server queries imply."""
-        k_mds = data.draw(st.integers(1, n_servers - 1))
-        params = derive_params(n_servers, k_mds, m_files, 257)
-        master = scheme.sample_master_queries(params, make_rng(seed), 1)
-        theta = data.draw(st.integers(0, m_files - 1))
-        queries = scheme.server_queries(master, [theta], params)[0]
-        expected = scheme.live_rounds(queries, params).tolist()
-        assert scheme._server_live_rounds(master[0], theta, params) == expected
+    @pytest.mark.parametrize("reshape", [
+        lambda a: a.ravel(),  # (15,): decode_batch would read it as one row
+        lambda a: a.T,  # (3, 5)
+        lambda a: a[None],  # (1, 5, 3)
+        lambda a: a[:, :1],  # (5, 1), broadcasts against (5, 3)
+        lambda a: a[:1],  # (1, 3), broadcasts against (5, 3)
+        lambda a: a[:4],
+        lambda a: np.hstack([a, a[:, :1]]),
+    ])
+    def test_answers_not_n_by_k(self, answers, example_system, reshape):
+        params, code, _, _, _ = example_system
+        with pytest.raises(DecodingError, match=r"answers must be 5 x 3, got \("):
+            decode(reshape(answers), EXAMPLE_QUERY, 0, params, code)
 
 
 class TestRetrieve:
@@ -605,7 +578,8 @@ class TestStorageFiles:
         sources, length = scheme.ingest_bytes(data, params)
         assert length == 13
         assert len(sources) == 3
-        assert scheme.emit_bytes(sources, length) == data
+        flat = bytes(value for rows in sources for row in rows for value in row)
+        assert flat[:length] == data
 
     def test_ingest_empty(self):
         params = derive_params(5, 3, 2, 257)
