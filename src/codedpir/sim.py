@@ -22,8 +22,9 @@ from . import analysis, scheme
 from .rs import make_code
 from .scheme import SystemParams
 
-# Query entries per batch of trials (2 MB as int64) and per batch of
-# enumerated master queries (256 KB), which bound the working set.
+# Entries per batch of trials, the (T, k, M, N) symbols retrieve_batch
+# gathers (2 MB as int64), and query entries per batch of enumerated
+# master queries (256 KB), which bound the working set.
 TRIAL_CHUNK_ENTRIES = 1 << 18
 ENUM_CHUNK_ENTRIES = 1 << 15
 
@@ -71,7 +72,8 @@ def run_trials(
         raise ValueError(f"unknown theta_policy {theta_policy!r}")
     rng = scheme.make_rng(seed)
     code = make_code(params.n_servers, params.k_mds, params.prime)
-    sources = scheme.random_sources(params, rng)
+    # One int64 array of the source lists, for encode_system and the check.
+    sources = np.array(scheme.random_sources(params, rng), dtype=np.int64)
     _, storages = scheme.encode_system(params, sources, code)
 
     masters = scheme.sample_master_queries(params, rng, n_trials)
@@ -80,7 +82,6 @@ def run_trials(
     else:
         thetas = np.full(n_trials, theta)
 
-    expected = np.array(sources, dtype=np.int64)
     per_server = np.zeros(params.n_servers, dtype=np.int64)
     step = max(1, TRIAL_CHUNK_ENTRIES // (params.n_servers * params.k_reduced * params.m_files))
     for start in range(0, n_trials, step):
@@ -88,7 +89,7 @@ def run_trials(
         files, live = scheme.retrieve_batch(
             masters[chunk], thetas[chunk], storages, params, code
         )
-        wrong = np.flatnonzero((files != expected[thetas[chunk]]).any(axis=(1, 2)))
+        wrong = np.flatnonzero((files != sources[thetas[chunk]]).any(axis=(1, 2)))
         if wrong.size:
             trial = start + int(wrong[0])
             raise FailedTrialError(seed, trial, int(thetas[trial]))

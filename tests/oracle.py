@@ -9,6 +9,9 @@ decode maps also use the residual matrices.  They read the same dense
 storage and draw from the RNG in the same order, so their results must
 equal the engine's exactly.  answer_array turns the per-server answer
 lists into the (N, k) array that scheme.decode takes.
+retrieve_batch_reference is scheme.retrieve_batch as a per-server
+pipeline: it forms all N servers' queries, checks and answers each one
+on its own, and decodes.
 """
 
 from fractions import Fraction
@@ -31,6 +34,28 @@ def answer_array(answers):
     """N servers' server_answer lists as the (N, k) int64 array that
     scheme.decode takes, 0 in NULL rounds."""
     return np.array([[value or 0 for value in answer] for answer in answers], dtype=np.int64)
+
+
+def answer_queries(symbols, queries, params):
+    """Round answers (..., S, k) of S servers to validated queries
+    (..., S, k, M), one gather from their stacked (S, M, n) storage
+    arrays; NULL rounds select only dummy rows and read 0."""
+    servers = np.arange(len(symbols))[:, None, None]
+    files = np.arange(params.m_files)
+    return symbols[servers, files, queries].sum(axis=-1) % params.prime
+
+
+def retrieve_batch_reference(masters, thetas, storages, params, code):
+    """scheme.retrieve_batch through the (T, N, k, M) server queries:
+    server_queries, validate_query, the answer gather, live_rounds and
+    decode_batch."""
+    masters = np.asarray(masters)
+    queries = scheme.validate_query(scheme.server_queries(masters, thetas, params), params)
+    symbols = np.stack([storage.symbols for storage in storages])
+    answers = answer_queries(symbols, queries, params)
+    columns = masters[np.arange(len(masters)), :, np.asarray(thetas)]
+    files = scheme.decode_batch(answers, columns, params, code)
+    return files, scheme.live_rounds(queries, params)
 
 
 def decode_loop(answers, master, theta, params, code):

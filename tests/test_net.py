@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from codedpir import derive_params, make_rng
 from codedpir import net, scheme
+from codedpir.rs import make_code
 from codedpir.net import (
     MSG_ANSWER,
     MSG_ERROR,
@@ -37,6 +38,7 @@ from codedpir.net import (
 )
 
 from conftest import EXAMPLE_QUERY, start_serving, stop_servers
+from oracle import answer_queries, retrieve_batch_reference
 
 
 class CountingServer(StorageServer):
@@ -616,8 +618,9 @@ class TestClientPipeline:
     ])
     def test_decode_gets_the_answer_array(self, shape, seeds, nulls, monkeypatch):
         params = derive_params(*shape)
+        code = make_code(*shape[:2], shape[3])
         sources = scheme.random_sources(params, make_rng(shape[2]))
-        _, storages = scheme.encode_system(params, sources)
+        _, storages = scheme.encode_system(params, sources, code)
         symbols = np.stack([storage.symbols for storage in storages])
         honest = scheme.decode
         handed = []
@@ -636,13 +639,14 @@ class TestClientPipeline:
                 result = client_retrieve(addresses, theta, params, seed=seed)
                 master = scheme.sample_master_queries(params, make_rng(seed), 1)
                 queries = scheme.server_queries(master, [theta], params)[0]
-                live = scheme.live_rounds(queries, params)
+                files, live = retrieve_batch_reference(master, [theta], storages, params, code)
+                live = live[0]
                 assert len(handed) == 1
                 assert handed[0].dtype == np.int64
-                assert np.array_equal(handed[0], scheme.answer_queries(symbols, queries, params))
+                assert np.array_equal(handed[0], answer_queries(symbols, queries, params))
                 assert not handed[0][~live].any()
                 assert result.download_elements == live.sum()
-                assert result.source == sources[theta]
+                assert result.source == sources[theta] == files[0].tolist()
                 null_rounds += int((~live).sum())
         assert (null_rounds > 0) == nulls
 

@@ -27,7 +27,13 @@ from codedpir.scheme import (
 )
 
 from conftest import EXAMPLE_QUERY
-from oracle import answer_array, decode_loop, server_answer_loop
+from oracle import (
+    answer_array,
+    answer_queries,
+    decode_loop,
+    retrieve_batch_reference,
+    server_answer_loop,
+)
 
 PRIMES = [7, 257, 65537, 2**31 - 1, 4294967291]
 
@@ -238,7 +244,7 @@ class TestAnswerPaths:
     @staticmethod
     def engine(storage, query, params):
         q = scheme.validate_query(query, params)
-        values = scheme.answer_queries(storage.symbols[None], q[None], params)[0]
+        values = answer_queries(storage.symbols[None], q[None], params)[0]
         return [
             int(v) if live else None
             for v, live in zip(values, scheme.live_rounds(q, params))
@@ -546,6 +552,81 @@ class TestRetrieve:
             # D_rel = L + K*r with 0 <= r <= k
             assert params.file_len <= downloaded <= params.n_servers * params.k_reduced
             assert (downloaded - params.file_len) % params.k_mds == 0
+
+
+class TestRetrieveBatch:
+    """retrieve_batch answers the T masters; the per-server pipeline of
+    tests/oracle.py, through all N servers' queries, is its reference."""
+
+    @pytest.mark.parametrize("shape, count", [
+        ((5, 3, 3, 257), 1),
+        ((5, 3, 3, 257), 1000),
+        ((8, 5, 256, 65537), 20),
+        ((6, 4, 5, 4294967291), 30),  # decode's matmul_mod takes Python ints
+    ])
+    @pytest.mark.parametrize("policy", ["fixed", "uniform"])
+    def test_equals_the_reference(self, shape, count, policy):
+        params = derive_params(*shape)
+        code = make_code(*shape[:2], shape[3])
+        sources = scheme.random_sources(params, make_rng(count))
+        _, storages = encode_system(params, sources, code)
+        rng = make_rng(count + 1)
+        masters = scheme.sample_master_queries(params, rng, count)
+        if policy == "uniform":
+            thetas = rng.integers(0, params.m_files, size=count)
+        else:
+            thetas = np.full(count, params.m_files - 1)
+        # Round 0 of every other master reads dummy rows only: NULL on
+        # the K servers whose shifted desired entry stays dummy too.
+        dummies = range(params.rows_per_file, params.n_reduced)
+        for master in masters[::2]:
+            for column in master.T:
+                if column[0] not in dummies:
+                    column[0] = next(v for v in dummies if v not in column)
+        files, live = scheme.retrieve_batch(masters, thetas, storages, params, code)
+        expected_files, expected_live = retrieve_batch_reference(
+            masters, thetas, storages, params, code
+        )
+        assert files.shape == (count, params.rows_per_file, params.k_mds)
+        assert live.shape == (count, params.n_servers, params.k_reduced)
+        assert np.array_equal(files, expected_files)
+        assert np.array_equal(live, expected_live)
+        assert np.array_equal(files, np.array(sources)[thetas])
+        assert not live[::2, :, 0].all() and live.any()
+
+    @pytest.mark.parametrize("column", [0, 2])  # the desired file's, another
+    @pytest.mark.parametrize("change", ["5", "-1", "repeat", "1.5"])
+    def test_rejects_what_validate_query_rejects(self, example_system, column, change):
+        params, code, _, _, storages = example_system
+        master = [row[:] for row in EXAMPLE_QUERY]
+        if change == "repeat":
+            master[1][column] = master[0][column]
+        else:
+            master[1][column] = float(change) if "." in change else int(change)
+        with pytest.raises(ProtocolError) as expected:
+            scheme.validate_query([master], params)
+        with pytest.raises(ProtocolError) as raised:
+            scheme.retrieve_batch([master], [0], storages, params, code)
+        assert type(raised.value) is ProtocolError
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("theta", [-1, 3])
+    def test_theta_out_of_range(self, example_system, theta):
+        params, code, _, _, storages = example_system
+        with pytest.raises(ParameterError, match=rf"^theta={theta} out of \[0:3\)$"):
+            scheme.retrieve_batch([EXAMPLE_QUERY], [theta], storages, params, code)
+
+    def test_desired_entry_outside_n_is_a_protocol_error(self, example_system, monkeypatch):
+        """Checked before any answer: the per-server queries would wrap
+        the entry mod n and leave it to decode_map's DecodingError."""
+        params, code, _, _, storages = example_system
+        master = [row[:] for row in EXAMPLE_QUERY]
+        master[2][0] = 6
+        with pytest.raises(DecodingError):
+            retrieve_batch_reference([master], [0], storages, params, code)
+        monkeypatch.setattr(scheme, "decode_batch", None)
+        with pytest.raises(ProtocolError, match=r"^query entry 6 out of \[0:5\)$"):
+            scheme.retrieve_batch([master], [0], storages, params, code)
 
 
 class TestStorageFiles:
