@@ -115,7 +115,7 @@ def cmd_setup(args) -> int:
     byte_length = None
     if args.source == "random":
         rng = scheme.make_rng(args.seed)
-        sources = scheme.random_sources(params, rng)
+        sources = scheme.random_sources(params, rng).tolist()
     else:
         try:
             data = Path(args.source).read_bytes()

@@ -1,41 +1,44 @@
 """
-TCP transport for the retrieval protocol, wire format v2.
+TCP transport for the retrieval protocol, wire format v3.
 
-Frame: 4-byte magic "PIR2", 1-byte message type, u32 big-endian payload
-length, payload.  A peer that sends another magic, such as v1's "PIR1",
-gets no reply and a closed connection.
+Frame: 4-byte magic "PIR3", 1-byte message type, u32 big-endian payload
+length, payload.  A peer that sends another magic, such as v2's "PIR2"
+or v1's "PIR1", gets no reply and a closed connection.
 
-QUERY: (N, K, M, p) as four big-endian u32s, then the k x M entries,
-row-major, each in the narrowest of 4, 8 or 16 bits that holds n-1
-(nibbles for n <= 16, bytes for n <= 256), a nibble pair per byte high
-nibble first, and 16-bit entries big-endian.  An odd count of nibbles
-ends in one zero pad nibble; a server rejects a non-zero pad, so each
-query has exactly one encoding.  The client casts the N queries of a
-retrieval in one numpy step and packs their entries together, nibbles
-through hex digits, under one header.  A server checks the header
-against its own parameters first, then unpacks at the width its own n
-implies, never at one the peer names.  A query of more than
-scheme.SMALL_QUERY_ENTRIES entries reaches scheme.server_answer as a
-C-contiguous (k, M) array, u8 for n <= 256; a smaller one as row lists
-of Python ints, unpacked without numpy, as its loop answers them faster
-than numpy would.
+QUERY: (N, K, M, p) as four big-endian u32s, then the M columns as
+their ranks in Omega (scheme.omega), or else the k x M entries,
+row-major.  Values take the narrowest of 4, 8 or 16 bits that holds
+the largest, |Omega|-1 or n-1; ranks travel where |Omega| <= 2^16 and
+a rank is narrower than k entries, so (5,3) sends 8-bit ranks, (8,5)
+16-bit ones, and k = 1 or |Omega| > 2^16 entries.  Nibbles go two to a
+byte, high first, an odd count padded with a zero nibble (a server
+rejects any other pad, so a query has one encoding); u16s big-endian.
+The client draws the master as ranks; server t's ranks are the
+master's with the desired one shifted by t mod n (scheme.rank_tables),
+all N packed in one numpy step, nibbles through hex digits.  A server
+checks the header against its own parameters first, then reads the
+layout they imply, never one the peer names, and rejects a rank not
+below |Omega|.  A query of more than scheme.SMALL_QUERY_ENTRIES
+entries reaches scheme.server_answer as a C-contiguous (k, M) array, u8
+for n <= 256; a smaller one as row lists of Python ints, unpacked
+without numpy, as its loop answers them faster than numpy would.
 
 ANSWER: one width byte w, the fewest of 1, 2 or 4 bytes that hold the
 largest live value (1 when no round is live), then the live values
 only, big-endian, in round order.  There is no round count and no
 flag: the client derives each server's live rounds from the query it
-sent (scheme.live_rounds) and places the values of all N answers in
-the (N, k) array, 0 in NULL rounds, that scheme.decode takes.  A width
-outside {1, 2, 4} or wider than p-1 needs, or a value not below p, is
-a WireError; a length other than 1 + live*w an AnswerMismatchError.
-Both widths are functions of what the server sees, n and its own
-answer values, so neither tells it anything about the desired file.
+sent and places the values of all N answers in the (N, k) array, 0 in
+NULL rounds, that scheme.decode takes.  A width outside {1, 2, 4} or
+wider than p-1 needs, or a value not below p, is a WireError; a length
+other than 1 + live*w an AnswerMismatchError.  Both widths are
+functions of what the server sees, n and its own answer values, so
+neither tells it anything about the desired file.
 
 ERROR: a u16 code plus UTF-8 detail.  All k rounds ride in one ANSWER:
 the scheme has no inter-round dependency, so a retrieval is a single
 round trip per server.  Each side bounds the payload it reads by the
-size the system's parameters imply before reading it: 16 + ceil(kM *
-bits / 8) bytes for a QUERY, 1 + w_p * k for an ANSWER, where w_p is
+size the system's parameters imply before reading it: 16 + ceil(count
+* bits / 8) bytes for a QUERY, 1 + w_p * k for an ANSWER, where w_p is
 the width of p-1, and MAX_ERROR_PAYLOAD for an ERROR.
 
 Connections persist.  A server answers every QUERY on a connection
@@ -75,7 +78,7 @@ from .scheme import ProtocolError, ServerStorage, SystemParams
 
 logger = logging.getLogger(__name__)
 
-MAGIC = b"PIR2"
+MAGIC = b"PIR3"
 MSG_QUERY = 1
 MSG_ANSWER = 2
 MSG_ERROR = 3
@@ -189,14 +192,18 @@ def recv_message(
 
 
 def _entry_bits(n: int) -> int:
-    """Bits of a query entry of [0:n) on the wire: the narrowest of 4,
-    8 or 16 that holds n-1."""
+    """Bits of a value of [0:n) on the wire: the narrowest of 4, 8 or 16
+    that holds n-1."""
     return 4 if n <= 16 else 8 if n <= 256 else 16
 
 
-def _query_entry_bytes(params: SystemParams) -> int:
-    """Bytes of a query's k x M entries on the wire."""
-    return -(-params.k_reduced * params.m_files * _entry_bits(params.n_reduced) // 8)
+@functools.lru_cache(maxsize=64)
+def _query_layout(params: SystemParams) -> tuple[bool, int, int]:
+    """(ranked, bits, count) of a QUERY's body: M column ranks where a
+    rank is narrower than k entries, else k*M entries."""
+    n, k, size = params.n_reduced, params.k_reduced, scheme.omega_size(params)
+    ranked = size <= scheme.OMEGA_TABLE_LIMIT and _entry_bits(size) < k * _entry_bits(n)
+    return ranked, _entry_bits(size if ranked else n), params.m_files * (1 if ranked else k)
 
 
 def _value_width(value: int) -> int:
@@ -234,13 +241,21 @@ def _pack_entries(entries: np.ndarray, bits: int) -> list[bytes]:
 
 
 def encode_query_payload(params: SystemParams, query) -> bytes:
-    """QUERY payload of k x M entries, row lists or an integer array,
-    at the width n implies; WireError for an entry that does not fit it."""
-    bits = _entry_bits(params.n_reduced)
+    """QUERY payload of k x M entries, row lists or an integer array: the
+    bytes client_retrieve sends.  WireError for an entry that does not
+    fit n's width or, where columns travel as ranks, a query that is not
+    k x M columns of Omega."""
+    ranked, bits, _ = _query_layout(params)
     entries = np.asarray(query)
     if entries.dtype.kind not in "iu":
         raise WireError("query entries must be integers")
-    if entries.size and (entries.min() < 0 or entries.max() >= 1 << bits):
+    if ranked:
+        try:
+            columns = scheme.validate_query(entries, params).T
+        except ProtocolError as exc:
+            raise WireError(f"query has no column ranks: {exc}") from exc
+        entries = scheme.column_ranks(columns, params.n_reduced)
+    elif entries.size and (entries.min() < 0 or entries.max() >= 1 << bits):
         raise WireError(f"query entry out of the wire's {bits}-bit range")
     return _query_head(params) + _pack_entries(entries.reshape(1, -1), bits)[0]
 
@@ -249,12 +264,13 @@ def decode_query_payload(payload: bytes, params: SystemParams):
     """The query of a QUERY payload sent to a server of `params`.
 
     The header must be params' own (HeaderMismatchError otherwise); the
-    entries are then read at the width params' n implies and must fill
-    k x M exactly, with a zero pad nibble (WireError otherwise).  A
-    query of more than SMALL_QUERY_ENTRIES entries comes back as a
-    C-contiguous (k, M) array, u8 for n <= 256 and u16 above, a smaller
-    one as k row lists of Python ints.  Entries are not checked against
-    n: scheme.server_answer checks them.
+    ranks or entries are then read at the layout params' (n, k) implies
+    and must fill it exactly, with a zero pad nibble, and each rank must
+    be below |Omega| (WireError otherwise).  A query of more than
+    SMALL_QUERY_ENTRIES entries comes back as a C-contiguous (k, M)
+    array, u8 for n <= 256 and u16 above, a smaller one as k row lists
+    of Python ints.  Entries are not checked against n:
+    scheme.server_answer checks them.
     """
     if len(payload) < _QUERY_PARAMS.size:
         raise WireError("query payload too short")
@@ -262,29 +278,50 @@ def decode_query_payload(payload: bytes, params: SystemParams):
     expected = (params.n_servers, params.k_mds, params.m_files, params.prime)
     if header != expected:
         raise HeaderMismatchError(f"query params {header} do not match storage {expected}")
-    k, m = params.k_reduced, params.m_files
-    count, bits = k * m, _entry_bits(params.n_reduced)
+    n, k, m = params.n_reduced, params.k_reduced, params.m_files
+    ranked, bits, count = _query_layout(params)
     entries = payload[_QUERY_PARAMS.size :]
-    size = _query_entry_bytes(params)
+    size = -(-count * bits // 8)
     if len(entries) != size:
-        raise WireError(f"expected {count} {bits}-bit entries in {size} bytes")
+        kind = "ranks" if ranked else "entries"
+        raise WireError(f"expected {count} {bits}-bit {kind} in {size} bytes")
     if bits == 4:
         if count % 2 and entries[-1] & 0x0F:
             raise WireError("query pad nibble is not zero")
         # one byte per nibble (and the pad), by C string calls
         entries = binascii.b2a_hex(entries).translate(_HEX_VALUES)
-    if count > scheme.SMALL_QUERY_ENTRIES:
-        if bits == 16:
-            return np.frombuffer(entries, ">u2").astype(np.uint16).reshape(k, m)
-        return np.frombuffer(entries, np.uint8)[:count].reshape(k, m)
-    if bits == 16:
-        entries = struct.unpack(f">{count}H", entries)
+    large = k * m > scheme.SMALL_QUERY_ENTRIES
+    if large:
+        words = np.frombuffer(entries, ">u2" if bits == 16 else np.uint8)[:count]
+    else:
+        words = struct.unpack(f">{count}H", entries) if bits == 16 else entries[:count]
+    if ranked:
+        columns, table = _omega_columns(n, k)
+        try:
+            if large:
+                return table.take(words, axis=1)
+            return list(map(list, zip(*map(columns.__getitem__, words))))
+        except IndexError:
+            raise WireError(f"column rank {max(words)} out of [0:{len(columns)})") from None
+    if large:
+        return np.asarray(words, np.uint16 if bits == 16 else np.uint8).reshape(k, m)
     # A loop, no numpy and no comprehension: each costs more than the
     # work of a small query in a server whose caches have cooled.
     rows = []
     for start in range(0, count, m):
-        rows.append(list(entries[start : start + m]))
+        rows.append(list(words[start : start + m]))
     return rows
+
+
+@functools.lru_cache(maxsize=16)
+def _omega_columns(n: int, k: int):
+    """Omega's columns by rank, as tuples of Python ints and as the
+    columns of a read-only u8 (k, |Omega|) array (n <= 41 where columns
+    travel as ranks)."""
+    table = scheme.omega(n, k)
+    rows = np.ascontiguousarray(table.T, dtype=np.uint8)
+    rows.flags.writeable = False
+    return tuple(map(tuple, table.tolist())), rows
 
 
 @functools.lru_cache(maxsize=64)
@@ -419,7 +456,8 @@ class StorageServer(socketserver.ThreadingTCPServer):
     def __init__(self, storage: ServerStorage, params: SystemParams, address=("127.0.0.1", 0)):
         self.storage = storage
         self.params = params
-        self.frame_limits = {MSG_QUERY: _QUERY_PARAMS.size + _query_entry_bytes(params)}
+        _, bits, count = _query_layout(params)
+        self.frame_limits = {MSG_QUERY: _QUERY_PARAMS.size + -(-count * bits // 8)}
         self._connections: set = set()
         self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
@@ -610,16 +648,29 @@ def client_retrieve(
         raise ParameterMismatch(
             f"need {params.n_servers} server addresses, got {len(addresses)}"
         )
-    master = scheme.sample_master_queries(params, scheme.make_rng(seed), 1)
-    # The N queries narrowed once, u8 for n <= 256, for the live rounds
-    # and the packing: their entries are in [0:n), so none wraps and
-    # each fits the wire's width.
-    queries = scheme.server_queries(master, [theta], params)[0]
-    queries = queries.astype(np.min_scalar_type(params.n_reduced - 1))
-    live = scheme.live_rounds(queries, params)
+    if not 0 <= theta < params.m_files:
+        raise scheme.ParameterError(f"theta={theta} out of [0:{params.m_files})")
+    n, k, nn = params.n_reduced, params.k_reduced, params.n_servers
+    rng = scheme.make_rng(seed)
+    ranked, bits, _ = _query_layout(params)
+    if ranked:
+        # Server t's ranks are the master's, the desired one shifted by
+        # t mod n; its live rounds are the OR of its columns' low rows.
+        ranks = scheme.sample_master_ranks(params, rng, 1)
+        shift, low = scheme.rank_tables(n, k)
+        words = ranks.repeat(nn, axis=0)
+        words[:, theta] = shift[ranks[0, theta]].tolist() * params.d
+        masks = np.bitwise_or.reduce(low[words], axis=1)
+        live = (masks[:, None] >> np.arange(k) & 1).astype(bool)
+        master = scheme.omega(n, k)[ranks[0]].T
+    else:
+        master = scheme.sample_master_queries(params, rng, 1)[0]
+        queries = scheme.server_queries(master[None], [theta], params)[0]
+        live = scheme.live_rounds(queries, params)
+        words = queries.reshape(nn, -1)
     counts = live.sum(axis=1).tolist()
     head = _query_head(params)
-    packed = _pack_entries(queries.reshape(len(queries), -1), _entry_bits(params.n_reduced))
+    packed = _pack_entries(words, bits)
     limits = {
         MSG_ANSWER: 1 + _value_width(params.prime - 1) * params.k_reduced,
         MSG_ERROR: MAX_ERROR_PAYLOAD,
@@ -646,7 +697,7 @@ def client_retrieve(
     answers[live] = values
     code = make_code(params.n_servers, params.k_mds, params.prime)
     return RetrievalResult(
-        source=scheme.decode(answers, master[0], theta, params, code),
+        source=scheme.decode(answers, master, theta, params, code),
         download_elements=len(values),
         download_bytes=download_bytes,
         upload_bytes=upload_bytes,

@@ -9,6 +9,12 @@ server index, and lets each server answer in k independent rounds.
 Rounds whose query row falls entirely in the dummy range [n-k:n) are
 NULL and cost nothing; everything else is one field element.
 
+A column is named by its rank in Omega, the P(n,k) partial
+permutations in itertools order (omega), wherever |Omega| <=
+OMEGA_TABLE_LIMIT: masters are drawn as M uniform ranks, and
+rank_tables gives each rank's shifts and low rows.  Larger systems
+draw a column as the first k slots of a uniform permutation.
+
 The protocol runs as one batch engine on numpy arrays whose leading
 axis counts retrievals: T master queries (T, k, M) and the servers'
 answers (T, N, k).  A server's storage is one dense (M, n) array whose
@@ -35,7 +41,6 @@ client fills with the values it has checked on the wire.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -76,6 +81,10 @@ SMALL_QUERY_ENTRIES = 128
 # sets and 60 columns of (5,3) fit, and of (8,5) all 56 sets (269 KB)
 # and about a hundred of the 6720 columns.
 DECODE_MAP_CACHE_BYTES = 1 << 19
+
+# Omega is tabled, and a column named by its rank, up to this size: the
+# table holds at most 2^16 x 8 entries, and a rank fits the wire's u16.
+OMEGA_TABLE_LIMIT = 2**16
 
 
 class ParameterError(ValueError):
@@ -174,10 +183,10 @@ def make_rng(seed: int) -> np.random.Generator:
 # storage encoding
 
 
-def random_sources(params: SystemParams, rng: np.random.Generator) -> list[list[list[int]]]:
-    """M random source files, each lam x K over F_p."""
+def random_sources(params: SystemParams, rng: np.random.Generator) -> np.ndarray:
+    """M random source files, an (M, lam, K) int64 array over F_p."""
     shape = (params.m_files, params.rows_per_file, params.k_mds)
-    return rng.integers(0, params.prime, size=shape).tolist()
+    return rng.integers(0, params.prime, size=shape)
 
 
 def encode_system(params: SystemParams, sources, code: MdsCode | None = None):
@@ -210,15 +219,24 @@ def encode_system(params: SystemParams, sources, code: MdsCode | None = None):
 # queries
 
 
+def sample_master_ranks(params: SystemParams, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, M) ranks of uniform columns of Omega, floor(u * |Omega|) of
+    uniforms u: biased by at most |Omega| / 2^53, and never |Omega|."""
+    return (rng.random((count, params.m_files)) * omega_size(params)).astype(np.int64)
+
+
 def sample_master_queries(
     params: SystemParams, rng: np.random.Generator, count: int
 ) -> np.ndarray:
     """(count, k, M) array of master-query entries, columns uniform on Omega.
 
-    argsort of iid uniforms is a uniform permutation; the first k slots
-    of it are a uniform partial permutation of [0:n).
+    Where Omega is tabled the columns are the table's rows at
+    sample_master_ranks; elsewhere the first k slots of an argsort of
+    iid uniforms, a uniform partial permutation of [0:n).
     """
     n, k, m = params.n_reduced, params.k_reduced, params.m_files
+    if omega_size(params) <= OMEGA_TABLE_LIMIT:
+        return omega(n, k)[sample_master_ranks(params, rng, count)].transpose(0, 2, 1)
     perms = np.argsort(rng.random((count, m, n)), axis=2)[:, :, :k]
     return perms.transpose(0, 2, 1)
 
@@ -294,30 +312,59 @@ def validate_query(query, params: SystemParams) -> np.ndarray:
     return q
 
 
-def enumerate_omega(params: SystemParams):
-    """All length-k vectors over [0:n) with distinct entries."""
-    return itertools.permutations(range(params.n_reduced), params.k_reduced)
+@functools.lru_cache(maxsize=64)
+def omega_size(params: SystemParams) -> int:
+    """|Omega| = P(n, k), the number of distinct columns."""
+    return math.perm(params.n_reduced, params.k_reduced)
 
 
 def query_space_size(params: SystemParams) -> int:
     """|Omega^M|, the number of master queries."""
-    return math.perm(params.n_reduced, params.k_reduced) ** params.m_files
+    return omega_size(params) ** params.m_files
 
 
 def query_space(params: SystemParams, indices) -> np.ndarray:
     """The (len(indices), k, M) master queries at `indices` of Omega^M,
     in itertools.product order: the last file's column varies fastest."""
-    omega = _omega(params)
-    digits = np.unravel_index(indices, (len(omega),) * params.m_files)
-    return np.stack([omega[d] for d in digits], axis=-1)
+    table = omega(params.n_reduced, params.k_reduced)
+    digits = np.unravel_index(indices, (len(table),) * params.m_files)
+    return np.stack([table[d] for d in digits], axis=-1)
 
 
 @functools.lru_cache(maxsize=8)
-def _omega(params: SystemParams) -> np.ndarray:
-    """Omega as a read-only (|Omega|, k) array, in enumerate_omega's order."""
-    omega = np.array(list(enumerate_omega(params)), dtype=np.int64)
-    omega.flags.writeable = False
-    return omega
+def omega(n: int, k: int) -> np.ndarray:
+    """Omega as a read-only (|Omega|, k) int64 array in itertools.permutations
+    order, which is lexicographic: row r is the column of rank r."""
+    table = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(k):
+        # every prefix, extended by each value it lacks, in ascending order
+        prefix, value = np.nonzero((table[:, :, None] != np.arange(n)).all(axis=1))
+        table = np.column_stack([table[prefix], value])
+    table.flags.writeable = False
+    return table
+
+
+def column_ranks(columns: np.ndarray, n: int) -> np.ndarray:
+    """The ranks in Omega of columns (..., k) of distinct entries of [0:n):
+    digit s, entry s less the earlier entries below it, weighs P(n-1-s, k-1-s)."""
+    k = columns.shape[-1]
+    earlier = np.tri(k, k, -1, dtype=bool)
+    digits = columns - ((columns[..., None, :] < columns[..., :, None]) & earlier).sum(axis=-1)
+    return digits @ np.array([math.perm(n - 1 - s, k - 1 - s) for s in range(k)])
+
+
+@functools.lru_cache(maxsize=8)
+def rank_tables(n: int, k: int):
+    """Read-only per-rank tables: (|Omega|, n) the rank of each column
+    shifted by t mod n, and |Omega| bitmasks of its low rows, bit s set
+    where entry s is below n-k.  A query's round s is live where bit s
+    of one of its columns' masks is."""
+    table = omega(n, k)
+    shift = np.stack([column_ranks((table + t) % n, n) for t in range(n)], axis=1)
+    shift = shift.astype(np.min_scalar_type(len(table) - 1))
+    low = ((table < n - k) @ (1 << np.arange(k))).astype(np.min_scalar_type((1 << k) - 1))
+    shift.flags.writeable = low.flags.writeable = False
+    return shift, low
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,7 @@ def run_trials(
         raise ValueError(f"unknown theta_policy {theta_policy!r}")
     rng = scheme.make_rng(seed)
     code = make_code(params.n_servers, params.k_mds, params.prime)
-    # One int64 array of the source lists, for encode_system and the check.
-    sources = np.array(scheme.random_sources(params, rng), dtype=np.int64)
+    sources = scheme.random_sources(params, rng)
     _, storages = scheme.encode_system(params, sources, code)
 
     masters = scheme.sample_master_queries(params, rng, n_trials)
@@ -112,24 +111,32 @@ def exact_expectation_by_enumeration(
 ) -> Fraction:
     """Mean realized download over the full query space, exactly.
 
-    Counts live rounds directly from the per-server queries, with the
-    same mask the batch engine uses; this is an enumeration-based check
-    on the closed-form expectation, so it uses no distributional
-    shortcuts.  Master queries are taken ENUM_CHUNK_ENTRIES query
-    entries at a time, by their index in Omega^M (scheme.query_space).
+    Counts live rounds of every server's query with the mask the batch
+    engine uses, read from the masters' column ranks: server t's round s
+    is live where the master's row s is live apart from the desired
+    file, or the desired column shifted by t is low in row s
+    (scheme.rank_tables).  This is an enumeration-based check on the
+    closed-form expectation, so it uses no distributional shortcuts.
+    Masters are taken ENUM_CHUNK_ENTRIES query entries at a time, by
+    their index in Omega^M (scheme.query_space's order).
     """
     size = scheme.query_space_size(params)
     if size > budget:
         raise analysis.BudgetExceededError(
             f"|query space| = {size} exceeds budget {budget}"
         )
+    scheme._checked_thetas(theta, params)
+    shift, low = scheme.rank_tables(params.n_reduced, params.k_reduced)
+    shape = (scheme.omega_size(params),) * params.m_files
     per_master = params.n_servers * params.k_reduced * params.m_files
     chunk = max(1, ENUM_CHUNK_ENTRIES // per_master)
     total = 0
     for start in range(0, size, chunk):
-        masters = scheme.query_space(params, np.arange(start, min(start + chunk, size)))
-        queries = scheme.server_queries(masters, np.full(len(masters), theta), params)
-        total += int(scheme.live_rounds(queries, params).sum())
+        ranks = np.stack(np.unravel_index(np.arange(start, min(start + chunk, size)), shape))
+        others = np.bitwise_or.reduce(low[np.delete(ranks, theta, axis=0)], axis=0)
+        # (masters, n): the n shifts of the desired column, d servers each
+        live = others[:, None] | low[shift[ranks[theta]]]
+        total += params.d * int((live[..., None] >> np.arange(params.k_reduced) & 1).sum())
     return Fraction(total, size)
 
 

@@ -15,7 +15,7 @@ def example_system():
     """(5,3,3) system over F_7 with random files, as in the worked example."""
     params = derive_params(5, 3, 3, 7)
     rng = make_rng(1234)
-    sources = random_sources(params, rng)
+    sources = random_sources(params, rng).tolist()
     code = make_code(5, 3, 7)
     encoded, storages = encode_system(params, sources, code)
     return params, code, sources, encoded, storages

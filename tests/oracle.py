@@ -103,7 +103,7 @@ def run_trials_loop(params, n_trials, seed, theta_policy="fixed", theta=0):
     """sim.run_trials one trial at a time, with the same RNG draws."""
     rng = scheme.make_rng(seed)
     code = make_code(params.n_servers, params.k_mds, params.prime)
-    sources = scheme.random_sources(params, rng)
+    sources = scheme.random_sources(params, rng).tolist()
     _, storages = scheme.encode_system(params, sources, code)
     masters = scheme.sample_master_queries(params, rng, n_trials)
     if theta_policy == "uniform":

@@ -33,7 +33,7 @@ class TestAcceptance:
         ok &= analysis.expected_download(params) == Fraction(294, 25)
 
         rng = scheme.make_rng(1234)
-        sources = scheme.random_sources(params, rng)
+        sources = scheme.random_sources(params, rng).tolist()
         code = make_code(params.n_servers, params.k_mds, params.prime)
         _, storages = scheme.encode_system(params, sources, code)
         theta = 0
@@ -90,7 +90,7 @@ class TestAcceptance:
             for m_files in (2, 3, 4):
                 params = scheme.derive_params(n_servers, k_mds, m_files, 257)
                 rng = scheme.make_rng(1000 * n_servers + 10 * k_mds + m_files)
-                sources = scheme.random_sources(params, rng)
+                sources = scheme.random_sources(params, rng).tolist()
                 code = make_code(params.n_servers, params.k_mds, params.prime)
                 _, storages = scheme.encode_system(params, sources, code)
                 for trial in range(100):
@@ -149,7 +149,7 @@ class TestAcceptance:
         start = time.perf_counter()
         params = scheme.derive_params(5, 3, 3, 257)
         rng = scheme.make_rng(42)
-        sources = scheme.random_sources(params, rng)
+        sources = scheme.random_sources(params, rng).tolist()
         code = make_code(params.n_servers, params.k_mds, params.prime)
         _, storages = scheme.encode_system(params, sources, code)
         servers = []

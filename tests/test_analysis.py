@@ -82,7 +82,7 @@ class TestAnswerMatrix:
     def test_faithful_to_server_answer(self, n, k, m):
         params = derive_params(n, k, m, 257)
         rng = make_rng(n + 10 * k + m)
-        sources = scheme.random_sources(params, rng)
+        sources = scheme.random_sources(params, rng).tolist()
         _, storages = scheme.encode_system(params, sources)
         for _ in range(10):
             master = gen_master_query(params, rng)

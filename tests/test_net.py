@@ -1,3 +1,4 @@
+import itertools
 import random
 import socket
 import struct
@@ -85,7 +86,7 @@ def wide_cluster():
     the servers answer by the batch engine."""
     params = derive_params(8, 5, 32, 257)
     assert params.k_reduced * params.m_files > scheme.SMALL_QUERY_ENTRIES
-    sources = scheme.random_sources(params, make_rng(32))
+    sources = scheme.random_sources(params, make_rng(32)).tolist()
     _, storages = scheme.encode_system(params, sources)
     with serving(storages, params) as servers:
         yield params, sources, [s.server_address for s in servers], servers
@@ -99,6 +100,40 @@ def pack_reference(entries, bits):
         return bytes(entries)
     padded = list(entries) + [0] * (len(entries) % 2)
     return bytes(high << 4 | low for high, low in zip(padded[0::2], padded[1::2]))
+
+
+def reference_ranks(query, n):
+    """Each column's index among the partial permutations of [0:n) in
+    itertools order."""
+    rows = np.asarray(query).tolist()
+    index = {c: r for r, c in enumerate(itertools.permutations(range(n), len(rows)))}
+    return [index[column] for column in zip(*rows)]
+
+
+def in_process_links(monkeypatch, storages, params):
+    """Make client_retrieve, given server indices as addresses, reach
+    each server's answer through the wire codecs but no socket; return
+    the QUERY payloads it sends."""
+    sent = []
+
+    class Link:
+        def __init__(self, address, payload, timeout):
+            self.address, self.payload = address, payload
+            sent.append(payload)
+
+        def send(self):
+            pass
+
+        def receive(self, limits):
+            query = decode_query_payload(self.payload, params)
+            answer = scheme.server_answer(storages[self.address], query, params)
+            return MSG_ANSWER, bytearray(encode_answer_payload(answer))
+
+        def close(self):
+            pass
+
+    monkeypatch.setattr(net, "_Link", Link)
+    return sent
 
 
 # The largest prime below 2^32, the widest field the wire carries.
@@ -143,26 +178,84 @@ class TestPayloads:
         params = derive_params(5, 3, 3, 7)
         rng = random.Random(0)
         for _ in range(50):
-            query = [[rng.randrange(16) for _ in range(3)] for _ in range(3)]
+            columns = [rng.sample(range(5), 3) for _ in range(3)]
+            query = [list(row) for row in zip(*columns)]
             payload = encode_query_payload(params, query)
+            assert payload[16:] == bytes(reference_ranks(query, 5))
             assert decode_query_payload(bytearray(payload), params) == query
 
     def test_example_query_golden_bytes(self):
         payload = encode_query_payload(derive_params(5, 3, 3, 7), EXAMPLE_QUERY)
         assert payload == bytes.fromhex(
             "00000005" "00000003" "00000003" "00000007"  # N, K, M, p
-            "34" "30" "10" "10" "40"  # nibbles 3 4 3 0 1 0 1 0 4, then the pad
+            "24" "33" "26"  # the columns (3,0,1), (4,1,0), (3,0,4) as ranks 36, 51, 38
         )
+
+    @pytest.mark.parametrize("shape, bits", [
+        ((3, 2, 3, 7), 4), ((3, 2, 65, 7), 4),
+        ((5, 3, 3, 7), 8), ((5, 3, 43, 7), 8),
+        ((8, 5, 3, 257), 16), ((8, 5, 26, 257), 16),
+    ])
+    def test_rank_widths_round_trip(self, shape, bits, monkeypatch):
+        """|Omega| = 6, 60 and 6720 take 4-, 8- and 16-bit ranks, on the
+        row-list and the array path; every server's query round-trips,
+        and a retrieval through the codecs decodes."""
+        params = derive_params(*shape)
+        n, k, m = params.n_reduced, params.k_reduced, params.m_files
+        assert net._query_layout(params)[:2] == (True, bits)
+        large = k * m > scheme.SMALL_QUERY_ENTRIES
+        assert large == (m > 3)
+        master = scheme.sample_master_queries(params, make_rng(m), 1)
+        for query in scheme.server_queries(master, [1], params)[0]:
+            payload = encode_query_payload(params, query)
+            assert payload[16:] == pack_reference(reference_ranks(query, n), bits)
+            assert len(payload) == 16 + -(-m * bits // 8)
+            decoded = decode_query_payload(bytearray(payload), params)
+            if large:
+                assert decoded.dtype == np.uint8 and decoded.flags.c_contiguous
+                decoded = decoded.tolist()
+            assert decoded == query.tolist()
+        sources = scheme.random_sources(params, make_rng(1))
+        _, storages = scheme.encode_system(params, sources)
+        sent = in_process_links(monkeypatch, storages, params)
+        result = client_retrieve(range(params.n_servers), 1, params, seed=m)
+        assert result.source == sources[1].tolist()
+        assert sent == [encode_query_payload(params, q) for q in
+                        scheme.server_queries(master, [1], params)[0]]
+
+    @pytest.mark.parametrize("shape", [(257, 1, 129, 257), (12, 7, 2, 13)])
+    def test_entry_systems_keep_v2_entries(self, shape, monkeypatch):
+        """k = 1 (a rank is as wide as the entry) and |Omega| > 2^16 (no
+        table) send entries at n's width, as wire v2 did, end to end."""
+        params = derive_params(*shape)
+        n, k, m = params.n_reduced, params.k_reduced, params.m_files
+        assert net._query_layout(params)[:2] == (False, net._entry_bits(n))
+        sources = scheme.random_sources(params, make_rng(2))
+        _, storages = scheme.encode_system(params, sources)
+        sent = in_process_links(monkeypatch, storages, params)
+        for seed, theta in [(0, 0), (1, m - 1)]:
+            sent.clear()
+            result = client_retrieve(range(params.n_servers), theta, params, seed=seed)
+            assert result.source == sources[theta].tolist()
+            assert result.source == scheme.retrieve(theta, storages, params, make_rng(seed))[0]
+            master = scheme.sample_master_queries(params, make_rng(seed), 1)
+            queries = scheme.server_queries(master, [theta], params)[0]
+            bits = net._entry_bits(n)
+            assert sent == [
+                net._query_head(params) + pack_reference(q.ravel().tolist(), bits)
+                for q in queries
+            ]
 
     def test_wide_query_matches_struct_reference(self):
         params = derive_params(8, 5, 256, 65537)
         master = scheme.sample_master_queries(params, make_rng(3), 1)
         queries = scheme.server_queries(master, [200], params)[0]
         head = struct.pack(">IIII", 8, 5, 256, 65537)
-        packed = net._pack_entries(queries.reshape(8, -1), 4)
+        ranks = [reference_ranks(query, 8) for query in queries]
+        packed = net._pack_entries(np.array(ranks), 16)
         for t, query in enumerate(queries):
-            reference = head + pack_reference(query.ravel().tolist(), 4)
-            assert len(reference) == 16 + 640
+            reference = head + pack_reference(ranks[t], 16)
+            assert len(reference) == 16 + 512
             assert encode_query_payload(params, query.tolist()) == reference
             assert encode_query_payload(params, query) == reference
             assert head + packed[t] == reference  # the client's path
@@ -197,11 +290,14 @@ class TestPayloads:
 
     @pytest.mark.parametrize("m_files", [3, 27])
     def test_odd_nibble_count_pads_a_zero_nibble(self, m_files):
-        """9 and 135 entries: the last byte's low nibble is the pad, and a
-        payload with it set is rejected on either path."""
-        params = derive_params(5 if m_files == 3 else 8, 3 if m_files == 3 else 5, m_files, 257)
-        count = params.k_reduced * m_files
-        assert count % 2 and (count > scheme.SMALL_QUERY_ENTRIES) == (m_files == 27)
+        """3 ranks of (3,2) and 135 entries of (16,5), where |Omega| >
+        2^16: the last byte's low nibble is the pad, and a payload with
+        it set is rejected on either path."""
+        params = derive_params(3 if m_files == 3 else 16, 2 if m_files == 3 else 5, m_files, 257)
+        count = m_files if m_files == 3 else params.k_reduced * m_files
+        assert net._query_layout(params)[:2] == (m_files == 3, 4)
+        large = params.k_reduced * m_files > scheme.SMALL_QUERY_ENTRIES
+        assert count % 2 and large == (m_files == 27)
         master = scheme.sample_master_queries(params, make_rng(5), 1)
         query = scheme.server_queries(master, [1], params)[0, 0]
         payload = bytearray(encode_query_payload(params, query))
@@ -224,10 +320,10 @@ class TestPayloads:
             decode_query_payload(encode_query_payload(other, EXAMPLE_QUERY), params)
         with pytest.raises(HeaderMismatchError):  # the header decides first
             decode_query_payload(encode_query_payload(other, EXAMPLE_QUERY) + bytes(7), params)
-        # The same header with the entries as bytes: a server of n = 5
-        # reads nibbles, so the length is wrong.
+        # The same header with the 9 entries as bytes: a server of (5,3)
+        # reads 3 rank bytes, so the length is wrong.
         wide = payload[:16] + bytes(e for row in EXAMPLE_QUERY for e in row)
-        with pytest.raises(WireError, match="4-bit entries"):
+        with pytest.raises(WireError, match="3 8-bit ranks"):
             decode_query_payload(wide, params)
 
     @pytest.mark.parametrize("entry", [-1, 2**16, 1.5])
@@ -332,11 +428,18 @@ class TestEndToEnd:
         assert exc.value.cause.code == net.ERR_PARAM_MISMATCH
 
     def test_malformed_query_error_code_2(self, cluster):
+        """A column with a repeated entry has no rank to send; a rank not
+        below |Omega| = 60 gets ERR_MALFORMED_QUERY."""
         params, _, addresses, _ = cluster
         dup = [[3, 4, 3], [3, 1, 0], [1, 0, 4]]  # repeated column entry
-        msg_type, payload = ask(addresses[0], encode_query_payload(params, dup))
-        assert msg_type == MSG_ERROR
-        assert decode_error_payload(payload)[0] == net.ERR_MALFORMED_QUERY
+        with pytest.raises(WireError, match="repeated entries"):
+            encode_query_payload(params, dup)
+        for ranks in ([60, 0, 0], [0, 59, 255]):
+            msg_type, payload = ask(addresses[0], net._query_head(params) + bytes(ranks))
+            assert msg_type == MSG_ERROR
+            assert decode_error_payload(payload) == (
+                net.ERR_MALFORMED_QUERY, f"column rank {max(ranks)} out of [0:60)"
+            )
 
     def test_oversized_query_header_rejected(self, cluster):
         params, _, addresses, _ = cluster
@@ -373,14 +476,24 @@ class TestEndToEnd:
             with pytest.raises(BadMagicError):
                 recv_message(right)
 
+    def test_v2_frame_gets_no_reply(self, cluster):
+        """A PIR2 peer's query, the worked example as nibbles, is refused
+        by magic alone: no reply, a closed connection."""
+        _, _, addresses, _ = cluster
+        payload = struct.pack(">IIII", 5, 3, 3, 7) + bytes.fromhex("3430101040")
+        v2_frame = struct.pack(">4sBI", b"PIR2", MSG_QUERY, len(payload)) + payload
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            sock.sendall(v2_frame)
+            assert sock.recv(1024) == b""
+
     def test_payload_bytes_both_ways(self, cluster):
-        """(5,3,3,7): 16 header bytes and 9 entries in 5 bytes per server
-        up; a width byte and one byte per element down."""
+        """(5,3,3,7): 16 header bytes and 3 column ranks of a byte per
+        server up; a width byte and one byte per element down."""
         params, sources, addresses, _ = cluster
         for seed in range(5):
             result = client_retrieve(addresses, seed % 3, params, seed)
             assert result.source == sources[seed % 3]
-            assert result.upload_bytes == 5 * (16 + 5) == 105
+            assert result.upload_bytes == 5 * (16 + 3) == 95
             assert result.download_bytes == 5 + result.download_elements
 
     def test_server_down_aborts_with_index(self, cluster):
@@ -437,8 +550,8 @@ class TestEndToEnd:
         head = struct.pack(">IIII", 5, 3, 3, 7)
         expected = []
         for t in range(params.n_servers):
-            entries = [e for row in scheme.build_server_query(master, 2, t, params) for e in row]
-            expected.append(head + pack_reference(entries, 4))
+            query = scheme.build_server_query(master, 2, t, params)
+            expected.append(head + bytes(reference_ranks(query, 5)))
         assert sent == expected
 
     def test_server_answers_from_row_lists_of_ints(self, cluster, monkeypatch):
@@ -506,15 +619,17 @@ class TestLargeQueries:
             assert result.source == sources[theta]
 
     @pytest.mark.parametrize("entry", [8, 15, 255, 259, 65535])
-    def test_entry_outside_n(self, wide_cluster, entry):
-        """At n = 8 entries travel as nibbles: one of [8:16) reaches the
-        server and gets validate_query's message; a wider one cannot be
-        encoded at all."""
-        params, _, addresses, servers = wide_cluster
+    def test_entry_outside_n(self, entry):
+        """(8,1,129,257) sends entries, as k = 1 makes a rank no narrower,
+        and at n = 8 as nibbles: one of [8:16) reaches the server and gets
+        validate_query's message; a wider one cannot be encoded at all."""
+        params = derive_params(8, 1, 129, 257)
+        assert net._query_layout(params)[:2] == (False, 4)
+        _, storages = scheme.encode_system(params, scheme.random_sources(params, make_rng(3)))
         master = scheme.sample_master_queries(params, make_rng(1), 1)
         query = scheme.server_queries(master, [3], params)[0, 2]
         bad = query.copy()
-        bad[2, 5] = entry
+        bad[0, 5] = entry
         with pytest.raises(scheme.ProtocolError) as expected:
             scheme.validate_query(bad, params)
         assert str(expected.value) == f"query entry {entry} out of [0:8)"
@@ -522,11 +637,36 @@ class TestLargeQueries:
             with pytest.raises(WireError, match="4-bit range"):
                 encode_query_payload(params, bad)
             return
-        with socket.create_connection(addresses[2], timeout=2.0) as sock:
+        with serving([storages[2]], params) as servers, socket.create_connection(
+            servers[0].server_address, timeout=2.0
+        ) as sock:
             send_message(sock, MSG_QUERY, encode_query_payload(params, bad))
             msg_type, payload = recv_message(sock)
             assert msg_type == MSG_ERROR
             assert decode_error_payload(payload) == (net.ERR_MALFORMED_QUERY, str(expected.value))
+            send_message(sock, MSG_QUERY, encode_query_payload(params, query))
+            msg_type, payload = recv_message(sock)
+            assert msg_type == MSG_ANSWER
+            count = int(scheme.live_rounds(query, params).sum())
+            assert decode_answer_payload(payload, count, params.prime) == live_values(
+                scheme.server_answer(storages[2], query.tolist(), params)
+            )
+
+    @pytest.mark.parametrize("rank", [6720, 65535])
+    def test_rank_outside_omega(self, wide_cluster, rank):
+        """At (8,5) a column travels as a u16 rank; one not below
+        |Omega| = 6720 gets ERR_MALFORMED_QUERY, and the connection
+        answers the next query."""
+        params, _, addresses, servers = wide_cluster
+        master = scheme.sample_master_queries(params, make_rng(1), 1)
+        query = scheme.server_queries(master, [3], params)[0, 2]
+        payload = bytearray(encode_query_payload(params, query))
+        payload[16 + 2 * 5 : 16 + 2 * 6] = struct.pack(">H", rank)
+        with socket.create_connection(addresses[2], timeout=2.0) as sock:
+            send_message(sock, MSG_QUERY, payload)
+            assert decode_error_payload(recv_message(sock)[1]) == (
+                net.ERR_MALFORMED_QUERY, f"column rank {rank} out of [0:6720)"
+            )
             send_message(sock, MSG_QUERY, encode_query_payload(params, query))
             msg_type, payload = recv_message(sock)
             assert msg_type == MSG_ANSWER
@@ -564,11 +704,12 @@ class TestLargeQueries:
                     scheme.server_answer(storages[9], query.tolist(), params)
                 )
 
-    def test_wide_retrieval_sends_5320_query_bytes(self, monkeypatch):
+    def test_wide_retrieval_sends_4296_query_bytes(self, monkeypatch):
         """(8,5,256,65537), the benchmark's tcp-wide system: 8 QUERY frames
-        of 9 + 16 + 640 bytes, 5,320 B, where u16 entries took 20,680."""
+        of 9 + 16 + 512 bytes, 4,296 B, where nibble entries took 5,320
+        and u16 entries 20,680."""
         params = derive_params(8, 5, 256, 65537)
-        sources = scheme.random_sources(params, make_rng(8))
+        sources = scheme.random_sources(params, make_rng(8)).tolist()
         _, storages = scheme.encode_system(params, sources)
         frames = []
         record_frames(monkeypatch, frames)
@@ -577,8 +718,8 @@ class TestLargeQueries:
             result = client_retrieve(addresses, 200, params, seed=1)
         assert result.source == sources[200]
         assert [frame[4] for _, frame in frames] == [MSG_QUERY] * 8
-        assert sum(len(frame) for _, frame in frames) == 5320
-        assert result.upload_bytes == 5320 - 8 * net._HEADER.size
+        assert sum(len(frame) for _, frame in frames) == 4296
+        assert result.upload_bytes == 4296 - 8 * net._HEADER.size
         # 2 bytes per element (p-1 needs 3, so 4 at most) and a width byte
         assert result.download_bytes <= 8 + 4 * result.download_elements
 
@@ -619,7 +760,7 @@ class TestClientPipeline:
     def test_decode_gets_the_answer_array(self, shape, seeds, nulls, monkeypatch):
         params = derive_params(*shape)
         code = make_code(*shape[:2], shape[3])
-        sources = scheme.random_sources(params, make_rng(shape[2]))
+        sources = scheme.random_sources(params, make_rng(shape[2])).tolist()
         _, storages = scheme.encode_system(params, sources, code)
         symbols = np.stack([storage.symbols for storage in storages])
         honest = scheme.decode
@@ -682,10 +823,10 @@ class TestAnswerChecks:
 
         return install
 
-    def aborted_by(self, cluster, cause):
+    def aborted_by(self, cluster, cause, seed=0):
         params, _, addresses, _ = cluster
         with pytest.raises(RetrievalAbortedError) as exc:
-            client_retrieve(addresses, 0, params, seed=0)
+            client_retrieve(addresses, 0, params, seed=seed)
         assert exc.value.server_index == 2
         assert isinstance(exc.value.cause, cause)
 
@@ -694,8 +835,16 @@ class TestAnswerChecks:
         self.aborted_by(cluster, scheme.AnswerMismatchError)
 
     def test_value_in_null_round(self, cluster, tamper):
+        params = cluster[0]
+
+        def server_2_live(seed):
+            master = scheme.sample_master_queries(params, make_rng(seed), 1)
+            return scheme.live_rounds(scheme.server_queries(master, [0], params)[0, 2], params)
+
+        # the first seed whose query to server 2 has a NULL round
+        seed = next(seed for seed in itertools.count() if not server_2_live(seed).all())
         tamper(lambda answer, params: [0 if a is None else a for a in answer])
-        self.aborted_by(cluster, scheme.AnswerMismatchError)
+        self.aborted_by(cluster, scheme.AnswerMismatchError, seed)
 
     def test_short_vector(self, cluster, tamper):
         tamper(lambda answer, params: answer[:-1])
@@ -820,22 +969,45 @@ class TestFuzz:
     peer_bytes = st.binary(max_size=128) | frames | query_payloads.map(
         lambda payload: net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
     )
-    # (8,5,32,257): 160 nibbles in 80 bytes, decoded to an array
+    # Rank bodies of the right length, ranks below |Omega| or not:
+    # (5,3,3,7) 3 bytes; (8,5,32,257) 32 u16s, decoded to an array;
+    # (3,2,3,7) 3 nibbles and a pad, |Omega| = 6.
+    rank_payloads = (
+        st.builds(
+            lambda ranks: net._QUERY_PARAMS.pack(5, 3, 3, 7) + bytes(ranks),
+            st.lists(st.integers(0, 59) | st.integers(60, 255), min_size=3, max_size=3),
+        )
+        | st.builds(
+            lambda seed, top: net._QUERY_PARAMS.pack(8, 5, 32, 257)
+            + np.random.default_rng(seed).integers(0, top, 32).astype(">u2").tobytes(),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([6720, 65536]),  # every rank below |Omega|, or most not
+        )
+        | st.builds(
+            lambda body: net._QUERY_PARAMS.pack(3, 2, 3, 7) + body,
+            st.binary(min_size=2, max_size=2) | st.binary(max_size=4),
+        )
+    )
     wide_query_payloads = st.builds(
-        lambda body: net._QUERY_PARAMS.pack(8, 5, 32, 257) + body,
-        st.binary(min_size=80, max_size=80) | st.binary(max_size=100),
+        lambda body: net._QUERY_PARAMS.pack(8, 5, 32, 257) + body, st.binary(max_size=100)
     )
 
     @settings(max_examples=300, deadline=None)
     @given(
-        payload=st.binary(max_size=64) | query_payloads | wide_query_payloads,
+        payload=st.binary(max_size=64) | query_payloads | rank_payloads | wide_query_payloads,
         count=st.integers(0, 6),
         prime=st.sampled_from([7, 257, 65537, WIDEST_PRIME]),
     )
     def test_payload_decoders(self, payload, count, prime):
+        for params in (
+            derive_params(5, 3, 3, 7), derive_params(8, 5, 32, 257), derive_params(3, 2, 3, 7)
+        ):
+            try:
+                query = decode_query_payload(payload, params)
+            except WireError:
+                continue
+            scheme.validate_query(query, params)  # each rank named a column of Omega
         decoders = [
-            lambda: decode_query_payload(payload, derive_params(5, 3, 3, 7)),
-            lambda: decode_query_payload(payload, derive_params(8, 5, 32, 257)),
             lambda: decode_answer_payload(payload, count, prime),
             lambda: decode_error_payload(payload),
         ]
@@ -847,7 +1019,7 @@ class TestFuzz:
 
     @settings(max_examples=60, deadline=None)
     @given(data=peer_bytes, limits=st.sampled_from([
-        {MSG_QUERY: 16 + 5},  # a (5,3,3,7) server's limits, then a client's
+        {MSG_QUERY: 16 + 3},  # a (5,3,3,7) server's limits, then a client's
         {MSG_ANSWER: 1 + 1 * 3, MSG_ERROR: net.MAX_ERROR_PAYLOAD},
     ]))
     def test_recv_message(self, data, limits):

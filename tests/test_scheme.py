@@ -118,15 +118,44 @@ class TestQueries:
         rng = make_rng(0)
         samples = scheme.sample_master_queries(params, rng, 100_000)
         counts = Counter(tuple(samples[i, :, 0]) for i in range(samples.shape[0]))
-        assert set(counts) == set(scheme.enumerate_omega(params))
+        assert set(counts) == set(map(tuple, scheme.omega(5, 3).tolist()))
         assert chisquare(list(counts.values())).pvalue >= 0.01
 
     def test_two_element_omega(self):
         params = derive_params(2, 1, 2, 257)
-        assert sorted(scheme.enumerate_omega(params)) == [(0,), (1,)]
+        assert scheme.omega(2, 1).tolist() == [[0], [1]]
         rng = make_rng(9)
         seen = {gen_master_query(params, rng)[0][0] for _ in range(50)}
         assert seen == {0, 1}
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (5, 3), (7, 4), (8, 5), (9, 2)])
+    def test_rank_tables_over_all_of_omega(self, n, k):
+        """Row r of the table is the column of rank r in itertools order;
+        ranking inverts it, and the shift table names each column shifted
+        by t mod n, whose low rows are its entries below n-k."""
+        table = scheme.omega(n, k)
+        assert not table.flags.writeable
+        assert table.tolist() == [list(c) for c in itertools.permutations(range(n), k)]
+        assert np.array_equal(scheme.column_ranks(table, n), np.arange(len(table)))
+        shift, low = scheme.rank_tables(n, k)
+        assert shift.shape == (len(table), n) and low.shape == (len(table),)
+        assert shift.dtype == np.min_scalar_type(len(table) - 1)
+        for t in range(n):
+            assert np.array_equal(table[shift[:, t]], (table + t) % n)
+        assert np.array_equal(low, (table < n - k) @ (1 << np.arange(k)))
+
+    def test_master_ranks_name_the_sampled_columns(self):
+        """A master is the table's rows at its ranks, drawn from the same
+        stream; systems with |Omega| > 2^16 keep the argsort."""
+        params = derive_params(8, 5, 40, 257)
+        ranks = scheme.sample_master_ranks(params, make_rng(3), 50)
+        assert ranks.min() >= 0 and ranks.max() < 6720
+        masters = scheme.sample_master_queries(params, make_rng(3), 50)
+        assert np.array_equal(masters, scheme.omega(8, 5)[ranks].transpose(0, 2, 1))
+        wide = derive_params(12, 7, 2, 13)
+        assert scheme.omega_size(wide) > scheme.OMEGA_TABLE_LIMIT
+        masters = scheme.sample_master_queries(wide, make_rng(3), 50)
+        scheme.validate_query(masters, wide)
 
     @pytest.mark.parametrize("n,k,m", [(2, 1, 2), (3, 2, 2), (5, 3, 2)])
     def test_query_space_in_product_order(self, n, k, m):
@@ -344,7 +373,7 @@ class TestDecode:
     def test_randomized_round_trips(self, n, k, m):
         params = derive_params(n, k, m, 257)
         rng = make_rng(n * 31 + k * 7 + m)
-        sources = scheme.random_sources(params, rng)
+        sources = scheme.random_sources(params, rng).tolist()
         code = make_code(n, k, 257)
         _, storages = encode_system(params, sources, code)
         for trial in range(10):
@@ -360,7 +389,7 @@ class TestDecode:
         # every master query and theta at (2,1,2)
         params = derive_params(2, 1, 2, 257)
         rng = make_rng(77)
-        sources = scheme.random_sources(params, rng)
+        sources = scheme.random_sources(params, rng).tolist()
         code = make_code(2, 1, 257)
         _, storages = encode_system(params, sources, code)
         downloads = set()
@@ -421,14 +450,15 @@ class TestDecodeMap:
     def test_cache_holds_every_column_of_five_three(self):
         params = derive_params(5, 3, 3, 257)
         code = make_code(5, 3, 257)
-        for column in scheme.enumerate_omega(params):
+        columns = list(map(tuple, scheme.omega(5, 3).tolist()))
+        for column in columns:
             scheme.decode_map(column, params, code)
-        assert set(code.decode_maps) == set(scheme.enumerate_omega(params))
+        assert set(code.decode_maps) == set(columns)
 
     def test_cache_is_bounded_in_bytes(self):
         params = derive_params(8, 5, 2, 65537)
         code = make_code(8, 5, 65537)
-        for column in itertools.islice(scheme.enumerate_omega(params), 400):
+        for column in scheme.omega(8, 5)[:400].tolist():
             scheme.decode_map(column, params, code)
         held = sum(d_map.nbytes for d_map in code.decode_maps.values())
         assert 0 < held <= scheme.DECODE_MAP_CACHE_BYTES
@@ -465,7 +495,7 @@ class TestDecodeMap:
             return build(column, params, code)
 
         monkeypatch.setattr(scheme, "_build_decode_map", counting_build)
-        for column in scheme.enumerate_omega(params):
+        for column in scheme.omega(n, k).tolist():
             scheme.decode_map(column, params, code)
         assert len(built) == len(set(built)) == math.comb(n, k)  # 10 and 56
         assert all(list(column) == sorted(column) for column in built)
@@ -475,7 +505,7 @@ class TestDecodeMap:
     def test_threads_get_identical_maps(self):
         params = derive_params(8, 5, 2, 65537)
         code = MdsCode(8, 5, 65537)
-        columns = list(itertools.islice(scheme.enumerate_omega(params), 0, None, 12))
+        columns = list(map(tuple, scheme.omega(8, 5)[::12].tolist()))
         maps = [{} for _ in range(4)]
 
         def worker(w):
