@@ -12,6 +12,7 @@ download cost to the file length via D_rel = L + K*r.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,12 +36,16 @@ def capacity(n_servers: int, k_mds: int, m_files: int) -> Fraction:
     return 1 / sum(ratio**i for i in range(m_files))
 
 
+@functools.lru_cache(maxsize=64)
 def expected_download(params: SystemParams) -> Fraction:
-    """Exact expected download cost N*k*(1 - (k/n)^M) in field elements."""
+    """Exact expected download cost N*k*(1 - (k/n)^M) in field elements,
+    memoized with scheme_rate: (k/n)^M is big-integer work at large M,
+    and every sim.run_trials call asks for both."""
     n, k = params.n_reduced, params.k_reduced
     return params.n_servers * k * (1 - Fraction(k, n) ** params.m_files)
 
 
+@functools.lru_cache(maxsize=64)
 def scheme_rate(params: SystemParams) -> Fraction:
     return Fraction(params.file_len) / expected_download(params)
 

@@ -66,23 +66,19 @@ class MdsCode:
         cached = self._recovery_cache.get(positions)
         if cached is not None:
             return cached
-        p = self.prime
-        rows = []
-        for j, tj in enumerate(positions):
-            denom = 1
-            for i, ti in enumerate(positions):
-                if i != j:
-                    denom = denom * (tj - ti) % p
-            scale = inv_mod(denom, p)
-            row = []
-            for x in range(self.n_total):
-                num = 1
-                for i, ti in enumerate(positions):
-                    if i != j:
-                        num = num * (x - ti) % p
-                row.append(num * scale % p)
-            rows.append(row)
-        matrix = np.array(rows, dtype=np.int64)
+        p, k = self.prime, len(positions)
+        # A product of two residues is exact in int64 while (p-1)^2 < 2^63.
+        dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+        # factors[j, i, x] = x - positions[i], and 1 where i = j: row j of
+        # the basis is the product over i.
+        points = np.arange(self.n_total, dtype=dtype)
+        factors = (points - np.array(positions, dtype=dtype)[:, None]) % p
+        factors = np.where(np.eye(k, dtype=bool)[:, :, None], 1, factors)
+        basis = factors[:, 0]
+        for i in range(1, k):
+            basis = basis * factors[:, i] % p
+        scale = [inv_mod(int(basis[j, t]), p) for j, t in enumerate(positions)]
+        matrix = (basis * np.array(scale, dtype=dtype)[:, None] % p).astype(np.int64)
         matrix.flags.writeable = False
         self._recovery_cache[positions] = matrix
         return matrix

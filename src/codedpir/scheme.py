@@ -27,10 +27,12 @@ exact, linalg.sum_dtype).  Decoding is linear: once the desired file's
 master column c is fixed, one (lam*K x N*k) matrix D_c maps the N*k
 answers to the file, and one product applies the stacked maps of a
 batch's distinct columns to all of it.  Reordering c only reorders the
-rounds, so D_c is built once per column set, as D of sorted(c), and
-derived for any other order of it by permuting its round columns, both
-cached up to DECODE_MAP_CACHE_BYTES.  A single retrieval is a batch of
-one.
+rounds, so D_c is built once per column set, as D of sorted(c).  A
+batch of more than one orders each retrieval's rounds by its desired
+column before decoding and so uses built maps alone; a single
+retrieval derives D_c for another order by permuting the round
+columns of the built map.  Both kinds are cached up to
+DECODE_MAP_CACHE_BYTES.  A single retrieval is a batch of one.
 
 The list-based calls (gen_master_query, build_server_query,
 server_answer) work on k x M query row lists and length-k answer lists
@@ -81,8 +83,9 @@ MAX_REDUCED_N = 2**16 - 1
 SMALL_QUERY_ENTRIES = 128
 
 # Bytes of decode maps one code keeps in each of its two caches, the
-# maps built per column set and the maps derived per column: the 10
-# sets and 60 columns of (5,3) fit, and of (8,5) all 56 sets (269 KB)
+# maps built per column set and the maps derived for single retrievals
+# per unsorted column: the 10 sets and 50 other columns of (5,3) fit,
+# and of (8,5) all 56 sets (269 KB), which are every map a batch uses,
 # and about a hundred of the 6720 columns.
 DECODE_MAP_CACHE_BYTES = 1 << 19
 
@@ -455,9 +458,11 @@ def decode_map(column, params: SystemParams, code: MdsCode) -> np.ndarray:
     answers are (N, k), server-major, with 0 in NULL rounds.  Only
     D of sorted(c) is built; round s of c is round rank[s] of sorted(c),
     so D_c gathers column t*k + rank[s] of it for each server t and
-    round s.  The code caches the maps per column in `decode_maps` and
-    the built maps per sorted column in `column_set_maps`, each least
-    recently used out first, up to DECODE_MAP_CACHE_BYTES.
+    round s.  The code caches the built maps per sorted column in
+    `column_set_maps`, and the derived maps of unsorted columns in
+    `decode_maps`, each least recently used out first, up to
+    DECODE_MAP_CACHE_BYTES.  A sorted column takes no slot among the
+    derived maps.
     """
     key = tuple(column)
     with code.decode_maps_lock:
@@ -468,14 +473,14 @@ def decode_map(column, params: SystemParams, code: MdsCode) -> np.ndarray:
         base = _recall(code.column_set_maps, ordered)
     if base is None:
         base = _build_decode_map(ordered, params, code)
+        with code.decode_maps_lock:
+            _remember(code.column_set_maps, ordered, base)
     if key == ordered:
-        d_map = base
-    else:
-        rank = [ordered.index(value) for value in key]
-        d_map = base[:, (np.arange(0, base.shape[1], len(key))[:, None] + rank).ravel()]
-        d_map.flags.writeable = False
+        return base
+    rank = [ordered.index(value) for value in key]
+    d_map = base[:, (np.arange(0, base.shape[1], len(key))[:, None] + rank).ravel()]
+    d_map.flags.writeable = False
     with code.decode_maps_lock:
-        _remember(code.column_set_maps, ordered, base)
         _remember(code.decode_maps, key, d_map)
     return d_map
 
@@ -585,7 +590,11 @@ def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCod
     the live-round mask (T, N, k), whose sum is the download.  Checking
     the masters checks every entry of every server's query.  With column
     theta pointed at dummy row lam, one gather reads the other files for
-    all N servers; one take adds the desired file's shifted rows."""
+    all N servers; one take adds the desired file's shifted rows.  A
+    batch of more than one decodes each retrieval with its rounds in
+    ascending order of its desired column: permuting a master's rounds
+    permutes all N answers alike, so every decode key is a column set
+    and takes its built map as it is.  The mask keeps the masters' order."""
     masters = validate_query(masters, params)
     thetas = _checked_thetas(thetas, params)
     nn, n, m, lam = params.n_servers, params.n_reduced, params.m_files, params.rows_per_file
@@ -608,12 +617,38 @@ def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCod
     answers = ones @ symbols.reshape(m * n, nn).take(others + offsets, axis=0).reshape(m, -1)
     answers = answers.reshape(len(masters), -1, nn)
     answers += symbols.take(thetas[:, None, None] * (n * nn) + desired)
+    if len(masters) > 1:
+        order = _column_set_order(columns)
+        answers = answers.reshape(-1, nn).take(order, axis=0).reshape(answers.shape)
+        columns = columns.ravel().take(order).reshape(columns.shape)
     # (T, N, k) as decode_batch takes them; float64 sums are exact integers.
     answers = answers.transpose(0, 2, 1).astype(np.int64, order="C")
     answers %= params.prime
     live = (others.min(axis=0) < lam)[:, :, None] | (desired < lam * nn)
     files = decode_batch(answers, columns, params, code)
     return files, live.transpose(0, 2, 1)
+
+
+def _column_set_order(columns: np.ndarray) -> np.ndarray:
+    """The (T*k,) flat order that puts each retrieval's rounds in ascending
+    order of its desired column (T, k): row t*k + r of the result is
+    round order[t*k + r] of the flat (T*k, ...) rounds.
+
+    Round s of retrieval t has rank r = #{entries of its column below
+    entry s}, taken by one (k, k, T) comparison with trials last, and
+    goes to row t*k + r; the order is that map inverted, for a take.  On
+    a 2-core x86 (numpy 2.4), at T = 1000 and k = 3, the rank took
+    11 us, where the comparison on the (T, k) view took 69 us and an
+    argsort over the k axis 25-45 us; a take of the (T*k, N) rounds took
+    15 us, where scattering them to their rows took 60 us.
+    """
+    count, k = columns.shape
+    entries = np.ascontiguousarray(columns.T)
+    rank = (entries[None] < entries[:, None]).sum(axis=1)
+    rows = (rank.T + np.arange(0, count * k, k)[:, None]).ravel()
+    order = np.empty_like(rows)
+    order[rows] = np.arange(count * k)
+    return order
 
 
 @functools.lru_cache(maxsize=16)

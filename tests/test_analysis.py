@@ -30,6 +30,13 @@ class TestFormulas:
         assert expected_download(derive_params(5, 3, 3, 7)) == Fraction(294, 25)
         assert expected_download(derive_params(2, 1, 2, 257)) == Fraction(3, 2)
 
+    def test_closed_forms_are_memoized(self):
+        params = derive_params(8, 5, 256, 65537)
+        first = expected_download(params)
+        assert expected_download(params) == first == 40 * (1 - Fraction(5, 8) ** 256)
+        assert expected_download(params) is first
+        assert analysis.scheme_rate(params) is analysis.scheme_rate(params)
+
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 4), (9, 6)])
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_rate_equals_capacity(self, n, k, m):

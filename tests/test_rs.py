@@ -87,7 +87,11 @@ class TestEncode:
 class TestErasureDecode:
     """Any K symbols of a codeword give it back through their recovery matrix."""
 
-    @pytest.mark.parametrize("n,k,p", [(5, 3, 7), (4, 2, 5), (6, 4, 7), (8, 5, 11)])
+    @pytest.mark.parametrize("n,k,p", [
+        (5, 3, 7), (4, 2, 5), (6, 4, 7), (8, 5, 11),
+        (6, 4, 3037000493),  # the largest p whose residue products int64 holds
+        (6, 4, 4294967291),  # beyond it, Python ints
+    ])
     def test_every_k_subset_round_trip(self, n, k, p):
         rng = random.Random(n * 100 + k)
         code = make_code(n, k, p)

@@ -488,7 +488,9 @@ class TestDecodeMap:
         columns = list(map(tuple, scheme.omega(5, 3).tolist()))
         for column in columns:
             scheme.decode_map(column, params, code)
-        assert set(code.decode_maps) == set(columns)
+        column_sets = {column for column in columns if list(column) == sorted(column)}
+        assert set(code.column_set_maps) == column_sets
+        assert set(code.decode_maps) == set(columns) - column_sets
 
     def test_cache_is_bounded_in_bytes(self):
         params = derive_params(8, 5, 2, 65537)
@@ -628,6 +630,7 @@ class TestRetrieveBatch:
         ((5, 3, 3, 257), 1000),
         ((8, 5, 256, 65537), 20),
         ((6, 4, 5, 4294967291), 30),  # decode's matmul_mod takes Python ints
+        ((259, 2, 2, 263), 12),  # n = 259: u16 masters
     ])
     @pytest.mark.parametrize("policy", ["fixed", "uniform"])
     def test_equals_the_reference(self, shape, count, policy):
@@ -658,6 +661,57 @@ class TestRetrieveBatch:
         assert np.array_equal(live, expected_live)
         assert np.array_equal(files, np.array(sources)[thetas])
         assert not live[::2, :, 0].all() and live.any()
+
+    def test_batch_decodes_by_column_set(self, monkeypatch):
+        """A batch reaches the decode maps only with sorted columns, so it
+        builds maps and derives none."""
+        params = derive_params(8, 5, 256, 65537)
+        code = MdsCode(8, 5, 65537)
+        sources = scheme.random_sources(params, make_rng(5))
+        _, storages = encode_system(params, sources, code)
+        rng = make_rng(6)
+        masters = scheme.sample_master_queries(params, rng, 20)
+        thetas = rng.integers(0, params.m_files, size=20)
+        keys = {"decode_map": [], "_build_decode_map": []}
+
+        def recording(name):
+            call = getattr(scheme, name)
+
+            def record(column, params, code):
+                keys[name].append(tuple(column))
+                return call(column, params, code)
+
+            return record
+
+        for name in keys:
+            monkeypatch.setattr(scheme, name, recording(name))
+        files, _ = scheme.retrieve_batch(masters, thetas, storages, params, code)
+        assert np.array_equal(files, sources[thetas])
+        desired = masters[np.arange(20), :, thetas].tolist()
+        assert any(column != sorted(column) for column in desired)
+        assert set(keys["decode_map"]) == {tuple(sorted(column)) for column in desired}
+        assert keys["_build_decode_map"] and set(keys["_build_decode_map"]) <= set(keys["decode_map"])
+        assert not code.decode_maps
+        assert set(code.column_set_maps) == set(keys["decode_map"])
+
+    @pytest.mark.parametrize("shape, count", [((5, 3, 3, 257), 100), ((8, 5, 256, 65537), 20)])
+    def test_descending_desired_columns(self, shape, count):
+        params = derive_params(*shape)
+        code = make_code(*shape[:2], shape[3])
+        sources = scheme.random_sources(params, make_rng(7))
+        _, storages = encode_system(params, sources, code)
+        rng = make_rng(8)
+        masters = scheme.sample_master_queries(params, rng, count)
+        thetas = rng.integers(0, params.m_files, size=count)
+        batch = np.arange(count)
+        masters[batch, :, thetas] = np.sort(masters[batch, :, thetas], axis=1)[:, ::-1]
+        files, live = scheme.retrieve_batch(masters, thetas, storages, params, code)
+        expected_files, expected_live = retrieve_batch_reference(
+            masters, thetas, storages, params, code
+        )
+        assert np.array_equal(files, expected_files)
+        assert np.array_equal(files, sources[thetas])
+        assert np.array_equal(live, expected_live)
 
     @pytest.mark.parametrize("column", [0, 2])  # the desired file's, another
     @pytest.mark.parametrize("change", ["5", "-1", "repeat", "1.5"])
