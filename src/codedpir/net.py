@@ -21,7 +21,12 @@ layout they imply, never one the peer names, and rejects a rank not
 below |Omega|.  A query of more than scheme.SMALL_QUERY_ENTRIES
 entries reaches scheme.server_answer as a C-contiguous (k, M) array, u8
 for n <= 256; a smaller one as row lists of Python ints, unpacked
-without numpy, as its loop answers them faster than numpy would.
+without numpy, as its loop answers them faster than numpy would.  A
+query built from ranks comes as a scheme.RankedQuery or
+scheme.RankedRows: its columns are rows of Omega, so that rank check is
+the only one it gets, and server_answer answers it unchecked.  A query
+of entries comes as a plain array or plain lists, and server_answer
+checks it against n.
 
 ANSWER: one width byte w, the fewest of 1, 2 or 4 bytes that hold the
 largest live value (1 when no round is live), then the live values
@@ -269,8 +274,11 @@ def decode_query_payload(payload: bytes, params: SystemParams):
     be below |Omega| (WireError otherwise).  A query of more than
     SMALL_QUERY_ENTRIES entries comes back as a C-contiguous (k, M)
     array, u8 for n <= 256 and u16 above, a smaller one as k row lists
-    of Python ints.  Entries are not checked against n:
-    scheme.server_answer checks them.
+    of Python ints.  Built from ranks, these are a scheme.RankedQuery
+    and scheme.RankedRows, whose columns are rows of Omega, and which
+    scheme.server_answer trusts.  Entries are not checked against n:
+    they come as a plain array or plain lists, which
+    scheme.server_answer checks.
     """
     if len(payload) < _QUERY_PARAMS.size:
         raise WireError("query payload too short")
@@ -288,19 +296,19 @@ def decode_query_payload(payload: bytes, params: SystemParams):
     if bits == 4:
         if count % 2 and entries[-1] & 0x0F:
             raise WireError("query pad nibble is not zero")
-        # one byte per nibble (and the pad), by C string calls
-        entries = binascii.b2a_hex(entries).translate(_HEX_VALUES)
+        # one byte per nibble, by C string calls, less the pad
+        entries = binascii.b2a_hex(entries).translate(_HEX_VALUES)[:count]
     large = k * m > scheme.SMALL_QUERY_ENTRIES
     if large:
-        words = np.frombuffer(entries, ">u2" if bits == 16 else np.uint8)[:count]
+        words = np.frombuffer(entries, ">u2" if bits == 16 else np.uint8)
     else:
-        words = struct.unpack(f">{count}H", entries) if bits == 16 else entries[:count]
+        words = struct.unpack(f">{count}H", entries) if bits == 16 else entries
     if ranked:
         columns, table = _omega_columns(n, k)
         try:
             if large:
-                return table.take(words, axis=1)
-            return list(map(list, zip(*map(columns.__getitem__, words))))
+                return table.take(words, axis=1).view(scheme.RankedQuery)
+            return scheme.RankedRows(map(list, zip(*map(columns.__getitem__, words))))
         except IndexError:
             raise WireError(f"column rank {max(words)} out of [0:{len(columns)})") from None
     if large:

@@ -39,9 +39,12 @@ server_answer) work on k x M query row lists and length-k answer lists
 with None marking NULL rounds.  server_answer also takes a (k, M)
 integer array: a networked server passes a query of more than
 SMALL_QUERY_ENTRIES entries as one, u8 for n <= 256 and u16 above, and
-a smaller query as row lists.  decode is decode_batch of one
-retrieval's (N, k) answer array, 0 in NULL rounds, which the networked
-client fills with the values it has checked on the wire.
+a smaller query as row lists.  It checks every query, except one that
+the wire decoder built from ranks it has checked (RankedQuery,
+RankedRows), whose columns are rows of Omega by construction.  decode
+is decode_batch of one retrieval's (N, k) answer array, 0 in NULL
+rounds, which the networked client fills with the values it has
+checked on the wire.
 """
 
 from __future__ import annotations
@@ -397,6 +400,22 @@ def live_rounds(queries: np.ndarray, params: SystemParams) -> np.ndarray:
     return (queries < params.rows_per_file).any(axis=-1)
 
 
+class RankedQuery(np.ndarray):
+    """A (k, M) u8 query whose columns are rows of Omega, as
+    net.decode_query_payload builds a large query from ranks it has
+    range-checked; server_answer answers one without validate_query.
+    Only that decoder makes one.  A view or a numpy result of one is a
+    RankedQuery too, so hand server_answer the decoder's output as it
+    came, or a plain array."""
+
+
+class RankedRows(list):
+    """k row lists of Python ints whose columns are rows of Omega, as
+    net.decode_query_payload builds a small query from ranks it has
+    range-checked; server_answer answers them without _is_plain_query.
+    Only that decoder makes one."""
+
+
 def server_answer(storage: ServerStorage, query, params: SystemParams) -> list[int | None]:
     """k per-round responses to a k x M query; None marks a NULL round.
 
@@ -405,9 +424,16 @@ def server_answer(storage: ServerStorage, query, params: SystemParams) -> list[i
     than SMALL_QUERY_ENTRIES entries is validated by the batch engine,
     in the array's own dtype, and answered by one take from the flat
     storage; a smaller one by a loop over row lists, which is cheaper
-    than a dozen numpy calls.  Both raise
-    validate_query's ProtocolError for a query it rejects.
+    than a dozen numpy calls.  Both raise validate_query's
+    ProtocolError for a query it rejects.  A RankedQuery or RankedRows,
+    which the wire decoder builds from checked ranks alone, is answered
+    unchecked: its columns are rows of Omega by construction.
     """
+    kind = type(query)
+    if kind is RankedQuery:
+        return _gather_answer(storage, query.view(np.ndarray), params)
+    if kind is RankedRows:
+        return _loop_answer(storage, query, params)
     k, m, n = params.k_reduced, params.m_files, params.n_reduced
     if isinstance(query, np.ndarray):
         if query.shape != (k, m):
@@ -417,20 +443,40 @@ def server_answer(storage: ServerStorage, query, params: SystemParams) -> list[i
     elif len(query) != k or any(len(row) != m for row in query):
         raise ProtocolError(f"query must be {k} x {m}")
     if k * m > SMALL_QUERY_ENTRIES:
-        q = validate_query(query, params)
-        # One take from the flat storage: by fancy indexing a (8,5,256)
-        # u8 query took 29 us in all, against 22.
-        flat = q + np.arange(0, m * n, n)
-        values = (storage.symbols.ravel().take(flat).sum(axis=-1) % params.prime).tolist()
-        live = live_rounds(q, params).tolist()
-        return [value if is_live else None for value, is_live in zip(values, live)]
+        return _gather_answer(storage, validate_query(query, params), params)
     if not _is_plain_query(query, n, k):
         validate_query(query, params)  # the engine's checks decide
-    symbol, low, p, files = storage.symbols.item, params.rows_per_file, params.prime, range(m)
-    return [
-        None if min(row) >= low else sum(map(symbol, files, row)) % p
-        for row in query
-    ]
+    return _loop_answer(storage, query, params)
+
+
+def _gather_answer(storage: ServerStorage, q: np.ndarray, params: SystemParams):
+    """server_answer of a valid (k, M) integer array: one take from the
+    flat (M*n,) storage, one sum, and each round's least entry against
+    lam, with p applied in Python.  On a 2-core x86 (numpy 2.4), for an
+    (8,5,256) u8 query: fancy indexing took 29 us in all against 22 by
+    take; u16 offsets made the sum of indices and the take 1 us cheaper
+    than int64 ones; the least entry is one call fewer than
+    (q < lam).any."""
+    flat = q + _file_offsets(params.n_reduced, params.m_files)
+    sums = storage.symbols.take(flat).sum(axis=1).tolist()
+    lam, p = params.rows_per_file, params.prime
+    return [None if low >= lam else value % p for value, low in zip(sums, q.min(axis=1).tolist())]
+
+
+def _loop_answer(storage: ServerStorage, rows, params: SystemParams):
+    """server_answer of valid row lists of Python ints, by a loop."""
+    symbol, low, p = storage.symbols.item, params.rows_per_file, params.prime
+    files = range(params.m_files)
+    return [None if min(row) >= low else sum(map(symbol, files, row)) % p for row in rows]
+
+
+@functools.lru_cache(maxsize=16)
+def _file_offsets(n: int, m_files: int) -> np.ndarray:
+    """(M,) read-only: the index of each file's row 0 in a flat (M, n)
+    storage, in the narrowest unsigned dtype that holds every index."""
+    offsets = np.arange(0, m_files * n, n, dtype=np.min_scalar_type(m_files * n - 1))
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _is_plain_query(rows, n: int, k: int) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import socket
@@ -164,6 +165,12 @@ def record_frames(monkeypatch, frames: list) -> None:
             return getattr(self.sock, attr)
 
     monkeypatch.setattr(net.socket, "create_connection", Recording)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_storage(params):
+    """Server 0's storage of random files of `params`."""
+    return scheme.encode_system(params, scheme.random_sources(params, make_rng(0)))[1][0]
 
 
 def ask(address, payload):
@@ -561,7 +568,7 @@ class TestEndToEnd:
 
         def server_answer(storage, query, params):
             seen.append(
-                type(query) is list
+                type(query) is scheme.RankedRows
                 and len(query) == params.k_reduced
                 and all(type(row) is list and len(row) == params.m_files for row in query)
                 and all(type(entry) is int for row in query for entry in row)
@@ -730,7 +737,7 @@ class TestLargeQueries:
 
         def server_answer(storage, query, params):
             seen[storage.server_index] = (
-                type(query) is np.ndarray
+                type(query) is scheme.RankedQuery
                 and query.dtype == np.uint8
                 and query.flags.c_contiguous
                 and query.shape == (params.k_reduced, params.m_files),
@@ -746,6 +753,72 @@ class TestLargeQueries:
             t: (True, [bytes(row) for row in queries[t].tolist()])
             for t in range(params.n_servers)
         }
+
+
+class TestRankedQueries:
+    """A query the wire decoder builds from ranks reaches server_answer as
+    scheme.RankedQuery (large) or scheme.RankedRows (small), which it
+    answers unchecked; any other query is checked as before."""
+
+    @pytest.mark.parametrize("shape, kind", [
+        ((8, 5, 256, 65537), scheme.RankedQuery),
+        ((5, 3, 3, 7), scheme.RankedRows),
+    ])
+    def test_retrieval_answers_equal_plain_queries(self, shape, kind, monkeypatch):
+        params = derive_params(*shape)
+        sources = scheme.random_sources(params, make_rng(6)).tolist()
+        _, storages = scheme.encode_system(params, sources)
+        honest = scheme.server_answer
+        seen = []
+
+        def server_answer(storage, query, params):
+            answer = honest(storage, query, params)
+            plain_rows = [list(row) for row in query]
+            seen.append((
+                type(query),
+                answer == honest(storage, np.array(query), params),
+                answer == honest(storage, plain_rows, params),
+            ))
+            return answer
+
+        in_process_links(monkeypatch, storages, params)
+        monkeypatch.setattr(scheme, "server_answer", server_answer)
+        for theta in (0, params.m_files - 1):
+            result = client_retrieve(range(params.n_servers), theta, params, seed=theta)
+            assert result.source == sources[theta]
+        assert seen == [(kind, True, True)] * (2 * params.n_servers)
+
+    @pytest.mark.parametrize("shape", [(8, 5, 256, 65537), (5, 3, 3, 7)])
+    @pytest.mark.parametrize("fault", ["repeated entry", "entry not below n"])
+    def test_unmarked_invalid_query_is_rejected(self, shape, fault):
+        params = derive_params(*shape)
+        n = params.n_reduced
+        _, storages = scheme.encode_system(params, scheme.random_sources(params, make_rng(2)))
+        master = scheme.sample_master_queries(params, make_rng(4), 1)
+        bad = scheme.server_queries(master, [1], params)[0, 3].astype(np.uint8)
+        if fault == "repeated entry":
+            bad[1, 2] = bad[0, 2]
+            message = "query column 2 has repeated entries"
+        else:
+            bad[1, 2] = n
+            message = rf"query entry {n} out of \[0:{n}\)"
+        for form in (bad, bad.tolist()):
+            with pytest.raises(scheme.ProtocolError, match=f"^{message}$"):
+                scheme.server_answer(storages[3], form, params)
+
+    @pytest.mark.parametrize("shape, kind", [
+        ((8, 1, 129, 257), np.ndarray),  # k = 1: entries, 129 of them
+        ((3, 1, 3, 7), list),
+    ])
+    def test_entries_layout_is_not_marked(self, shape, kind):
+        params = derive_params(*shape)
+        assert not net._query_layout(params)[0]
+        query = scheme.server_queries(
+            scheme.sample_master_queries(params, make_rng(1), 1), [2], params
+        )[0, 1]
+        decoded = decode_query_payload(encode_query_payload(params, query), params)
+        assert type(decoded) is kind
+        assert np.array_equal(decoded, query)
 
 
 class TestClientPipeline:
@@ -1007,6 +1080,11 @@ class TestFuzz:
             except WireError:
                 continue
             scheme.validate_query(query, params)  # each rank named a column of Omega
+            storage = fuzz_storage(params)
+            answer = scheme.server_answer(storage, query, params)
+            assert type(query) in (scheme.RankedQuery, scheme.RankedRows)
+            assert answer == scheme.server_answer(storage, np.array(query), params)
+            assert answer == scheme.server_answer(storage, [list(row) for row in query], params)
         decoders = [
             lambda: decode_answer_payload(payload, count, prime),
             lambda: decode_error_payload(payload),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from codedpir.linalg import matmul_mod, rank_mod
-from codedpir.rs import CodeParameterError, make_code
+from codedpir.rs import CodeParameterError, MatrixCache, make_code
 
 
 def interpolate_brute_force(points, values, degree_bound, p):
@@ -162,3 +162,21 @@ def test_mds_property(n, k, p):
     for cols in itertools.combinations(range(n), k):
         sub = [[code.generator[j][t] for t in cols] for j in range(k)]
         assert rank_mod(sub, p) == k
+
+
+class TestMatrixCache:
+    def test_least_recently_used_goes_first(self):
+        cache = MatrixCache(3 * 8)
+        for key in range(3):
+            cache.put((key,), np.full(1, key))
+        assert cache.get((0,))[0] == 0  # now the most recent
+        cache.put((3,), np.full(1, 3))
+        assert list(cache) == [(2,), (0,), (3,)]
+        assert cache.get((1,)) is None
+        assert cache.nbytes == 24
+
+    def test_one_matrix_over_the_bound_stays(self):
+        cache = MatrixCache(8)
+        cache.put((0,), np.zeros(1))
+        cache.put((1,), np.zeros(4))
+        assert list(cache) == [(1,)] and cache.nbytes == 32

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from codedpir import derive_params, encode_system, make_rng
-from codedpir import scheme
+from codedpir import rs, scheme
 from codedpir.linalg import matmul_mod
 from codedpir.rs import MdsCode, make_code
 from codedpir.scheme import (
@@ -693,6 +693,24 @@ class TestRetrieveBatch:
         assert keys["_build_decode_map"] and set(keys["_build_decode_map"]) <= set(keys["decode_map"])
         assert not code.decode_maps
         assert set(code.column_set_maps) == set(keys["decode_map"])
+
+    def test_matrix_caches_stay_within_their_bound(self):
+        """A (259,2) column set takes 257 recovery matrices of 4 KB and two
+        residual matrices of 537 KB; after 12 of them each cache holds
+        as many as fit its bound, and every file still decodes."""
+        params = derive_params(259, 2, 2, 263)
+        code = MdsCode(259, 2, 263)
+        sources = scheme.random_sources(params, make_rng(7))
+        _, storages = encode_system(params, sources, code)
+        rng = make_rng(8)
+        masters = scheme.sample_master_queries(params, rng, 12)
+        thetas = rng.integers(0, params.m_files, size=12)
+        files, _ = scheme.retrieve_batch(masters, thetas, storages, params, code)
+        assert np.array_equal(files, sources[thetas])
+        for cache in (code.recovery_matrices, code.residual_matrices):
+            sizes = [matrix.nbytes for matrix in cache.values()]
+            assert cache.limit == rs.MATRIX_CACHE_BYTES
+            assert cache.limit - sizes[0] < cache.nbytes == sum(sizes) <= cache.limit
 
     @pytest.mark.parametrize("shape, count", [((5, 3, 3, 257), 100), ((8, 5, 256, 65537), 20)])
     def test_descending_desired_columns(self, shape, count):
