@@ -48,17 +48,29 @@ the width of p-1, and MAX_ERROR_PAYLOAD for an ERROR.
 
 Connections persist.  A server answers every QUERY on a connection
 until the client closes it, the connection stays idle for
-IDLE_TIMEOUT_S seconds, or the server is closed; it keeps at most
+IDLE_TIMEOUT_S seconds, a frame is not complete IDLE_TIMEOUT_S after
+its first read, or the server is closed; it keeps at most
 MAX_SERVER_CONNECTIONS open and closes any further one as it accepts
-it, so the number of its threads is bounded.  The client keeps idle
-sockets in a pool of at most MAX_IDLE_CONNECTIONS, keyed by address; a
-retrieval sends its N queries, each on its own connection, then reads
-the N answers in turn, in one thread.  A socket goes back to the pool
-only after its whole ANSWER frame was read; on any error or timeout it
-is closed, so a late answer cannot desync a later retrieval.  A pooled
-socket that turns out dead is replaced once by a new connection, which
-resends the identical query frame: a second copy of a query tells the
-server nothing new, whereas a fresh query for the same file would.
+it, so the number of its threads is bounded.  Sockets are blocking,
+with kernel timeouts (SO_RCVTIMEO, SO_SNDTIMEO) set once per
+connection, so each send and each read is one system call: a Python
+timeout would add a poll to each, and setting it a call of its own.
+A frame is read whole: the first read asks for the header and the
+longest payload the reader accepts, which for a server is exactly one
+QUERY frame, so pipelined queries lose no byte; only a frame split
+across reads takes more, each waiting only for the frame's time left.
+Bytes beyond the frame in the first read are a WireError: the server
+replies ERR_MALFORMED_QUERY and closes the connection, the client
+aborts the retrieval and does not pool the socket.  The client keeps
+idle sockets in a pool of at most MAX_IDLE_CONNECTIONS, keyed by
+address and the timeout they are armed with; a retrieval sends its N
+queries, each on its own connection, then reads the N answers in turn,
+in one thread.  A socket goes back to the pool only after its whole
+ANSWER frame was read; on any error or timeout it is closed, so a late
+answer cannot desync a later retrieval.  A pooled socket that turns out
+dead is replaced once by a new connection, which resends the identical
+query frame: a second copy of a query tells the server nothing new,
+whereas a fresh query for the same file would.
 
 Download accounting reports element counts (the scheme's cost metric)
 and payload byte counts separately.
@@ -69,10 +81,12 @@ from __future__ import annotations
 import binascii
 import functools
 import logging
+import math
 import socket
 import socketserver
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +111,9 @@ ERR_INTERNAL = 3
 # clients of up to a dozen servers each.
 MAX_IDLE_CONNECTIONS = 64
 
-# Seconds a server waits for the next frame on a connection before it
-# closes the connection, so a silent client does not hold a thread.
+# Seconds a server waits for the next frame on a connection, and the
+# longest a frame may take from its first read, before it closes the
+# connection, so a silent or trickling client does not hold a thread.
 IDLE_TIMEOUT_S = 60.0
 
 # Connections a server keeps open at once, each served by its own
@@ -110,6 +125,10 @@ MAX_SERVER_CONNECTIONS = 256
 MAX_ERROR_PAYLOAD = 1024
 
 _HEADER = struct.Struct(">4sBI")
+# struct timeval (seconds, microseconds), the argument of SO_RCVTIMEO and
+# SO_SNDTIMEO; seconds beyond _MAX_TIMEVAL_S are cut to it.
+_TIMEVAL = struct.Struct("@ll")
+_MAX_TIMEVAL_S = 2**31 - 1
 _QUERY_PARAMS = struct.Struct(">IIII")
 # struct code of an answer value of each width, in bytes
 _VALUE_CODES = {1: "B", 2: "H", 4: "I"}
@@ -161,35 +180,99 @@ class RetrievalAbortedError(RuntimeError):
 # framing
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytearray:
-    buffer = bytearray(count)
-    view = memoryview(buffer)
+def _timeval(seconds: float) -> bytes:
+    """A struct timeval of `seconds`, rounded up to whole microseconds
+    and at least one: a timeval of 0 would mean no timeout at all."""
+    micros = max(1, math.ceil(min(seconds, _MAX_TIMEVAL_S) * 1e6))
+    return _TIMEVAL.pack(*divmod(micros, 1_000_000))
+
+
+def _kernel_timeouts(sock: socket.socket, seconds: float) -> None:
+    """Make `sock` blocking, its reads and writes each bounded by
+    `seconds` in the kernel (SO_RCVTIMEO, SO_SNDTIMEO).  A blocking
+    socket sends and receives in one system call, where a socket with a
+    Python timeout polls before each."""
+    sock.settimeout(None)
+    timeval = _timeval(seconds)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+
+
+def _read_rest(
+    sock: socket.socket, buffer: bytearray, received: int, end: int, deadline: float | None
+) -> None:
+    """Fill buffer[received:end] from `sock`.  With a deadline, on the
+    time.monotonic clock, each read's kernel timeout is the time left."""
+    view = memoryview(buffer)[received:end]
     while view:
-        received = sock.recv_into(view)
-        if not received:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("frame not complete by its deadline")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(left))
+        count = sock.recv_into(view)
+        if not count:
             raise ConnectionError("connection closed mid-frame")
-        view = view[received:]
-    return buffer
+        view = view[count:]
 
 
 def send_message(sock: socket.socket, msg_type: int, payload: bytes) -> None:
-    sock.sendall(_HEADER.pack(MAGIC, msg_type, len(payload)) + payload)
+    try:
+        sock.sendall(_HEADER.pack(MAGIC, msg_type, len(payload)) + payload)
+    except BlockingIOError as exc:  # a kernel timeout (SO_SNDTIMEO) expired
+        raise TimeoutError("send timed out") from exc
 
 
 def recv_message(
-    sock: socket.socket, limits: dict[int, int] | None = None
+    sock: socket.socket, limits: dict[int, int] | None = None, timeout: float | None = None
 ) -> tuple[int, bytearray]:
-    """Read one frame.  With `limits`, mapping message type to the
-    longest payload accepted (0 for a type not listed), a longer frame
-    raises WireError before its payload is read."""
-    magic, msg_type, length = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    if magic != MAGIC:
-        raise BadMagicError("bad magic")
-    if msg_type not in (MSG_QUERY, MSG_ANSWER, MSG_ERROR):
-        raise WireError(f"unknown message type {msg_type}")
-    if limits is not None and length > limits.get(msg_type, 0):
-        raise WireError(f"{length}-byte payload too long for message type {msg_type}")
-    return msg_type, _recv_exact(sock, length)
+    """Read one frame.
+
+    With `limits`, mapping message type to the longest payload accepted
+    (0 for a type not listed), a longer frame raises WireError before
+    its payload is read, and the first read asks for the header and the
+    longest payload at once, so a whole frame costs one system call;
+    bytes past the frame's end in that read are a WireError too.  Without
+    `limits` the header and the payload are read exactly.  With
+    `timeout`, the socket's kernel receive timeout in seconds, a frame
+    that the first read does not complete must be complete `timeout`
+    after it: the reads that complete it wait only for the time left,
+    and the socket's timeout is restored after them.  An expired kernel
+    timeout raises TimeoutError.
+    """
+    buffer = bytearray(_HEADER.size + (max(limits.values()) if limits else 0))
+    deadline = None
+    try:
+        received = sock.recv_into(buffer)
+        if not received:
+            raise ConnectionError("connection closed mid-frame")
+        if received < _HEADER.size:
+            if timeout is not None:
+                deadline = time.monotonic() + timeout
+            _read_rest(sock, buffer, received, _HEADER.size, deadline)
+            received = _HEADER.size
+        magic, msg_type, length = _HEADER.unpack_from(buffer)
+        if magic != MAGIC:
+            raise BadMagicError("bad magic")
+        if msg_type not in (MSG_QUERY, MSG_ANSWER, MSG_ERROR):
+            raise WireError(f"unknown message type {msg_type}")
+        if limits is not None and length > limits.get(msg_type, 0):
+            raise WireError(f"{length}-byte payload too long for message type {msg_type}")
+        end = _HEADER.size + length
+        if received > end:
+            raise WireError("bytes beyond the frame")
+        if received < end:
+            if limits is None:
+                buffer += bytes(length)
+            if timeout is not None and deadline is None:
+                deadline = time.monotonic() + timeout
+            _read_rest(sock, buffer, received, end, deadline)
+    except BlockingIOError as exc:  # a kernel timeout (SO_RCVTIMEO) expired
+        raise TimeoutError("receive timed out") from exc
+    finally:
+        if deadline is not None:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(timeout))
+    return msg_type, buffer[_HEADER.size : end]
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +481,14 @@ def decode_error_payload(payload: bytes) -> tuple[int, str]:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         server: StorageServer = self.server  # type: ignore[assignment]
-        self.request.settimeout(IDLE_TIMEOUT_S)
+        idle = IDLE_TIMEOUT_S
+        _kernel_timeouts(self.request, idle)
         while True:
             try:
-                msg_type, payload = recv_message(self.request, server.frame_limits)
+                msg_type, payload = recv_message(self.request, server.frame_limits, idle)
             except BadMagicError:
                 return  # close without reply
-            except OSError:  # closed, idle too long, or server_close
+            except OSError:  # closed, idle or mid-frame too long, or server_close
                 return
             except WireError as exc:
                 self._reply_error(ERR_MALFORMED_QUERY, str(exc))
@@ -530,25 +614,26 @@ class RetrievalResult:
 
 
 class _ConnectionPool:
-    """Idle client sockets, each with the address it is connected to."""
+    """Idle client sockets, each with its key: the address it is
+    connected to and the timeout it is armed with."""
 
     def __init__(self):
-        self._idle: list[tuple[tuple[str, int], socket.socket]] = []
+        self._idle: list[tuple[tuple, socket.socket]] = []
         self._lock = threading.Lock()
 
-    def take(self, address) -> socket.socket | None:
-        """The socket to `address` returned last, if one is idle."""
+    def take(self, key) -> socket.socket | None:
+        """The socket of `key` returned last, if one is idle."""
         with self._lock:
             for i in range(len(self._idle) - 1, -1, -1):
-                if self._idle[i][0] == address:
+                if self._idle[i][0] == key:
                     return self._idle.pop(i)[1]
         return None
 
-    def put(self, address, sock: socket.socket) -> None:
+    def put(self, key, sock: socket.socket) -> None:
         """Keep `sock` for reuse, closing the longest idle socket when
         more than MAX_IDLE_CONNECTIONS are kept."""
         with self._lock:
-            self._idle.append((address, sock))
+            self._idle.append((key, sock))
             evicted = self._idle[: max(0, len(self._idle) - MAX_IDLE_CONNECTIONS)]
             del self._idle[: len(evicted)]
         for _, old in evicted:
@@ -565,20 +650,26 @@ class _ConnectionPool:
 _pool = _ConnectionPool()
 
 
+def _connect(address, timeout: float) -> socket.socket:
+    """A new connection to `address`, armed with kernel timeouts."""
+    sock = socket.create_connection(address, timeout=timeout)
+    _kernel_timeouts(sock, timeout)
+    return sock
+
+
 class _Link:
     """One server's share of a retrieval: its query, sent on a pooled
-    socket when one is idle and on a new connection otherwise."""
+    socket armed with the same timeout when one is idle and on a new
+    connection otherwise."""
 
     def __init__(self, address, payload: bytes, timeout: float):
         self.address = address
         self.payload = payload
         self.timeout = timeout
-        self.sock = _pool.take(address)
+        self.sock = _pool.take((address, timeout))
         self.fresh = self.sock is None
         if self.fresh:
-            self.sock = socket.create_connection(address, timeout=timeout)
-        else:
-            self.sock.settimeout(timeout)
+            self.sock = _connect(address, timeout)
 
     def send(self) -> None:
         try:
@@ -590,12 +681,12 @@ class _Link:
         """The server's reply.  After a whole ANSWER frame the socket
         goes back to the pool; otherwise `close` closes it."""
         try:
-            reply = recv_message(self.sock, limits)
+            reply = recv_message(self.sock, limits, self.timeout)
         except OSError as exc:
             self._reconnect(exc)
-            reply = recv_message(self.sock, limits)
+            reply = recv_message(self.sock, limits, self.timeout)
         if reply[0] == MSG_ANSWER:
-            _pool.put(self.address, self.sock)
+            _pool.put((self.address, self.timeout), self.sock)
             self.sock = None
         return reply
 
@@ -607,7 +698,7 @@ class _Link:
             raise exc
         self.sock.close()
         self.fresh = True
-        self.sock = socket.create_connection(self.address, timeout=self.timeout)
+        self.sock = _connect(self.address, self.timeout)
         send_message(self.sock, MSG_QUERY, self.payload)
 
     def close(self) -> None:
@@ -647,10 +738,15 @@ def client_retrieve(
     cannot be reached, times out, replies with an ERROR, or sends an
     answer that does not fit its query aborts the retrieval with
     RetrievalAbortedError naming the server.  For a misfit answer its
-    cause is a WireError (a frame longer than k values of p-1's width, a
-    bad width byte, a value outside [0:p)) or scheme.AnswerMismatchError
-    (a length other than one value per live round).
+    cause is a WireError (a frame longer than k values of p-1's width,
+    bytes beyond the frame in the read that began it, a bad width byte,
+    a value outside [0:p)) or scheme.AnswerMismatchError (a length other
+    than one value per live round).  `timeout`, in seconds, bounds each
+    connect, send and read, and a frame from its first read; ValueError
+    unless it is a finite number > 0, before any connection is opened.
     """
+    if not (timeout > 0 and math.isfinite(timeout)):
+        raise ValueError(f"timeout={timeout} is not a finite number of seconds > 0")
     addresses = list(server_addresses)
     if len(addresses) != params.n_servers:
         raise ParameterMismatch(

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 import socket
 import struct
@@ -43,15 +44,42 @@ from conftest import EXAMPLE_QUERY, start_serving, stop_servers
 from oracle import answer_queries, retrieve_batch_reference
 
 
+class CountingSocket:
+    """A socket that appends the name of each call of a method in
+    COUNTED, as it is made, to `calls`."""
+
+    COUNTED = frozenset({"send", "sendall", "recv", "recv_into", "settimeout", "setsockopt"})
+
+    def __init__(self, sock, calls: list):
+        self._sock = sock
+        self._calls = calls
+
+    def __getattr__(self, attr):
+        method = getattr(self._sock, attr)
+        if attr not in self.COUNTED:
+            return method
+
+        def counted(*args):
+            self._calls.append(attr)  # one append, atomic across handler threads
+            return method(*args)
+
+        return counted
+
+
 class CountingServer(StorageServer):
-    """Counts the connections it accepts."""
+    """Counts the connections it accepts, and its handlers' socket calls
+    in `calls`."""
 
     accepts = 0
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls: list[str] = []
+
     def get_request(self):
-        request = super().get_request()
+        sock, address = super().get_request()
         self.accepts += 1  # only the serving thread accepts
-        return request
+        return CountingSocket(sock, self.calls), address
 
 
 @pytest.fixture(autouse=True)
@@ -165,6 +193,17 @@ def record_frames(monkeypatch, frames: list) -> None:
             return getattr(self.sock, attr)
 
     monkeypatch.setattr(net.socket, "create_connection", Recording)
+
+
+def count_client_calls(monkeypatch, calls: list) -> None:
+    """Make every client socket opened from now on a CountingSocket
+    appending to `calls`."""
+    connect = socket.create_connection
+    monkeypatch.setattr(
+        net.socket,
+        "create_connection",
+        lambda *args, **kwargs: CountingSocket(connect(*args, **kwargs), calls),
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -1009,6 +1048,24 @@ class TestConnectionPool:
         for seed in (2, 3):
             assert client_retrieve(addresses, 2, params, seed=seed).source == sources[2]
 
+    def test_pool_is_keyed_by_timeout(self, cluster):
+        """A pooled socket is reused only by a call of the timeout it was
+        armed with; another timeout gets connections of its own."""
+        params, sources, addresses, servers = cluster
+        for timeout in (5.0, 2.0, 5.0, 2.0):
+            result = client_retrieve(addresses, 0, params, seed=0, timeout=timeout)
+            assert result.source == sources[0]
+        assert [server.accepts for server in servers] == [2] * params.n_servers
+
+    @pytest.mark.parametrize("timeout", [0, -1, math.nan, math.inf])
+    def test_timeout_the_kernel_cannot_carry(self, cluster, timeout, monkeypatch):
+        params, _, addresses, _ = cluster
+        opened = []
+        monkeypatch.setattr(net.socket, "create_connection", lambda *args, **kw: opened.append(1))
+        with pytest.raises(ValueError, match="timeout"):
+            client_retrieve(addresses, 0, params, seed=0, timeout=timeout)
+        assert opened == []
+
     def test_resend_after_stale_connection_is_identical(self, cluster, monkeypatch):
         params, sources, addresses, servers = cluster
         frames = []
@@ -1022,6 +1079,158 @@ class TestConnectionPool:
         assert to_stale[0] == to_stale[1]
         assert len(frames) == params.n_servers + 1
         assert servers[2].accepts == 2
+
+
+class TestFraming:
+    """A frame is read whole, bytes beyond it are refused, and a frame
+    must be complete within the receive timeout of its first read."""
+
+    def test_two_queries_in_one_write_get_two_answers(self, cluster):
+        params, _, addresses, _ = cluster
+        payload = encode_query_payload(params, EXAMPLE_QUERY)
+        frame = net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            sock.sendall(frame + frame)
+            first, second = recv_message(sock), recv_message(sock)
+        assert first == second
+        assert first[0] == MSG_ANSWER
+
+    def test_short_query_then_another_frame_is_malformed(self, cluster):
+        """A QUERY two bytes short, then a valid one in the same write:
+        the first read runs past the short frame's end."""
+        params, _, addresses, _ = cluster
+        payload = encode_query_payload(params, EXAMPLE_QUERY)
+        short = net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload) - 2) + payload[:-2]
+        valid = net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            sock.sendall(short + valid)
+            msg_type, reply = recv_message(sock)
+            assert msg_type == MSG_ERROR
+            assert decode_error_payload(reply) == (
+                net.ERR_MALFORMED_QUERY, "bytes beyond the frame"
+            )
+            assert sock.recv(1) == b""
+        assert ask(addresses[0], payload)[0] == MSG_ANSWER
+
+    def test_two_answers_in_one_write_abort_the_retrieval(self, cluster, monkeypatch):
+        params, sources, addresses, servers = cluster
+        assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
+        send = net.send_message
+
+        def doubled_send(sock, msg_type, payload):
+            if msg_type == MSG_ANSWER and sock.getsockname() == addresses[2]:
+                frame = net._HEADER.pack(net.MAGIC, msg_type, len(payload)) + payload
+                return sock.sendall(frame + frame)
+            return send(sock, msg_type, payload)
+
+        monkeypatch.setattr(net, "send_message", doubled_send)
+        with pytest.raises(RetrievalAbortedError) as exc:
+            client_retrieve(addresses, 1, params, seed=1)
+        assert exc.value.server_index == 2
+        assert isinstance(exc.value.cause, WireError)
+        assert str(exc.value.cause) == "bytes beyond the frame"
+        monkeypatch.setattr(net, "send_message", send)
+        assert client_retrieve(addresses, 2, params, seed=2).source == sources[2]
+        # Server 2's socket was not pooled; those of servers 3 and 4,
+        # never read, were closed with it.
+        assert [server.accepts for server in servers] == [1, 1, 2, 2, 2]
+
+    def test_split_frame_restores_the_receive_timeout(self):
+        left, right = socket.socketpair()
+        with left, right:
+            net._kernel_timeouts(right, 2.0)
+            armed = right.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, 16)
+            frame = net._HEADER.pack(net.MAGIC, MSG_ANSWER, 3) + bytes([1, 2, 3])
+            left.sendall(frame[:5])
+            rest = threading.Timer(0.2, left.sendall, [frame[5:]])
+            rest.start()
+            try:
+                reply = recv_message(right, {MSG_ANSWER: 4}, 2.0)
+            finally:
+                rest.join()
+            assert reply == (MSG_ANSWER, bytearray([1, 2, 3]))
+            assert right.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, 16) == armed
+
+    def test_trickled_frame_is_closed_at_its_deadline(self, cluster, monkeypatch):
+        """A peer sends a QUERY header, then one payload byte every 0.1 s:
+        no read waits the 0.2 s idle timeout, but the frame is closed
+        within two of them; the server still answers an honest client."""
+        params, sources, addresses, _ = cluster
+        monkeypatch.setattr(net, "IDLE_TIMEOUT_S", 0.2)
+        payload = encode_query_payload(params, EXAMPLE_QUERY)
+        closed = False
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            sock.sendall(net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)))
+            start = time.monotonic()
+            sock.settimeout(0.1)
+            for byte in payload:
+                try:
+                    sock.sendall(bytes([byte]))
+                    closed = sock.recv(1) == b""
+                except TimeoutError:
+                    continue
+                except ConnectionError:  # reset: a byte came after the close
+                    closed = True
+                break
+            elapsed = time.monotonic() - start
+        assert closed
+        assert elapsed < 2 * 0.2
+        assert client_retrieve(addresses, 1, params, seed=0).source == sources[1]
+
+    def test_timeout_below_a_microsecond_still_expires(self):
+        """A timeval of 0 would block for good; 1e-9 s arms 1 µs."""
+        assert net._timeval(1e-9) == net._TIMEVAL.pack(0, 1)
+        assert net._timeval(2.5) == net._TIMEVAL.pack(2, 500_000)
+        left, right = socket.socketpair()
+        with left, right:
+            net._kernel_timeouts(right, 1e-9)
+            # Had the read no timeout, this frame would end it after 2 s.
+            late = threading.Timer(2.0, left.sendall, [bytes(9)])
+            late.start()
+            try:
+                with pytest.raises(TimeoutError):
+                    recv_message(right)
+            finally:
+                late.cancel()
+                late.join()
+
+
+class TestSyscallBudget:
+    """On a pooled connection each frame costs one system call at each
+    end: the client's sendall and recv_into, the server's recv_into and
+    sendall, with no timeout set per retrieval."""
+
+    @pytest.mark.parametrize("system", ["cluster", "wide_cluster"])
+    def test_pooled_retrieval_makes_one_call_per_frame(self, system, request, monkeypatch):
+        params, sources, addresses, _ = request.getfixturevalue(system)
+        calls = []
+        count_client_calls(monkeypatch, calls)
+        assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
+        # Each new connection is armed once.
+        nn = params.n_servers
+        assert sorted(calls) == sorted(
+            ["settimeout", "setsockopt", "setsockopt", "sendall", "recv_into"] * nn
+        )
+        calls.clear()
+        for seed in range(1, 6):
+            assert client_retrieve(addresses, 1, params, seed=seed).source == sources[1]
+        assert sorted(calls) == sorted(["sendall", "recv_into"] * 5 * nn)
+
+    @pytest.mark.parametrize("system", ["cluster", "wide_cluster"])
+    def test_server_makes_one_read_and_one_send_per_query(self, system, request):
+        params, sources, addresses, servers = request.getfixturevalue(system)
+        for seed in range(5):
+            assert client_retrieve(addresses, 2, params, seed=seed).source == sources[2]
+        net._pool.clear()  # each handler's last read then sees the close
+        deadline = time.monotonic() + 5.0
+        while any(server._connections for server in servers):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        for server in servers:
+            assert server.accepts == 1
+            # armed once, one read and one send per query, a last read
+            expected = ["settimeout", "setsockopt", "setsockopt", "recv_into"]
+            assert sorted(server.calls) == sorted(expected + ["recv_into", "sendall"] * 5)
 
 
 class TestFuzz:
@@ -1101,16 +1310,22 @@ class TestFuzz:
         {MSG_ANSWER: 1 + 1 * 3, MSG_ERROR: net.MAX_ERROR_PAYLOAD},
     ]))
     def test_recv_message(self, data, limits):
-        left, right = socket.socketpair()
-        with left, right:
-            right.settimeout(2.0)
-            left.sendall(data)
-            left.shutdown(socket.SHUT_WR)
-            try:
-                while True:
-                    recv_message(right, limits)
-            except (WireError, ConnectionError):
-                pass
+        """On a socket with a Python timeout, and on one armed with
+        kernel timeouts and read with its frame deadline."""
+        for armed in (False, True):
+            left, right = socket.socketpair()
+            with left, right:
+                if armed:
+                    net._kernel_timeouts(right, 2.0)
+                else:
+                    right.settimeout(2.0)
+                left.sendall(data)
+                left.shutdown(socket.SHUT_WR)
+                try:
+                    while True:
+                        recv_message(right, limits, 2.0 if armed else None)
+                except (WireError, ConnectionError):
+                    pass
 
     @settings(
         max_examples=30,
