@@ -184,21 +184,23 @@ def verify_privacy(
     samples: int = 100_000,
     budget: int = 10**6,
     significance: float = 0.01,
+    family: str = scheme.OMEGA,
 ) -> PrivacyReport:
-    """Verify that what a server sees is independent of the file index.
+    """Verify that what a server sees is independent of the file index,
+    for master queries of `family` (the paper's OMEGA unless told).
 
     Exhaustive mode checks that the master-to-server query map is a
-    bijection on the full query space for every (theta, t); with
-    deterministic answering this pins the server's view distribution.
-    Statistical mode runs per-entry chi-square uniformity tests on
-    sampled server queries.
+    bijection on the full query space, Omega^M or Z_n^M, for every
+    (theta, t); with deterministic answering this pins the server's view
+    distribution.  Statistical mode runs per-entry chi-square uniformity
+    tests on sampled server queries.
     """
     if mode == "exhaustive":
-        return _verify_privacy_exhaustive(params, budget)
+        return _verify_privacy_exhaustive(params, budget, family)
     if mode == "statistical":
         if rng is None:
             raise ValueError("statistical mode needs an rng")
-        return _verify_privacy_statistical(params, rng, samples, significance)
+        return _verify_privacy_statistical(params, rng, samples, significance, family)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -206,11 +208,11 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _verify_privacy_exhaustive(params: SystemParams, budget: int) -> PrivacyReport:
-    size = scheme.query_space_size(params)
+def _verify_privacy_exhaustive(params: SystemParams, budget: int, family: str) -> PrivacyReport:
+    size = scheme.query_space_size(params, family)
     if size > budget:
         raise BudgetExceededError(f"|query space| = {size} exceeds budget {budget}")
-    space = scheme.query_space(params, np.arange(size))
+    space = scheme.query_space(params, np.arange(size), family)
     # The space holds each query once, so server t's image of it is the
     # whole space exactly when the sorted images equal the sorted space.
     universe = _sorted_rows(space.reshape(size, -1))
@@ -227,14 +229,15 @@ def _verify_privacy_exhaustive(params: SystemParams, budget: int) -> PrivacyRepo
 
 
 def _verify_privacy_statistical(
-    params: SystemParams, rng: np.random.Generator, samples: int, significance: float
+    params: SystemParams, rng: np.random.Generator, samples: int, significance: float,
+    family: str,
 ) -> PrivacyReport:
     # Imported here: scipy costs every process that imports the package
     # tens of megabytes, and only this verifier needs it.
     from scipy.stats import chisquare
 
     n, k, m = params.n_reduced, params.k_reduced, params.m_files
-    master = scheme.sample_master_queries(params, rng, samples)
+    master = scheme.sample_master_queries(params, rng, samples, family)
     details = []
     passed = True
     for theta in range(m):

@@ -1,32 +1,31 @@
 """
-TCP transport for the retrieval protocol, wire format v3.
+TCP transport for the retrieval protocol, wire format v4.
 
-Frame: 4-byte magic "PIR3", 1-byte message type, u32 big-endian payload
-length, payload.  A peer that sends another magic, such as v2's "PIR2"
-or v1's "PIR1", gets no reply and a closed connection.
+Frame: 4-byte magic "PIR4", 1-byte message type, u32 big-endian payload
+length, payload.  A peer that sends another magic, such as v3's "PIR3",
+gets no reply and a closed connection.
 
-QUERY: (N, K, M, p) as four big-endian u32s, then the M columns as
-their ranks in Omega (scheme.omega), or else the k x M entries,
-row-major.  Values take the narrowest of 4, 8 or 16 bits that holds
-the largest, |Omega|-1 or n-1; ranks travel where |Omega| <= 2^16 and
-a rank is narrower than k entries, so (5,3) sends 8-bit ranks, (8,5)
-16-bit ones, and k = 1 or |Omega| > 2^16 entries.  Nibbles go two to a
-byte, high first, an odd count padded with a zero nibble (a server
-rejects any other pad, so a query has one encoding); u16s big-endian.
-The client draws the master as ranks; server t's ranks are the
-master's with the desired one shifted by t mod n (scheme.rank_tables),
-all N packed in one numpy step, nibbles through hex digits.  A server
-checks the header against its own parameters first, then reads the
-layout they imply, never one the peer names, and rejects a rank not
-below |Omega|.  A query of more than scheme.SMALL_QUERY_ENTRIES
-entries reaches scheme.server_answer as a C-contiguous (k, M) array, u8
-for n <= 256; a smaller one as row lists of Python ints, unpacked
-without numpy, as its loop answers them faster than numpy would.  A
-query built from ranks comes as a scheme.RankedQuery or
-scheme.RankedRows: its columns are rows of Omega, so that rank check is
-the only one it gets, and server_answer answers it unchecked.  A query
-of entries comes as a plain array or plain lists, and server_answer
-checks it against n.
+QUERY: (N, K, M, p) as four big-endian u32s, then the M shifts of a
+query of scheme.SHIFTS: column j is the base column (0, 1, ..., k-1)
+shifted by shift j mod n.  A shift takes the narrowest of 4, 8 or 16
+bits that holds n-1, so (5,3,3) sends 2 bytes of shifts and (8,5,256)
+128.  Nibbles go two to a byte, high first, an odd count padded with a
+zero nibble (a server rejects any other pad, so a query has one
+encoding); u16s big-endian.  The client draws the master as M shifts;
+server t's are the master's with the desired one raised by t mod n,
+and its live rounds are the OR of its shifts' low rows
+(scheme.shift_tables), found and packed in Python past the draw: the
+shifts are packed once, and only the desired one's bytes differ
+between servers.  A server checks the header against its own
+parameters first, then reads M shifts at n's width, never a layout the
+peer names, and rejects a shift not below n.  It expands the shifts
+through the shift table: a query of more than
+scheme.SMALL_QUERY_ENTRIES entries reaches scheme.server_answer as a
+C-contiguous (k, M) scheme.RankedQuery, u8 for n <= 256; a smaller one
+as scheme.RankedRows, row lists of Python ints built without numpy, as
+its loop answers them faster than numpy would.  Their columns are
+shifted base columns by construction, so the shift check is the only
+one a query gets, and server_answer answers it unchecked.
 
 ANSWER: one width byte w, the fewest of 1, 2 or 4 bytes that hold the
 largest live value (1 when no round is live), then the live values
@@ -42,8 +41,8 @@ neither tells it anything about the desired file.
 ERROR: a u16 code plus UTF-8 detail.  All k rounds ride in one ANSWER:
 the scheme has no inter-round dependency, so a retrieval is a single
 round trip per server.  Each side bounds the payload it reads by the
-size the system's parameters imply before reading it: 16 + ceil(count
-* bits / 8) bytes for a QUERY, 1 + w_p * k for an ANSWER, where w_p is
+size the system's parameters imply before reading it: 16 + ceil(M *
+bits / 8) bytes for a QUERY, 1 + w_p * k for an ANSWER, where w_p is
 the width of p-1, and MAX_ERROR_PAYLOAD for an ERROR.
 
 Connections persist.  A server answers every QUERY on a connection
@@ -65,12 +64,12 @@ aborts the retrieval and does not pool the socket.  The client keeps
 idle sockets in a pool of at most MAX_IDLE_CONNECTIONS, keyed by
 address and the timeout they are armed with; a retrieval sends its N
 queries, each on its own connection, then reads the N answers in turn,
-in one thread.  A socket goes back to the pool only after its whole
-ANSWER frame was read; on any error or timeout it is closed, so a late
-answer cannot desync a later retrieval.  A pooled socket that turns out
-dead is replaced once by a new connection, which resends the identical
-query frame: a second copy of a query tells the server nothing new,
-whereas a fresh query for the same file would.
+in one thread.  A socket goes back to the pool only after the client
+has accepted its ANSWER; on any error, timeout or rejected answer it is
+closed, so a late answer cannot desync a later retrieval.  A pooled
+socket that turns out dead is replaced once by a new connection, which
+resends the identical query frame: a second copy of a query tells the
+server nothing new, whereas a fresh query for the same file would.
 
 Download accounting reports element counts (the scheme's cost metric)
 and payload byte counts separately.
@@ -97,7 +96,7 @@ from .scheme import ProtocolError, ServerStorage, SystemParams
 
 logger = logging.getLogger(__name__)
 
-MAGIC = b"PIR3"
+MAGIC = b"PIR4"
 MSG_QUERY = 1
 MSG_ANSWER = 2
 MSG_ERROR = 3
@@ -279,19 +278,10 @@ def recv_message(
 # payloads
 
 
-def _entry_bits(n: int) -> int:
-    """Bits of a value of [0:n) on the wire: the narrowest of 4, 8 or 16
+def _shift_bits(n: int) -> int:
+    """Bits of a shift of [0:n) on the wire: the narrowest of 4, 8 or 16
     that holds n-1."""
     return 4 if n <= 16 else 8 if n <= 256 else 16
-
-
-@functools.lru_cache(maxsize=64)
-def _query_layout(params: SystemParams) -> tuple[bool, int, int]:
-    """(ranked, bits, count) of a QUERY's body: M column ranks where a
-    rank is narrower than k entries, else k*M entries."""
-    n, k, size = params.n_reduced, params.k_reduced, scheme.omega_size(params)
-    ranked = size <= scheme.OMEGA_TABLE_LIMIT and _entry_bits(size) < k * _entry_bits(n)
-    return ranked, _entry_bits(size if ranked else n), params.m_files * (1 if ranked else k)
 
 
 def _value_width(value: int) -> int:
@@ -311,57 +301,44 @@ def _query_head(params: SystemParams) -> bytes:
     return _QUERY_PARAMS.pack(params.n_servers, params.k_mds, params.m_files, params.prime)
 
 
-def _pack_entries(entries: np.ndarray, bits: int) -> list[bytes]:
-    """The wire bytes of each row of `entries`, (rows, count) integers
-    that fit `bits`."""
-    rows, count = entries.shape
+def _pack_shifts(shifts: list[int], bits: int) -> bytes:
+    """The wire bytes of shifts that fit `bits`: nibbles by C string
+    calls, each shift as its hex digit, the digits read back two to a
+    byte."""
     if bits == 16:
-        blob, size = entries.astype(">u2").tobytes(), 2 * count
-    elif bits == 8:
-        blob, size = entries.astype(np.uint8, copy=False).tobytes(), count
-    else:
-        # Each entry as its hex digit, the digits read back two to a byte.
-        digits = entries.astype(np.uint8, copy=False).tobytes().translate(_HEX_DIGITS)
-        pad = b"0" * (count % 2)
-        starts = range(0, rows * count, count)
-        return [binascii.a2b_hex(digits[i : i + count] + pad) for i in starts]
-    return [blob[i : i + size] for i in range(0, rows * size, size)]
+        return struct.pack(f">{len(shifts)}H", *shifts)
+    if bits == 8:
+        return bytes(shifts)
+    digits = bytes(shifts).translate(_HEX_DIGITS) + b"0" * (len(shifts) % 2)
+    return binascii.a2b_hex(digits)
 
 
 def encode_query_payload(params: SystemParams, query) -> bytes:
-    """QUERY payload of k x M entries, row lists or an integer array: the
-    bytes client_retrieve sends.  WireError for an entry that does not
-    fit n's width or, where columns travel as ranks, a query that is not
-    k x M columns of Omega."""
-    ranked, bits, _ = _query_layout(params)
+    """QUERY payload of a k x M query, row lists or an integer array,
+    whose columns are shifts of the base column (scheme.SHIFTS): the
+    bytes client_retrieve sends.  WireError for any other query."""
+    n, k, m = params.n_reduced, params.k_reduced, params.m_files
     entries = np.asarray(query)
-    if entries.dtype.kind not in "iu":
-        raise WireError("query entries must be integers")
-    if ranked:
-        try:
-            columns = scheme.validate_query(entries, params).T
-        except ProtocolError as exc:
-            raise WireError(f"query has no column ranks: {exc}") from exc
-        entries = scheme.column_ranks(columns, params.n_reduced)
-    elif entries.size and (entries.min() < 0 or entries.max() >= 1 << bits):
-        raise WireError(f"query entry out of the wire's {bits}-bit range")
-    return _query_head(params) + _pack_entries(entries.reshape(1, -1), bits)[0]
+    if entries.dtype.kind not in "iu" or entries.shape != (k, m):
+        raise WireError(f"query must be {k} x {m} integers")
+    shifts = entries[0].astype(np.int64)
+    # Row 0 equals itself mod n only where each shift lies in [0:n).
+    if not np.array_equal((shifts + np.arange(k)[:, None]) % n, entries):
+        raise WireError("query columns are not shifts of the base column")
+    return _query_head(params) + _pack_shifts(shifts.tolist(), _shift_bits(n))
 
 
 def decode_query_payload(payload: bytes, params: SystemParams):
     """The query of a QUERY payload sent to a server of `params`.
 
     The header must be params' own (HeaderMismatchError otherwise); the
-    ranks or entries are then read at the layout params' (n, k) implies
-    and must fill it exactly, with a zero pad nibble, and each rank must
-    be below |Omega| (WireError otherwise).  A query of more than
-    SMALL_QUERY_ENTRIES entries comes back as a C-contiguous (k, M)
-    array, u8 for n <= 256 and u16 above, a smaller one as k row lists
-    of Python ints.  Built from ranks, these are a scheme.RankedQuery
-    and scheme.RankedRows, whose columns are rows of Omega, and which
-    scheme.server_answer trusts.  Entries are not checked against n:
-    they come as a plain array or plain lists, which
-    scheme.server_answer checks.
+    shifts are then read at n's width and must fill the payload exactly,
+    with a zero pad nibble, and each must be below n (WireError
+    otherwise).  A query of more than SMALL_QUERY_ENTRIES entries comes
+    back as a C-contiguous (k, M) scheme.RankedQuery, u8 for n <= 256
+    and u16 above, a smaller one as scheme.RankedRows, k row lists of
+    Python ints: their columns are shifted base columns, which
+    scheme.server_answer trusts.
     """
     if len(payload) < _QUERY_PARAMS.size:
         raise WireError("query payload too short")
@@ -370,49 +347,38 @@ def decode_query_payload(payload: bytes, params: SystemParams):
     if header != expected:
         raise HeaderMismatchError(f"query params {header} do not match storage {expected}")
     n, k, m = params.n_reduced, params.k_reduced, params.m_files
-    ranked, bits, count = _query_layout(params)
-    entries = payload[_QUERY_PARAMS.size :]
-    size = -(-count * bits // 8)
-    if len(entries) != size:
-        kind = "ranks" if ranked else "entries"
-        raise WireError(f"expected {count} {bits}-bit {kind} in {size} bytes")
+    bits = _shift_bits(n)
+    body = payload[_QUERY_PARAMS.size :]
+    size = -(-m * bits // 8)
+    if len(body) != size:
+        raise WireError(f"expected {m} {bits}-bit shifts in {size} bytes")
     if bits == 4:
-        if count % 2 and entries[-1] & 0x0F:
+        if m % 2 and body[-1] & 0x0F:
             raise WireError("query pad nibble is not zero")
         # one byte per nibble, by C string calls, less the pad
-        entries = binascii.b2a_hex(entries).translate(_HEX_VALUES)[:count]
-    large = k * m > scheme.SMALL_QUERY_ENTRIES
-    if large:
-        words = np.frombuffer(entries, ">u2" if bits == 16 else np.uint8)
-    else:
-        words = struct.unpack(f">{count}H", entries) if bits == 16 else entries
-    if ranked:
-        columns, table = _omega_columns(n, k)
-        try:
-            if large:
-                return table.take(words, axis=1).view(scheme.RankedQuery)
-            return scheme.RankedRows(map(list, zip(*map(columns.__getitem__, words))))
-        except IndexError:
-            raise WireError(f"column rank {max(words)} out of [0:{len(columns)})") from None
-    if large:
-        return np.asarray(words, np.uint16 if bits == 16 else np.uint8).reshape(k, m)
-    # A loop, no numpy and no comprehension: each costs more than the
-    # work of a small query in a server whose caches have cooled.
-    rows = []
-    for start in range(0, count, m):
-        rows.append(list(words[start : start + m]))
-    return rows
+        body = binascii.b2a_hex(body).translate(_HEX_VALUES)[:m]
+    columns, table, _ = _shift_lists(n, k)
+    try:
+        if k * m > scheme.SMALL_QUERY_ENTRIES:
+            shifts = np.frombuffer(body, ">u2" if bits == 16 else np.uint8)
+            return table.take(shifts, axis=1).view(scheme.RankedQuery)
+        # No numpy: each call costs more than the work of a small query
+        # in a server whose caches have cooled.
+        shifts = struct.unpack(f">{m}H", body) if bits == 16 else body
+        return scheme.RankedRows(map(list, zip(*map(columns.__getitem__, shifts))))
+    except IndexError:
+        raise WireError(f"shift {max(shifts)} out of [0:{n})") from None
 
 
 @functools.lru_cache(maxsize=16)
-def _omega_columns(n: int, k: int):
-    """Omega's columns by rank, as tuples of Python ints and as the
-    columns of a read-only u8 (k, |Omega|) array (n <= 41 where columns
-    travel as ranks)."""
-    table = scheme.omega(n, k)
-    rows = np.ascontiguousarray(table.T, dtype=np.uint8)
+def _shift_lists(n: int, k: int):
+    """scheme.shift_tables as the codecs use them: each shift's column
+    as a tuple of Python ints, the columns of a read-only (k, n) array,
+    and each shift's low-row mask as a Python int."""
+    table, low = scheme.shift_tables(n, k)
+    rows = np.ascontiguousarray(table.T)
     rows.flags.writeable = False
-    return tuple(map(tuple, table.tolist())), rows
+    return tuple(map(tuple, table.tolist())), rows, tuple(low.tolist())
 
 
 @functools.lru_cache(maxsize=64)
@@ -548,8 +514,8 @@ class StorageServer(socketserver.ThreadingTCPServer):
     def __init__(self, storage: ServerStorage, params: SystemParams, address=("127.0.0.1", 0)):
         self.storage = storage
         self.params = params
-        _, bits, count = _query_layout(params)
-        self.frame_limits = {MSG_QUERY: _QUERY_PARAMS.size + -(-count * bits // 8)}
+        shifts = -(-params.m_files * _shift_bits(params.n_reduced) // 8)
+        self.frame_limits = {MSG_QUERY: _QUERY_PARAMS.size + shifts}
         self._connections: set = set()
         self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
@@ -678,17 +644,18 @@ class _Link:
             self._reconnect(exc)
 
     def receive(self, limits: dict[int, int]) -> tuple[int, bytearray]:
-        """The server's reply.  After a whole ANSWER frame the socket
-        goes back to the pool; otherwise `close` closes it."""
+        """The server's reply frame."""
         try:
-            reply = recv_message(self.sock, limits, self.timeout)
+            return recv_message(self.sock, limits, self.timeout)
         except OSError as exc:
             self._reconnect(exc)
-            reply = recv_message(self.sock, limits, self.timeout)
-        if reply[0] == MSG_ANSWER:
-            _pool.put((self.address, self.timeout), self.sock)
-            self.sock = None
-        return reply
+            return recv_message(self.sock, limits, self.timeout)
+
+    def keep(self) -> None:
+        """Put the socket back in the pool, once its answer is accepted;
+        `close` closes it otherwise."""
+        _pool.put((self.address, self.timeout), self.sock)
+        self.sock = None
 
     def _reconnect(self, exc: OSError) -> None:
         """Replace a pooled socket that turned out dead by a new
@@ -755,53 +722,60 @@ def client_retrieve(
     if not 0 <= theta < params.m_files:
         raise scheme.ParameterError(f"theta={theta} out of [0:{params.m_files})")
     n, k, nn = params.n_reduced, params.k_reduced, params.n_servers
-    rng = scheme.make_rng(seed)
-    ranked, bits, _ = _query_layout(params)
-    if ranked:
-        # Server t's ranks are the master's, the desired one shifted by
-        # t mod n; its live rounds are the OR of its columns' low rows.
-        ranks = scheme.sample_master_ranks(params, rng, 1)
-        shift, low = scheme.rank_tables(n, k)
-        words = ranks.repeat(nn, axis=0)
-        words[:, theta] = shift[ranks[0, theta]].tolist() * params.d
-        masks = np.bitwise_or.reduce(low[words], axis=1)
-        live = (masks[:, None] >> np.arange(k) & 1).astype(bool)
-        master = scheme.omega(n, k)[ranks[0]].T
-    else:
-        master = scheme.sample_master_queries(params, rng, 1)[0]
-        queries = scheme.server_queries(master[None], [theta], params)[0]
-        live = scheme.live_rounds(queries, params)
-        words = queries.reshape(nn, -1)
-    counts = live.sum(axis=1).tolist()
+    bits = _shift_bits(n)
+    _, table, low = _shift_lists(n, k)
+    drawn = scheme.sample_master_shifts(params, scheme.make_rng(seed), 1)[0]
+    shifts = drawn.tolist()
+    # Server t's shifts are the master's, the desired one raised by t mod
+    # n; its live rounds are the OR of its shifts' low rows.
+    others, full = 0, (1 << k) - 1
+    for j, shift in enumerate(shifts):
+        if j != theta:
+            others |= low[shift]
+            if others == full:
+                break
+    # The shifts are packed once; per server only the bytes that hold the
+    # desired one change: its u16 or byte, or its nibble and its pair's.
+    body = bytearray(_pack_shifts(shifts, bits))
+    first = theta - theta % 2 if bits == 4 else theta
+    window = shifts[first : first + 2] if bits == 4 else [shifts[theta]]
+    start = first * bits // 8
     head = _query_head(params)
-    packed = _pack_entries(words, bits)
     limits = {
         MSG_ANSWER: 1 + _value_width(params.prime - 1) * params.k_reduced,
         MSG_ERROR: MAX_ERROR_PAYLOAD,
     }
     links: list[_Link] = []
+    masks: list[int] = []
     values: list[int] = []
     upload_bytes = download_bytes = 0
     try:
         for t, address in enumerate(addresses):
-            payload = head + packed[t]
+            window[theta - first] = (shifts[theta] + t) % n
+            cell = _pack_shifts(window, bits)
+            body[start : start + len(cell)] = cell
+            payload = head + body
+            masks.append(others | low[window[theta - first]])
             upload_bytes += len(payload)
             links.append(_Link(address, payload, timeout))
             links[t].send()
         for t, link in enumerate(links):
             reply = link.receive(limits)
-            values += _read_answer(reply, counts[t], t, params.prime)
+            values += _read_answer(reply, masks[t].bit_count(), t, params.prime)
+            link.keep()
             download_bytes += len(reply[1])
     except (OSError, WireError, ServerSideError, scheme.AnswerMismatchError) as exc:
         raise RetrievalAbortedError(t, exc) from exc
     finally:
         for link in links:
             link.close()
-    answers = np.zeros(live.shape, dtype=np.int64)
-    answers[live] = values
+    # (N, k), 0 in NULL rounds
+    placed = iter(values)
+    answers = [next(placed) if mask >> s & 1 else 0 for mask in masks for s in range(k)]
     code = make_code(params.n_servers, params.k_mds, params.prime)
+    master = table.take(drawn, axis=1)
     return RetrievalResult(
-        source=scheme.decode(answers, master, theta, params, code),
+        source=scheme.decode(np.reshape(answers, (nn, k)), master, theta, params, code),
         download_elements=len(values),
         download_bytes=download_bytes,
         upload_bytes=upload_bytes,

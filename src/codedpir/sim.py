@@ -61,8 +61,10 @@ def run_trials(
     seed: int,
     theta_policy: str = "fixed",
     theta: int = 0,
+    family: str = scheme.OMEGA,
 ) -> TrialStats:
-    """n_trials independent (query, theta) retrievals over fixed random files.
+    """n_trials independent (query, theta) retrievals over fixed random
+    files, with masters of `family` (the paper's OMEGA unless told).
 
     Trials run through scheme.retrieve_batch in batches whose gather and
     decode maps hold about TRIAL_CHUNK_ENTRIES entries; the download is
@@ -77,7 +79,7 @@ def run_trials(
     sources = scheme.random_sources(params, rng)
     _, storages = scheme.encode_system(params, sources, code)
 
-    masters = scheme.sample_master_queries(params, rng, n_trials)
+    masters = scheme.sample_master_queries(params, rng, n_trials, family)
     if theta_policy == "uniform":
         thetas = rng.integers(0, params.m_files, size=n_trials)
     else:
@@ -110,36 +112,45 @@ def run_trials(
 
 
 def exact_expectation_by_enumeration(
-    params: SystemParams, budget: int = 10**6, theta: int = 0
+    params: SystemParams, budget: int = 10**6, theta: int = 0, family: str = scheme.OMEGA
 ) -> Fraction:
-    """Mean realized download over the full query space, exactly.
+    """Mean realized download over the full query space of `family`,
+    Omega^M or Z_n^M, exactly.
 
     Counts live rounds of every server's query with the mask the batch
-    engine uses, read from the masters' column ranks: server t's round s
-    is live where the master's row s is live apart from the desired
-    file, or the desired column shifted by t is low in row s
-    (scheme.rank_tables).  This is an enumeration-based check on the
-    closed-form expectation, so it uses no distributional shortcuts.
-    Masters are taken ENUM_CHUNK_ENTRIES query entries at a time, by
-    their index in Omega^M (scheme.query_space's order).
+    engine uses, read from the masters' column ranks or shifts: server
+    t's round s is live where the master's row s is live apart from the
+    desired file, or the desired column shifted by t is low in row s
+    (scheme.rank_tables, scheme.shift_tables).  This is an
+    enumeration-based check on the closed-form expectation, so it uses
+    no distributional shortcuts.  Masters are taken ENUM_CHUNK_ENTRIES
+    query entries at a time, by their index in the space
+    (scheme.query_space's order).
     """
-    size = scheme.query_space_size(params)
+    size = scheme.query_space_size(params, family)
     if size > budget:
         raise analysis.BudgetExceededError(
             f"|query space| = {size} exceeds budget {budget}"
         )
     scheme._checked_thetas(theta, params)
-    shift, low = scheme.rank_tables(params.n_reduced, params.k_reduced)
-    shape = (scheme.omega_size(params),) * params.m_files
-    per_master = params.n_servers * params.k_reduced * params.m_files
+    n, k = params.n_reduced, params.k_reduced
+    if family == scheme.SHIFTS:
+        # shift u, moved on by t, is shift (u + t) mod n
+        shift = (np.arange(n)[:, None] + np.arange(n)) % n
+        low = scheme.shift_tables(n, k)[1]
+    else:
+        shift, low = scheme.rank_tables(n, k)
+    shape = (len(low),) * params.m_files
+    per_master = params.n_servers * k * params.m_files
     chunk = max(1, ENUM_CHUNK_ENTRIES // per_master)
     total = 0
     for start in range(0, size, chunk):
-        ranks = np.stack(np.unravel_index(np.arange(start, min(start + chunk, size)), shape))
-        others = np.bitwise_or.reduce(low[np.delete(ranks, theta, axis=0)], axis=0)
+        # (M, masters): each file's column rank or shift
+        digits = np.stack(np.unravel_index(np.arange(start, min(start + chunk, size)), shape))
+        others = np.bitwise_or.reduce(low[np.delete(digits, theta, axis=0)], axis=0)
         # (masters, n): the n shifts of the desired column, d servers each
-        live = others[:, None] | low[shift[ranks[theta]]]
-        total += params.d * int((live[..., None] >> np.arange(params.k_reduced) & 1).sum())
+        live = others[:, None] | low[shift[digits[theta]]]
+        total += params.d * int((live[..., None] >> np.arange(k) & 1).sum())
     return Fraction(total, size)
 
 

@@ -9,6 +9,10 @@ from codedpir.scheme import random_sources
 # query matrix of the worked (5,3,3) example; desired file index 0
 EXAMPLE_QUERY = [[3, 4, 3], [0, 1, 0], [1, 0, 4]]
 
+# a (5,3,3) master of the shift family, the queries the TCP client sends:
+# the base column (0, 1, 2) shifted by 3, 4 and 3 mod 5
+SHIFT_QUERY = [[3, 4, 3], [4, 0, 4], [0, 1, 0]]
+
 
 @pytest.fixture
 def example_system():

@@ -45,6 +45,11 @@ def answer_queries(symbols, queries, params):
     return symbols[servers, files, queries].sum(axis=-1) % params.prime
 
 
+def live_rounds(queries, params):
+    """(..., k) mask of the rounds that transmit: some entry below n-k."""
+    return (np.asarray(queries) < params.rows_per_file).any(axis=-1)
+
+
 def retrieve_batch_reference(masters, thetas, storages, params, code):
     """scheme.retrieve_batch through the (T, N, k, M) server queries:
     server_queries, validate_query, the answer gather, live_rounds and
@@ -55,7 +60,7 @@ def retrieve_batch_reference(masters, thetas, storages, params, code):
     answers = answer_queries(symbols, queries, params)
     columns = masters[np.arange(len(masters)), :, np.asarray(thetas)]
     files = scheme.decode_batch(answers, columns, params, code)
-    return files, scheme.live_rounds(queries, params)
+    return files, live_rounds(queries, params)
 
 
 def decode_loop(answers, master, theta, params, code):

@@ -95,7 +95,9 @@ class TestAcceptance:
                 _, storages = scheme.encode_system(params, sources, code)
                 for trial in range(100):
                     theta = trial % m_files
-                    decoded, _ = scheme.retrieve(theta, storages, params, rng, code)
+                    decoded, _ = scheme.retrieve(
+                        theta, storages, params, rng, code, family=scheme.OMEGA
+                    )
                     ok &= decoded == sources[theta]
         elapsed = time.perf_counter() - start
         ok &= elapsed < 60.0
@@ -123,7 +125,7 @@ class TestAcceptance:
             params = scheme.derive_params(n_servers, k_mds, m_files, 257)
             rng = scheme.make_rng(7)
             for _ in range(1000):
-                master = scheme.gen_master_query(params, rng)
+                master = scheme.gen_master_query(params, rng, scheme.OMEGA)
                 theta = int(rng.integers(m_files))
                 ok &= analysis.verify_rank_identity(master, theta, params).passed
         report("rank-identity", ok)
@@ -162,6 +164,7 @@ class TestAcceptance:
             ok = True
             for seed in range(3):
                 for theta in range(3):
+                    # both draw the seed's shift master
                     local_rng = scheme.make_rng(seed)
                     local, local_dl = scheme.retrieve(
                         theta, storages, params, local_rng, code

@@ -164,7 +164,7 @@ class TestRankIdentity:
         params = derive_params(n, k, m, 257)
         rng = make_rng(99)
         for i in range(50):
-            master = gen_master_query(params, rng)
+            master = gen_master_query(params, rng, scheme.OMEGA)
             assert verify_rank_identity(master, i % m, params).passed
 
     def test_report_json(self):

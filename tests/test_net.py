@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import socket
 import struct
 import subprocess
@@ -40,8 +41,8 @@ from codedpir.net import (
     send_message,
 )
 
-from conftest import EXAMPLE_QUERY, start_serving, stop_servers
-from oracle import answer_queries, retrieve_batch_reference
+from conftest import EXAMPLE_QUERY, SHIFT_QUERY, start_serving, stop_servers
+from oracle import answer_queries, live_rounds, retrieve_batch_reference
 
 
 class CountingSocket:
@@ -131,12 +132,19 @@ def pack_reference(entries, bits):
     return bytes(high << 4 | low for high, low in zip(padded[0::2], padded[1::2]))
 
 
-def reference_ranks(query, n):
-    """Each column's index among the partial permutations of [0:n) in
-    itertools order."""
+def reference_shifts(query, n):
+    """Each column's shift of the base column (0, 1, ..., k-1) mod n,
+    after checking that every column is one."""
     rows = np.asarray(query).tolist()
-    index = {c: r for r, c in enumerate(itertools.permutations(range(n), len(rows)))}
-    return [index[column] for column in zip(*rows)]
+    assert rows == [[(u + s) % n for u in rows[0]] for s in range(len(rows))]
+    return rows[0]
+
+
+def shift_queries(params, seed, theta):
+    """The (N, k, M) server queries of the shift master that
+    client_retrieve draws from `seed`."""
+    master = scheme.sample_master_queries(params, make_rng(seed), 1, scheme.SHIFTS)
+    return scheme.server_queries(master, [theta], params)[0]
 
 
 def in_process_links(monkeypatch, storages, params):
@@ -157,6 +165,9 @@ def in_process_links(monkeypatch, storages, params):
             query = decode_query_payload(self.payload, params)
             answer = scheme.server_answer(storages[self.address], query, params)
             return MSG_ANSWER, bytearray(encode_answer_payload(answer))
+
+        def keep(self):
+            pass
 
         def close(self):
             pass
@@ -224,41 +235,45 @@ class TestPayloads:
         params = derive_params(5, 3, 3, 7)
         rng = random.Random(0)
         for _ in range(50):
-            columns = [rng.sample(range(5), 3) for _ in range(3)]
-            query = [list(row) for row in zip(*columns)]
+            shifts = [rng.randrange(5) for _ in range(3)]
+            query = [[(u + s) % 5 for u in shifts] for s in range(3)]
             payload = encode_query_payload(params, query)
-            assert payload[16:] == bytes(reference_ranks(query, 5))
+            assert payload[16:] == pack_reference(shifts, 4)
             assert decode_query_payload(bytearray(payload), params) == query
 
     def test_example_query_golden_bytes(self):
-        payload = encode_query_payload(derive_params(5, 3, 3, 7), EXAMPLE_QUERY)
+        params = derive_params(5, 3, 3, 7)
+        payload = encode_query_payload(params, SHIFT_QUERY)
         assert payload == bytes.fromhex(
             "00000005" "00000003" "00000003" "00000007"  # N, K, M, p
-            "24" "33" "26"  # the columns (3,0,1), (4,1,0), (3,0,4) as ranks 36, 51, 38
+            "34" "30"  # the shifts 3, 4, 3 as nibbles, and a zero pad nibble
         )
+        # The worked example's columns are not shifts of (0, 1, 2).
+        with pytest.raises(WireError, match="not shifts of the base column"):
+            encode_query_payload(params, EXAMPLE_QUERY)
 
     @pytest.mark.parametrize("shape, bits", [
-        ((3, 2, 3, 7), 4), ((3, 2, 65, 7), 4),
-        ((5, 3, 3, 7), 8), ((5, 3, 43, 7), 8),
-        ((8, 5, 3, 257), 16), ((8, 5, 26, 257), 16),
+        ((5, 3, 3, 7), 4), ((5, 3, 43, 7), 4),
+        ((17, 2, 3, 17), 8), ((17, 2, 65, 17), 8),
+        ((257, 2, 3, 257), 16), ((257, 2, 65, 257), 16),
     ])
     def test_rank_widths_round_trip(self, shape, bits, monkeypatch):
-        """|Omega| = 6, 60 and 6720 take 4-, 8- and 16-bit ranks, on the
+        """n = 5, 17 and 257 take 4-, 8- and 16-bit shifts, on the
         row-list and the array path; every server's query round-trips,
         and a retrieval through the codecs decodes."""
         params = derive_params(*shape)
         n, k, m = params.n_reduced, params.k_reduced, params.m_files
-        assert net._query_layout(params)[:2] == (True, bits)
+        assert net._shift_bits(n) == bits
         large = k * m > scheme.SMALL_QUERY_ENTRIES
         assert large == (m > 3)
-        master = scheme.sample_master_queries(params, make_rng(m), 1)
-        for query in scheme.server_queries(master, [1], params)[0]:
+        queries = shift_queries(params, m, 1)
+        for query in queries:
             payload = encode_query_payload(params, query)
-            assert payload[16:] == pack_reference(reference_ranks(query, n), bits)
+            assert payload[16:] == pack_reference(reference_shifts(query, n), bits)
             assert len(payload) == 16 + -(-m * bits // 8)
             decoded = decode_query_payload(bytearray(payload), params)
             if large:
-                assert decoded.dtype == np.uint8 and decoded.flags.c_contiguous
+                assert decoded.dtype == np.min_scalar_type(n - 1) and decoded.flags.c_contiguous
                 decoded = decoded.tolist()
             assert decoded == query.tolist()
         sources = scheme.random_sources(params, make_rng(1))
@@ -266,16 +281,15 @@ class TestPayloads:
         sent = in_process_links(monkeypatch, storages, params)
         result = client_retrieve(range(params.n_servers), 1, params, seed=m)
         assert result.source == sources[1].tolist()
-        assert sent == [encode_query_payload(params, q) for q in
-                        scheme.server_queries(master, [1], params)[0]]
+        assert sent == [encode_query_payload(params, q) for q in queries]
 
     @pytest.mark.parametrize("shape", [(257, 1, 129, 257), (12, 7, 2, 13)])
-    def test_entry_systems_keep_v2_entries(self, shape, monkeypatch):
-        """k = 1 (a rank is as wide as the entry) and |Omega| > 2^16 (no
-        table) send entries at n's width, as wire v2 did, end to end."""
+    def test_former_entry_systems_send_shifts(self, shape, monkeypatch):
+        """k = 1 and |Omega| > 2^16, whose queries wires v2 and v3 sent
+        as k*M entries, send M shifts at n's width like every system, end
+        to end."""
         params = derive_params(*shape)
-        n, k, m = params.n_reduced, params.k_reduced, params.m_files
-        assert net._query_layout(params)[:2] == (False, net._entry_bits(n))
+        n, m = params.n_reduced, params.m_files
         sources = scheme.random_sources(params, make_rng(2))
         _, storages = scheme.encode_system(params, sources)
         sent = in_process_links(monkeypatch, storages, params)
@@ -284,29 +298,23 @@ class TestPayloads:
             result = client_retrieve(range(params.n_servers), theta, params, seed=seed)
             assert result.source == sources[theta].tolist()
             assert result.source == scheme.retrieve(theta, storages, params, make_rng(seed))[0]
-            master = scheme.sample_master_queries(params, make_rng(seed), 1)
-            queries = scheme.server_queries(master, [theta], params)[0]
-            bits = net._entry_bits(n)
+            bits = net._shift_bits(n)
             assert sent == [
-                net._query_head(params) + pack_reference(q.ravel().tolist(), bits)
-                for q in queries
+                net._query_head(params) + pack_reference(reference_shifts(q, n), bits)
+                for q in shift_queries(params, seed, theta)
             ]
 
     def test_wide_query_matches_struct_reference(self):
         params = derive_params(8, 5, 256, 65537)
-        master = scheme.sample_master_queries(params, make_rng(3), 1)
-        queries = scheme.server_queries(master, [200], params)[0]
+        queries = shift_queries(params, 3, 200)
         head = struct.pack(">IIII", 8, 5, 256, 65537)
-        ranks = [reference_ranks(query, 8) for query in queries]
-        packed = net._pack_entries(np.array(ranks), 16)
-        for t, query in enumerate(queries):
-            reference = head + pack_reference(ranks[t], 16)
-            assert len(reference) == 16 + 512
+        for query in queries:
+            reference = head + pack_reference(reference_shifts(query, 8), 4)
+            assert len(reference) == 16 + 128
             assert encode_query_payload(params, query.tolist()) == reference
             assert encode_query_payload(params, query) == reference
-            assert head + packed[t] == reference  # the client's path
             with pytest.raises(WireError, match="integers"):
-                encode_query_payload(params, packed[t])
+                encode_query_payload(params, reference[16:])
             decoded = decode_query_payload(bytearray(reference), params)
             assert decoded.dtype == np.uint8 and decoded.flags.c_contiguous
             assert decoded.tolist() == query.tolist()
@@ -317,8 +325,9 @@ class TestPayloads:
     @pytest.mark.parametrize("m_files", [3, 4, 129, 130])
     def test_query_width_follows_n(self, n_servers, prime, bits, m_files):
         """n-1 picks 4, 8 or 16 bits, on the row-list (M = 3, 4) and the
-        array (M = 129, 130) path alike, for odd and even entry counts;
-        an entry beyond the width cannot be encoded."""
+        array (M = 129, 130) path alike, for odd and even shift counts
+        (at k = 1 a shift is the entry); a shift beyond n cannot be
+        encoded."""
         params = derive_params(n_servers, 1, m_files, prime)
         n = params.n_reduced
         query = [[(n - 1 - i) % n for i in range(m_files)]]
@@ -332,22 +341,20 @@ class TestPayloads:
             decoded = decoded.tolist()
         assert decoded == query
         with pytest.raises(WireError):
-            encode_query_payload(params, [[1 << bits] + query[0][1:]])
+            encode_query_payload(params, [[n] + query[0][1:]])
 
     @pytest.mark.parametrize("m_files", [3, 27])
     def test_odd_nibble_count_pads_a_zero_nibble(self, m_files):
-        """3 ranks of (3,2) and 135 entries of (16,5), where |Omega| >
-        2^16: the last byte's low nibble is the pad, and a payload with
-        it set is rejected on either path."""
+        """3 shifts of (3,2) and 27 of (16,5): the last byte's low nibble
+        is the pad, and a payload with it set is rejected on either
+        path."""
         params = derive_params(3 if m_files == 3 else 16, 2 if m_files == 3 else 5, m_files, 257)
-        count = m_files if m_files == 3 else params.k_reduced * m_files
-        assert net._query_layout(params)[:2] == (m_files == 3, 4)
+        assert net._shift_bits(params.n_reduced) == 4
         large = params.k_reduced * m_files > scheme.SMALL_QUERY_ENTRIES
-        assert count % 2 and large == (m_files == 27)
-        master = scheme.sample_master_queries(params, make_rng(5), 1)
-        query = scheme.server_queries(master, [1], params)[0, 0]
+        assert large == (m_files == 27)
+        query = shift_queries(params, 5, 1)[0]
         payload = bytearray(encode_query_payload(params, query))
-        assert len(payload) == 16 + (count + 1) // 2
+        assert len(payload) == 16 + (m_files + 1) // 2
         assert payload[-1] & 0x0F == 0
         assert np.array_equal(decode_query_payload(payload, params), query)
         payload[-1] |= 0x01
@@ -356,20 +363,20 @@ class TestPayloads:
 
     def test_query_decoder_checks_header_then_own_width(self):
         params = derive_params(5, 3, 3, 7)
-        payload = encode_query_payload(params, EXAMPLE_QUERY)
+        payload = encode_query_payload(params, SHIFT_QUERY)
         for bad in (payload[:-1], payload + b"\x00", payload[:15]):
             with pytest.raises(WireError) as exc:
                 decode_query_payload(bad, params)
             assert not isinstance(exc.value, HeaderMismatchError)
         other = derive_params(5, 3, 3, 11)
         with pytest.raises(HeaderMismatchError):
-            decode_query_payload(encode_query_payload(other, EXAMPLE_QUERY), params)
+            decode_query_payload(encode_query_payload(other, SHIFT_QUERY), params)
         with pytest.raises(HeaderMismatchError):  # the header decides first
-            decode_query_payload(encode_query_payload(other, EXAMPLE_QUERY) + bytes(7), params)
+            decode_query_payload(encode_query_payload(other, SHIFT_QUERY) + bytes(7), params)
         # The same header with the 9 entries as bytes: a server of (5,3)
-        # reads 3 rank bytes, so the length is wrong.
-        wide = payload[:16] + bytes(e for row in EXAMPLE_QUERY for e in row)
-        with pytest.raises(WireError, match="3 8-bit ranks"):
+        # reads 3 nibble shifts, so the length is wrong.
+        wide = payload[:16] + bytes(e for row in SHIFT_QUERY for e in row)
+        with pytest.raises(WireError, match="3 4-bit shifts"):
             decode_query_payload(wide, params)
 
     @pytest.mark.parametrize("entry", [-1, 2**16, 1.5])
@@ -474,17 +481,17 @@ class TestEndToEnd:
         assert exc.value.cause.code == net.ERR_PARAM_MISMATCH
 
     def test_malformed_query_error_code_2(self, cluster):
-        """A column with a repeated entry has no rank to send; a rank not
-        below |Omega| = 60 gets ERR_MALFORMED_QUERY."""
+        """A column that is no shift of the base column cannot be sent; a
+        shift not below n = 5 gets ERR_MALFORMED_QUERY."""
         params, _, addresses, _ = cluster
         dup = [[3, 4, 3], [3, 1, 0], [1, 0, 4]]  # repeated column entry
-        with pytest.raises(WireError, match="repeated entries"):
+        with pytest.raises(WireError, match="not shifts"):
             encode_query_payload(params, dup)
-        for ranks in ([60, 0, 0], [0, 59, 255]):
-            msg_type, payload = ask(addresses[0], net._query_head(params) + bytes(ranks))
+        for body, shift in ((bytes([0x50, 0x00]), 5), (bytes([0x04, 0xF0]), 15)):
+            msg_type, payload = ask(addresses[0], net._query_head(params) + body)
             assert msg_type == MSG_ERROR
             assert decode_error_payload(payload) == (
-                net.ERR_MALFORMED_QUERY, f"column rank {max(ranks)} out of [0:60)"
+                net.ERR_MALFORMED_QUERY, f"shift {shift} out of [0:5)"
             )
 
     def test_oversized_query_header_rejected(self, cluster):
@@ -496,7 +503,7 @@ class TestEndToEnd:
             assert msg_type == MSG_ERROR
             assert decode_error_payload(payload)[0] == net.ERR_MALFORMED_QUERY
             assert sock.recv(1) == b""
-        msg_type, _ = ask(addresses[0], encode_query_payload(params, EXAMPLE_QUERY))
+        msg_type, _ = ask(addresses[0], encode_query_payload(params, SHIFT_QUERY))
         assert msg_type == MSG_ANSWER
 
     def test_wrong_magic_closes_connection(self, cluster):
@@ -532,14 +539,24 @@ class TestEndToEnd:
             sock.sendall(v2_frame)
             assert sock.recv(1024) == b""
 
+    def test_v3_frame_gets_no_reply(self, cluster):
+        """A PIR3 peer's query, the worked example as column ranks, is
+        refused by magic alone: no reply, a closed connection."""
+        _, _, addresses, _ = cluster
+        payload = struct.pack(">IIII", 5, 3, 3, 7) + bytes([36, 51, 38])
+        v3_frame = struct.pack(">4sBI", b"PIR3", MSG_QUERY, len(payload)) + payload
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            sock.sendall(v3_frame)
+            assert sock.recv(1024) == b""
+
     def test_payload_bytes_both_ways(self, cluster):
-        """(5,3,3,7): 16 header bytes and 3 column ranks of a byte per
+        """(5,3,3,7): 16 header bytes and 3 nibble shifts in 2 bytes per
         server up; a width byte and one byte per element down."""
         params, sources, addresses, _ = cluster
         for seed in range(5):
             result = client_retrieve(addresses, seed % 3, params, seed)
             assert result.source == sources[seed % 3]
-            assert result.upload_bytes == 5 * (16 + 3) == 95
+            assert result.upload_bytes == 5 * (16 + 2) == 90
             assert result.download_bytes == 5 + result.download_elements
 
     def test_server_down_aborts_with_index(self, cluster):
@@ -597,7 +614,7 @@ class TestEndToEnd:
         expected = []
         for t in range(params.n_servers):
             query = scheme.build_server_query(master, 2, t, params)
-            expected.append(head + bytes(reference_ranks(query, 5)))
+            expected.append(head + pack_reference(reference_shifts(query, 5), 4))
         assert sent == expected
 
     def test_server_answers_from_row_lists_of_ints(self, cluster, monkeypatch):
@@ -621,7 +638,7 @@ class TestEndToEnd:
     def test_connections_beyond_the_cap_are_closed(self, cluster, monkeypatch):
         params, _, addresses, servers = cluster
         monkeypatch.setattr(net, "MAX_SERVER_CONNECTIONS", 2)
-        payload = encode_query_payload(params, EXAMPLE_QUERY)
+        payload = encode_query_payload(params, SHIFT_QUERY)
 
         def answered(sock):
             send_message(sock, MSG_QUERY, payload)
@@ -645,10 +662,9 @@ class TestEndToEnd:
 
     def test_multiple_queries_per_connection(self, cluster):
         params, _, addresses, _ = cluster
-        query = [[3, 4, 3], [0, 1, 0], [1, 0, 4]]
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
             for _ in range(3):
-                send_message(sock, MSG_QUERY, encode_query_payload(params, query))
+                send_message(sock, MSG_QUERY, encode_query_payload(params, SHIFT_QUERY))
                 msg_type, payload = recv_message(sock)
                 assert msg_type == net.MSG_ANSWER
                 assert len(decode_answer_payload(payload, 2, 7)) == 2
@@ -666,94 +682,91 @@ class TestLargeQueries:
 
     @pytest.mark.parametrize("entry", [8, 15, 255, 259, 65535])
     def test_entry_outside_n(self, entry):
-        """(8,1,129,257) sends entries, as k = 1 makes a rank no narrower,
-        and at n = 8 as nibbles: one of [8:16) reaches the server and gets
-        validate_query's message; a wider one cannot be encoded at all."""
+        """(8,1,129,257) sends nibble shifts (at k = 1 a shift is the
+        entry): a query with an entry not below n = 8 cannot be encoded;
+        one of [8:16) fits a nibble on the wire, gets ERR_MALFORMED_QUERY,
+        and the connection answers the next query."""
         params = derive_params(8, 1, 129, 257)
-        assert net._query_layout(params)[:2] == (False, 4)
+        assert net._shift_bits(8) == 4
         _, storages = scheme.encode_system(params, scheme.random_sources(params, make_rng(3)))
-        master = scheme.sample_master_queries(params, make_rng(1), 1)
-        query = scheme.server_queries(master, [3], params)[0, 2]
+        query = shift_queries(params, 1, 3)[2]
         bad = query.copy()
         bad[0, 5] = entry
-        with pytest.raises(scheme.ProtocolError) as expected:
-            scheme.validate_query(bad, params)
-        assert str(expected.value) == f"query entry {entry} out of [0:8)"
+        with pytest.raises(WireError, match="not shifts"):
+            encode_query_payload(params, bad)
         if entry >= 16:
-            with pytest.raises(WireError, match="4-bit range"):
-                encode_query_payload(params, bad)
             return
+        payload = bytearray(encode_query_payload(params, query))
+        payload[16 + 2] = payload[16 + 2] & 0xF0 | entry  # shift 5, a low nibble
         with serving([storages[2]], params) as servers, socket.create_connection(
             servers[0].server_address, timeout=2.0
         ) as sock:
-            send_message(sock, MSG_QUERY, encode_query_payload(params, bad))
-            msg_type, payload = recv_message(sock)
+            send_message(sock, MSG_QUERY, payload)
+            msg_type, reply = recv_message(sock)
             assert msg_type == MSG_ERROR
-            assert decode_error_payload(payload) == (net.ERR_MALFORMED_QUERY, str(expected.value))
+            assert decode_error_payload(reply) == (net.ERR_MALFORMED_QUERY, f"shift {entry} out of [0:8)")
             send_message(sock, MSG_QUERY, encode_query_payload(params, query))
-            msg_type, payload = recv_message(sock)
+            msg_type, reply = recv_message(sock)
             assert msg_type == MSG_ANSWER
-            count = int(scheme.live_rounds(query, params).sum())
-            assert decode_answer_payload(payload, count, params.prime) == live_values(
+            count = int(live_rounds(query, params).sum())
+            assert decode_answer_payload(reply, count, params.prime) == live_values(
                 scheme.server_answer(storages[2], query.tolist(), params)
             )
 
-    @pytest.mark.parametrize("rank", [6720, 65535])
-    def test_rank_outside_omega(self, wide_cluster, rank):
-        """At (8,5) a column travels as a u16 rank; one not below
-        |Omega| = 6720 gets ERR_MALFORMED_QUERY, and the connection
-        answers the next query."""
+    @pytest.mark.parametrize("shift", [8, 15])
+    def test_shift_outside_n(self, wide_cluster, shift):
+        """At (8,5) a shift travels as a nibble; one not below n = 8 gets
+        ERR_MALFORMED_QUERY, and the connection answers the next query."""
         params, _, addresses, servers = wide_cluster
-        master = scheme.sample_master_queries(params, make_rng(1), 1)
-        query = scheme.server_queries(master, [3], params)[0, 2]
+        query = shift_queries(params, 1, 3)[2]
         payload = bytearray(encode_query_payload(params, query))
-        payload[16 + 2 * 5 : 16 + 2 * 6] = struct.pack(">H", rank)
+        payload[16 + 2] = payload[16 + 2] & 0xF0 | shift  # shift 5, a low nibble
         with socket.create_connection(addresses[2], timeout=2.0) as sock:
             send_message(sock, MSG_QUERY, payload)
             assert decode_error_payload(recv_message(sock)[1]) == (
-                net.ERR_MALFORMED_QUERY, f"column rank {rank} out of [0:6720)"
+                net.ERR_MALFORMED_QUERY, f"shift {shift} out of [0:8)"
             )
             send_message(sock, MSG_QUERY, encode_query_payload(params, query))
             msg_type, payload = recv_message(sock)
             assert msg_type == MSG_ANSWER
-            count = int(scheme.live_rounds(query, params).sum())
+            count = int(live_rounds(query, params).sum())
             assert decode_answer_payload(payload, count, params.prime) == live_values(
                 scheme.server_answer(servers[2].storage, query.tolist(), params)
             )
 
     @pytest.mark.parametrize("entry", [257, 4095, 65535])
     def test_entry_outside_n_at_16_bits(self, entry):
-        """At n = 257 entries travel as u16s and reach server_answer as a
-        native u16 array, unnarrowed, so none wraps into [0:n)."""
+        """At n = 257 shifts travel as u16s; one not below n is refused
+        by the wire decoder, never wrapped into [0:n), and the server
+        answers the next query."""
         params = derive_params(257, 1, 129, 257)
         assert params.k_reduced * params.m_files > scheme.SMALL_QUERY_ENTRIES
         sources = scheme.random_sources(params, make_rng(7))
         _, storages = scheme.encode_system(params, sources)
-        query = scheme.server_queries(
-            scheme.sample_master_queries(params, make_rng(2), 1), [4], params
-        )[0, 9]
-        bad = query.copy()
-        bad[0, 100] = entry
-        decoded = decode_query_payload(encode_query_payload(params, bad), params)
-        assert decoded.dtype == np.uint16 and decoded[0, 100] == entry
+        query = shift_queries(params, 2, 4)[9]
+        bad = bytearray(encode_query_payload(params, query))
+        bad[16 + 200 : 16 + 202] = struct.pack(">H", entry)  # shift 100
+        message = f"shift {entry} out of [0:257)"
+        with pytest.raises(WireError, match=re.escape(message)):
+            decode_query_payload(bad, params)
         with serving([storages[9]], params) as servers:
             with socket.create_connection(servers[0].server_address, timeout=2.0) as sock:
-                send_message(sock, MSG_QUERY, encode_query_payload(params, bad))
+                send_message(sock, MSG_QUERY, bad)
                 assert decode_error_payload(recv_message(sock)[1]) == (
-                    net.ERR_MALFORMED_QUERY, f"query entry {entry} out of [0:257)"
+                    net.ERR_MALFORMED_QUERY, message
                 )
                 send_message(sock, MSG_QUERY, encode_query_payload(params, query))
                 msg_type, payload = recv_message(sock)
                 assert msg_type == MSG_ANSWER
-                count = int(scheme.live_rounds(query, params).sum())
+                count = int(live_rounds(query, params).sum())
                 assert decode_answer_payload(payload, count, 257) == live_values(
                     scheme.server_answer(storages[9], query.tolist(), params)
                 )
 
-    def test_wide_retrieval_sends_4296_query_bytes(self, monkeypatch):
+    def test_wide_retrieval_sends_1224_query_bytes(self, monkeypatch):
         """(8,5,256,65537), the benchmark's tcp-wide system: 8 QUERY frames
-        of 9 + 16 + 512 bytes, 4,296 B, where nibble entries took 5,320
-        and u16 entries 20,680."""
+        of 9 + 16 + 128 bytes, 1,224 B, where wire v3's u16 ranks took
+        4,296, nibble entries 5,320 and u16 entries 20,680."""
         params = derive_params(8, 5, 256, 65537)
         sources = scheme.random_sources(params, make_rng(8)).tolist()
         _, storages = scheme.encode_system(params, sources)
@@ -764,8 +777,8 @@ class TestLargeQueries:
             result = client_retrieve(addresses, 200, params, seed=1)
         assert result.source == sources[200]
         assert [frame[4] for _, frame in frames] == [MSG_QUERY] * 8
-        assert sum(len(frame) for _, frame in frames) == 4296
-        assert result.upload_bytes == 4296 - 8 * net._HEADER.size
+        assert sum(len(frame) for _, frame in frames) == 1224
+        assert result.upload_bytes == 1224 - 8 * net._HEADER.size
         # 2 bytes per element (p-1 needs 3, so 4 at most) and a width byte
         assert result.download_bytes <= 8 + 4 * result.download_elements
 
@@ -786,8 +799,7 @@ class TestLargeQueries:
 
         monkeypatch.setattr(scheme, "server_answer", server_answer)
         assert client_retrieve(addresses, 7, params, seed=11).source == sources[7]
-        master = scheme.sample_master_queries(params, make_rng(11), 1)
-        queries = scheme.server_queries(master, [7], params)[0]
+        queries = shift_queries(params, 11, 7)
         assert seen == {
             t: (True, [bytes(row) for row in queries[t].tolist()])
             for t in range(params.n_servers)
@@ -795,7 +807,7 @@ class TestLargeQueries:
 
 
 class TestRankedQueries:
-    """A query the wire decoder builds from ranks reaches server_answer as
+    """A query the wire decoder builds from shifts reaches server_answer as
     scheme.RankedQuery (large) or scheme.RankedRows (small), which it
     answers unchecked; any other query is checked as before."""
 
@@ -846,18 +858,21 @@ class TestRankedQueries:
                 scheme.server_answer(storages[3], form, params)
 
     @pytest.mark.parametrize("shape, kind", [
-        ((8, 1, 129, 257), np.ndarray),  # k = 1: entries, 129 of them
+        ((8, 1, 129, 257), np.ndarray),  # k = 1: 129 entries
         ((3, 1, 3, 7), list),
     ])
     def test_entries_layout_is_not_marked(self, shape, kind):
+        """Only the wire decoder marks a query; the same query as plain
+        entries, an array or row lists, is checked by server_answer."""
         params = derive_params(*shape)
-        assert not net._query_layout(params)[0]
-        query = scheme.server_queries(
-            scheme.sample_master_queries(params, make_rng(1), 1), [2], params
-        )[0, 1]
+        query = shift_queries(params, 1, 2)[1]
         decoded = decode_query_payload(encode_query_payload(params, query), params)
-        assert type(decoded) is kind
+        assert type(decoded) is (scheme.RankedQuery if kind is np.ndarray else scheme.RankedRows)
         assert np.array_equal(decoded, query)
+        plain = query.copy() if kind is np.ndarray else query.tolist()
+        plain[0][1] = params.n_reduced
+        with pytest.raises(scheme.ProtocolError, match=f"entry {params.n_reduced} out of"):
+            scheme.server_answer(fuzz_storage(params), plain, params)
 
 
 class TestClientPipeline:
@@ -890,7 +905,7 @@ class TestClientPipeline:
                 theta = seed % params.m_files
                 handed.clear()
                 result = client_retrieve(addresses, theta, params, seed=seed)
-                master = scheme.sample_master_queries(params, make_rng(seed), 1)
+                master = scheme.sample_master_queries(params, make_rng(seed), 1, scheme.SHIFTS)
                 queries = scheme.server_queries(master, [theta], params)[0]
                 files, live = retrieve_batch_reference(master, [theta], storages, params, code)
                 live = live[0]
@@ -946,21 +961,38 @@ class TestAnswerChecks:
         tamper(lambda answer, params: [None] * len(answer))
         self.aborted_by(cluster, scheme.AnswerMismatchError)
 
-    def test_value_in_null_round(self, cluster, tamper):
-        params = cluster[0]
-
+    @staticmethod
+    def first_seed(params, wanted):
+        """The first seed whose query to server 2, for file 0, has live
+        rounds for which wanted(live) holds."""
         def server_2_live(seed):
-            master = scheme.sample_master_queries(params, make_rng(seed), 1)
-            return scheme.live_rounds(scheme.server_queries(master, [0], params)[0, 2], params)
+            return live_rounds(shift_queries(params, seed, 0)[2], params)
 
-        # the first seed whose query to server 2 has a NULL round
-        seed = next(seed for seed in itertools.count() if not server_2_live(seed).all())
+        return next(seed for seed in itertools.count() if wanted(server_2_live(seed)))
+
+    def test_value_in_null_round(self, cluster, tamper):
+        seed = self.first_seed(cluster[0], lambda live: not live.all())
         tamper(lambda answer, params: [0 if a is None else a for a in answer])
         self.aborted_by(cluster, scheme.AnswerMismatchError, seed)
 
     def test_short_vector(self, cluster, tamper):
+        # the last round must be live for its loss to shorten the answer
+        seed = self.first_seed(cluster[0], lambda live: live[-1])
         tamper(lambda answer, params: answer[:-1])
-        self.aborted_by(cluster, scheme.AnswerMismatchError)
+        self.aborted_by(cluster, scheme.AnswerMismatchError, seed)
+
+    def test_rejected_answer_leaves_no_idle_socket(self, cluster, tamper):
+        """Server 2 answers with one value too few: the retrieval aborts,
+        and no socket to server 2 stays in the pool to carry a stale
+        frame into the next retrieval."""
+        params, sources, addresses, servers = cluster
+        seed = self.first_seed(params, lambda live: live[-1])
+        tamper(lambda answer, params: answer[:-1])
+        for _ in range(3):
+            self.aborted_by(cluster, scheme.AnswerMismatchError, seed)
+            idle = [key[0] for key, _ in net._pool._idle]
+            assert sorted(idle) == sorted(addresses[:2])
+        assert servers[2].accepts == 3
 
     def test_frame_longer_than_k_rounds(self, cluster, tamper):
         tamper(lambda answer, params: [0] * (len(answer) + 1))
@@ -1087,7 +1119,7 @@ class TestFraming:
 
     def test_two_queries_in_one_write_get_two_answers(self, cluster):
         params, _, addresses, _ = cluster
-        payload = encode_query_payload(params, EXAMPLE_QUERY)
+        payload = encode_query_payload(params, SHIFT_QUERY)
         frame = net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
             sock.sendall(frame + frame)
@@ -1099,7 +1131,7 @@ class TestFraming:
         """A QUERY two bytes short, then a valid one in the same write:
         the first read runs past the short frame's end."""
         params, _, addresses, _ = cluster
-        payload = encode_query_payload(params, EXAMPLE_QUERY)
+        payload = encode_query_payload(params, SHIFT_QUERY)
         short = net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload) - 2) + payload[:-2]
         valid = net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
@@ -1157,7 +1189,7 @@ class TestFraming:
         within two of them; the server still answers an honest client."""
         params, sources, addresses, _ = cluster
         monkeypatch.setattr(net, "IDLE_TIMEOUT_S", 0.2)
-        payload = encode_query_payload(params, EXAMPLE_QUERY)
+        payload = encode_query_payload(params, SHIFT_QUERY)
         closed = False
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
             sock.sendall(net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)))
@@ -1251,19 +1283,26 @@ class TestFuzz:
     peer_bytes = st.binary(max_size=128) | frames | query_payloads.map(
         lambda payload: net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
     )
-    # Rank bodies of the right length, ranks below |Omega| or not:
-    # (5,3,3,7) 3 bytes; (8,5,32,257) 32 u16s, decoded to an array;
-    # (3,2,3,7) 3 nibbles and a pad, |Omega| = 6.
-    rank_payloads = (
+    # Shift bodies of the right length, shifts below n or not:
+    # (5,3,3,7) 3 nibbles and a pad; (8,5,32,257) 32 nibbles, decoded to
+    # an array; (17,2,65,17) 65 bytes, n = 17, decoded to an array;
+    # (3,2,3,7) 3 nibbles and a pad, n = 3.
+    shift_payloads = (
         st.builds(
-            lambda ranks: net._QUERY_PARAMS.pack(5, 3, 3, 7) + bytes(ranks),
-            st.lists(st.integers(0, 59) | st.integers(60, 255), min_size=3, max_size=3),
+            lambda body: net._QUERY_PARAMS.pack(5, 3, 3, 7) + body,
+            st.binary(min_size=2, max_size=2),
         )
         | st.builds(
             lambda seed, top: net._QUERY_PARAMS.pack(8, 5, 32, 257)
-            + np.random.default_rng(seed).integers(0, top, 32).astype(">u2").tobytes(),
+            + net._pack_shifts(np.random.default_rng(seed).integers(0, top, 32).tolist(), 4),
             st.integers(0, 2**32 - 1),
-            st.sampled_from([6720, 65536]),  # every rank below |Omega|, or most not
+            st.sampled_from([8, 16]),  # every shift below n, or most not
+        )
+        | st.builds(
+            lambda seed, top: net._QUERY_PARAMS.pack(17, 2, 65, 17)
+            + bytes(np.random.default_rng(seed).integers(0, top, 65).tolist()),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([17, 18, 256]),
         )
         | st.builds(
             lambda body: net._QUERY_PARAMS.pack(3, 2, 3, 7) + body,
@@ -1276,24 +1315,29 @@ class TestFuzz:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        payload=st.binary(max_size=64) | query_payloads | rank_payloads | wide_query_payloads,
+        payload=st.binary(max_size=64) | query_payloads | shift_payloads | wide_query_payloads,
         count=st.integers(0, 6),
         prime=st.sampled_from([7, 257, 65537, WIDEST_PRIME]),
     )
     def test_payload_decoders(self, payload, count, prime):
         for params in (
-            derive_params(5, 3, 3, 7), derive_params(8, 5, 32, 257), derive_params(3, 2, 3, 7)
+            derive_params(5, 3, 3, 7),
+            derive_params(8, 5, 32, 257),
+            derive_params(17, 2, 65, 17),
+            derive_params(3, 2, 3, 7),
         ):
             try:
                 query = decode_query_payload(payload, params)
             except WireError:
                 continue
-            scheme.validate_query(query, params)  # each rank named a column of Omega
+            scheme.validate_query(query, params)  # each shift named a column
             storage = fuzz_storage(params)
             answer = scheme.server_answer(storage, query, params)
             assert type(query) in (scheme.RankedQuery, scheme.RankedRows)
             assert answer == scheme.server_answer(storage, np.array(query), params)
             assert answer == scheme.server_answer(storage, [list(row) for row in query], params)
+            # a decoded query is encoded back to its own payload
+            assert encode_query_payload(params, query) == bytes(payload)
         decoders = [
             lambda: decode_answer_payload(payload, count, prime),
             lambda: decode_error_payload(payload),
@@ -1306,7 +1350,7 @@ class TestFuzz:
 
     @settings(max_examples=60, deadline=None)
     @given(data=peer_bytes, limits=st.sampled_from([
-        {MSG_QUERY: 16 + 3},  # a (5,3,3,7) server's limits, then a client's
+        {MSG_QUERY: 16 + 2},  # a (5,3,3,7) server's limits, then a client's
         {MSG_ANSWER: 1 + 1 * 3, MSG_ERROR: net.MAX_ERROR_PAYLOAD},
     ]))
     def test_recv_message(self, data, limits):
@@ -1345,7 +1389,7 @@ class TestFuzz:
                 raise
             except OSError:
                 pass  # the server closed it first
-        msg_type, _ = ask(addresses[0], encode_query_payload(params, EXAMPLE_QUERY))
+        msg_type, _ = ask(addresses[0], encode_query_payload(params, SHIFT_QUERY))
         assert msg_type == MSG_ANSWER
 
 

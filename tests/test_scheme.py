@@ -31,6 +31,7 @@ from oracle import (
     answer_array,
     answer_queries,
     decode_loop,
+    live_rounds,
     retrieve_batch_reference,
     server_answer_loop,
 )
@@ -105,7 +106,7 @@ class TestQueries:
         params = derive_params(5, 3, 3, 7)
         rng = make_rng(5)
         for _ in range(200):
-            q = gen_master_query(params, rng)
+            q = gen_master_query(params, rng, scheme.OMEGA)
             for i in range(3):
                 col = [q[s][i] for s in range(3)]
                 assert len(set(col)) == 3
@@ -289,7 +290,7 @@ class TestAnswerPaths:
         values = answer_queries(storage.symbols[None], q[None], params)[0]
         return [
             int(v) if live else None
-            for v, live in zip(values, scheme.live_rounds(q, params))
+            for v, live in zip(values, live_rounds(q, params))
         ]
 
     @staticmethod
@@ -438,6 +439,26 @@ class TestDecode:
         for answer, master, theta, file in zip(answers, masters, thetas, files):
             assert file.tolist() == decode(answer, master, theta, params, code)
         assert np.array_equal(files, sources[thetas])
+
+    @pytest.mark.parametrize("n, k", [(5, 3), (8, 5), (3, 1), (20, 19)])
+    @pytest.mark.parametrize("dtype", [np.intp, np.uint8])
+    def test_distinct_row_keys_equal_a_lexsort(self, n, k, dtype):
+        """decode_batch's keys of unsorted columns with repeats: the
+        distinct rows in ascending order and each row's index among
+        them, as a lexsort finds them; at (20, 19) base-n keys would
+        overflow int64."""
+        rng = np.random.default_rng(n * k)
+        rows = np.array([rng.permutation(n)[:k] for _ in range(300)], dtype=dtype)
+        rows = rng.permutation(np.concatenate([rows, rows[:100], rows[:1].repeat(5, axis=0)]))
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        which = np.empty(len(rows), dtype=np.intp)
+        which[order] = np.cumsum(first) - 1
+        keys, found = scheme._distinct_rows(rows, n)
+        assert keys == list(map(tuple, ordered[first].tolist()))
+        assert np.array_equal(found, which)
 
     def test_corrupt_answers_do_not_decode_silently(self, example_system):
         params, code, sources, _, storages = example_system
