@@ -133,7 +133,7 @@ def cmd_setup(args) -> int:
             (out_dir / f"source-{i}.json").write_text(json.dumps(doc))
         for storage in storages:
             scheme.save_storage(
-                out_dir / f"storage-{storage.server_index}.json", storage, params
+                out_dir / f"storage-{storage.server_index}.bin", storage, params
             )
     except OSError as exc:
         raise CliError(f"cannot write to {out_dir}: {exc}", EXIT_IO) from exc
@@ -153,17 +153,40 @@ def cmd_serve(args) -> int:
         net.serve(args.storage, address)
     except OSError as exc:
         raise CliError(str(exc), EXIT_IO) from exc
+    except scheme.ParameterError as exc:
+        raise CliError(f"{args.storage}: {exc}", EXIT_USAGE) from exc
     return EXIT_OK
 
 
 def _load_storage_dir(storage_dir: Path):
-    paths = sorted(storage_dir.glob("storage-*.json"))
+    """The N storages of one system, in server order: every storage file
+    in the directory must hold the same params, and each server index
+    in [0:N) must have exactly one file."""
+    paths = sorted(storage_dir.glob("storage-*.bin"))
     if not paths:
-        raise CliError(f"no storage-*.json files in {storage_dir}", EXIT_IO)
-    loaded = [scheme.load_storage(p) for p in paths]
-    params = loaded[0][1]
-    storages = sorted((st for st, _ in loaded), key=lambda s: s.server_index)
-    return storages, params
+        raise CliError(f"no storage-*.bin files in {storage_dir}", EXIT_IO)
+    by_index, params = {}, None
+    for path in paths:
+        try:
+            storage, file_params = scheme.load_storage(path)
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
+        except scheme.ParameterError as exc:
+            raise CliError(f"{path}: {exc}", EXIT_USAGE) from exc
+        params = params or file_params
+        if file_params != params:
+            raise CliError(f"{path} and {paths[0]} hold different systems", EXIT_IO)
+        if storage.server_index in by_index:
+            raise CliError(
+                f"{path} and {by_index[storage.server_index][0]} both hold "
+                f"server {storage.server_index}",
+                EXIT_IO,
+            )
+        by_index[storage.server_index] = path, storage
+    missing = [t for t in range(params.n_servers) if t not in by_index]
+    if missing:
+        raise CliError(f"{storage_dir} has no storage file for server {missing[0]}", EXIT_IO)
+    return [by_index[t][1] for t in range(params.n_servers)], params
 
 
 def cmd_retrieve(args) -> int:
@@ -337,13 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_setup.set_defaults(func=cmd_setup)
 
     p_serve = sub.add_parser("serve", help="serve one storage file over TCP")
-    p_serve.add_argument("--storage", required=True, help="storage JSON path")
+    p_serve.add_argument("--storage", required=True, help="storage file path")
     p_serve.add_argument("--listen", required=True, help="host:port")
     p_serve.set_defaults(func=cmd_serve)
 
     p_retr = sub.add_parser("retrieve", help="privately retrieve one file")
     p_retr.add_argument("--theta", type=int, required=True, help="file index")
-    p_retr.add_argument("--storage-dir", help="directory of storage-*.json (in-process)")
+    p_retr.add_argument("--storage-dir", help="directory of storage-*.bin (in-process)")
     p_retr.add_argument("--servers", help="comma-separated host:port list (networked)")
     p_retr.add_argument("--n", type=int)
     p_retr.add_argument("--k", type=int)

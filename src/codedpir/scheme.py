@@ -59,6 +59,14 @@ RankedRows), whose columns are shifted base columns by construction.
 decode is decode_batch of one retrieval's (N, k) answer array, 0 in
 NULL rounds, which the networked client fills with the values it has
 checked on the wire.
+
+A server's storage file (STORAGE_FORMAT, save_storage/load_storage) is
+one UTF-8 JSON header line, {"format", "params", "server_index"}, then
+the (M, lam) fragments row-major as little-endian integers of the
+narrowest of 1, 2 or 4 bytes that holds p-1.  The width follows from p
+and is never read from the file.  The loader checks the header, the
+body's length and every value's range, and rebuilds the dummy rows as
+zeros.  Source manifests stay JSON.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ from .rs import MdsCode, make_code
 
 DEFAULT_PRIME = 257
 
-STORAGE_FORMAT = "pir-mds-storage/1"
+STORAGE_FORMAT = "pir-mds-storage/2"
 SOURCE_FORMAT = "pir-mds-source/1"
 
 # On the wire a query header carries p as a u32, an answer value takes
@@ -805,40 +813,65 @@ def _params_json(params: SystemParams) -> dict:
     return {"n": params.n_servers, "k": params.k_mds, "m": params.m_files, "p": params.prime}
 
 
-def storage_to_json(storage: ServerStorage, params: SystemParams) -> dict:
-    return {
-        "format": STORAGE_FORMAT,
-        "params": _params_json(params),
-        "server_index": storage.server_index,
-        "fragments": storage.symbols[:, : params.rows_per_file].tolist(),
-    }
-
-
-def storage_from_json(doc: dict) -> tuple[ServerStorage, SystemParams]:
-    if doc.get("format") != STORAGE_FORMAT:
-        raise ParameterError(f"unexpected storage format {doc.get('format')!r}")
-    pr = doc["params"]
-    params = derive_params(pr["n"], pr["k"], pr["m"], pr["p"])
-    fragments = doc["fragments"]
-    lam, p = params.rows_per_file, params.prime
-    if len(fragments) != params.m_files or any(len(f) != lam for f in fragments):
-        raise ParameterError("fragment dimensions do not match params")
-    # Checked in Python: a server loads its file once, cold, where each
-    # numpy call costs more than this loop over M*lam values.
-    if not all(type(v) is int and 0 <= v < p for f in fragments for v in f):
-        raise ParameterError(f"fragments must be integers in [0:{p})")
-    dummies = [0] * params.k_reduced
-    symbols = np.array([f + dummies for f in fragments], dtype=np.int64)
-    symbols.flags.writeable = False
-    return ServerStorage(int(doc["server_index"]), symbols), params
+def _storage_dtype(prime: int) -> np.dtype:
+    """Little-endian unsigned dtype of a storage file's values: the
+    narrowest of 1, 2 or 4 bytes that holds p - 1."""
+    return np.dtype("<u1" if prime <= 1 << 8 else "<u2" if prime <= 1 << 16 else "<u4")
 
 
 def save_storage(path, storage: ServerStorage, params: SystemParams) -> None:
-    Path(path).write_text(json.dumps(storage_to_json(storage, params)))
+    """Write server storage as STORAGE_FORMAT: one JSON header line,
+    then the (M, lam) fragments row-major in _storage_dtype(p)."""
+    header = {
+        "format": STORAGE_FORMAT,
+        "params": _params_json(params),
+        "server_index": storage.server_index,
+    }
+    body = storage.symbols[:, : params.rows_per_file].astype(_storage_dtype(params.prime))
+    Path(path).write_bytes(json.dumps(header).encode() + b"\n" + body.tobytes())
 
 
 def load_storage(path) -> tuple[ServerStorage, SystemParams]:
-    return storage_from_json(json.loads(Path(path).read_text()))
+    """Read a STORAGE_FORMAT file; ParameterError for anything else."""
+    data = Path(path).read_bytes()
+    cut = data.find(b"\n")
+    try:
+        header = json.loads(data[:cut].decode()) if cut >= 0 else None
+    except (ValueError, RecursionError):
+        header = None
+    if not isinstance(header, dict):
+        raise ParameterError(
+            f"not a {STORAGE_FORMAT} file: no JSON object header line "
+            "(re-run pir setup for a file of an earlier format)"
+        )
+    if header.get("format") != STORAGE_FORMAT:
+        raise ParameterError(
+            f"unexpected storage format {header.get('format')!r}: only {STORAGE_FORMAT!r} "
+            "is read, re-run pir setup"
+        )
+    given = header.get("params")
+    values = [given.get(key) for key in "nkmp"] if isinstance(given, dict) else [None]
+    if any(type(v) is not int for v in values):
+        raise ParameterError("storage params must be the integers n, k, m and p")
+    params = derive_params(*values)
+    index = header.get("server_index")
+    if type(index) is not int or not 0 <= index < params.n_servers:
+        raise ParameterError(f"server_index must be an integer in [0:{params.n_servers})")
+    m, lam, p = params.m_files, params.rows_per_file, params.prime
+    dtype = _storage_dtype(p)
+    if len(data) - cut - 1 != m * lam * dtype.itemsize:
+        raise ParameterError(
+            f"storage body must be {m} x {lam} values of {dtype.itemsize} bytes"
+        )
+    # Four numpy calls: a server loads its file once, cold, where each
+    # call costs several microseconds.
+    fragments = np.ndarray((m, lam), dtype, buffer=data, offset=cut + 1)
+    if fragments.max() >= p:
+        raise ParameterError(f"fragments must be integers in [0:{p})")
+    symbols = np.zeros((m, params.n_reduced), dtype=np.int64)
+    symbols[:, :lam] = fragments
+    symbols.flags.writeable = False
+    return ServerStorage(index, symbols), params
 
 
 def source_to_json(

@@ -17,18 +17,19 @@ class TestSetup:
         out = tmp_path / "sys"
         assert run(["setup", "--n", "5", "--k", "3", "--m", "3", "--p", "7",
                     "--seed", "1", "--out", str(out)]) == 0
-        assert len(list(out.glob("storage-*.json"))) == 5
+        assert len(list(out.glob("storage-*.bin"))) == 5
         assert len(list(out.glob("source-*.json"))) == 3
-        doc = json.loads((out / "storage-0.json").read_text())
-        assert len(doc["fragments"]) == 3
-        assert all(len(f) == 2 for f in doc["fragments"])
+        header, body = (out / "storage-0.bin").read_bytes().split(b"\n", 1)
+        assert json.loads(header)["params"] == {"n": 5, "k": 3, "m": 3, "p": 7}
+        # 3 fragments of 2 values, a byte each at p = 7
+        assert len(body) == 3 * 2
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             run(["setup", "--n", "4", "--k", "2", "--m", "2", "--p", "257",
                  "--seed", "9", "--out", str(out)])
-        assert (a / "storage-1.json").read_text() == (b / "storage-1.json").read_text()
+        assert (a / "storage-1.bin").read_bytes() == (b / "storage-1.bin").read_bytes()
 
     def test_ingest_empty_file(self, tmp_path):
         blob = tmp_path / "empty.bin"
@@ -70,8 +71,38 @@ class TestRetrieve:
         assert run(["retrieve", "--theta", "0", "--storage-dir", str(system_dir),
                     "--servers", "h:1"]) == 2
 
+    def _retrieve_fails(self, system_dir, capsys, code, message):
+        assert run(["retrieve", "--theta", "1", "--storage-dir", str(system_dir)]) == code
+        assert message in capsys.readouterr().err
+
+    def test_missing_server_file(self, system_dir, capsys):
+        (system_dir / "storage-4.bin").unlink()
+        self._retrieve_fails(system_dir, capsys, 3, "has no storage file for server 4")
+
+    def test_duplicate_server_index(self, system_dir, capsys):
+        (system_dir / "storage-4.bin").write_bytes((system_dir / "storage-3.bin").read_bytes())
+        self._retrieve_fails(system_dir, capsys, 3, "both hold server 3")
+
+    def test_server_index_out_of_range(self, system_dir, capsys):
+        header, body = (system_dir / "storage-3.bin").read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["server_index"] = 7
+        (system_dir / "storage-4.bin").write_bytes(json.dumps(doc).encode() + b"\n" + body)
+        self._retrieve_fails(system_dir, capsys, 2, "server_index must be an integer in [0:5)")
+
+    def test_mixed_params(self, system_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        run(["setup", "--n", "5", "--k", "3", "--m", "3", "--p", "11", "--seed", "1",
+             "--out", str(other)])
+        (system_dir / "storage-4.bin").write_bytes((other / "storage-4.bin").read_bytes())
+        capsys.readouterr()
+        self._retrieve_fails(system_dir, capsys, 3, "hold different systems")
+
+    def test_no_storage_files(self, tmp_path, capsys):
+        self._retrieve_fails(tmp_path, capsys, 3, "no storage-*.bin files")
+
     def test_networked_partial_cluster_aborts(self, system_dir, capsys):
-        storage, params = scheme.load_storage(system_dir / "storage-0.json")
+        storage, params = scheme.load_storage(system_dir / "storage-0.bin")
         server = net.StorageServer(storage, params)
         start_serving(server)
         host, port = server.server_address
@@ -88,7 +119,7 @@ class TestRetrieve:
     def test_networked_json_counts_payload_bytes(self, system_dir, capsys):
         servers = []
         for t in range(5):
-            storage, params = scheme.load_storage(system_dir / f"storage-{t}.json")
+            storage, params = scheme.load_storage(system_dir / f"storage-{t}.bin")
             servers.append(net.StorageServer(storage, params))
             start_serving(servers[-1])
         addrs = ",".join(f"{host}:{port}" for host, port in (s.server_address for s in servers))
@@ -105,6 +136,19 @@ class TestRetrieve:
         # width byte and one byte per element back
         assert doc["upload_payload_bytes"] == 5 * (16 + 2) == 90
         assert doc["download_payload_bytes"] == 5 + doc["download_elements"]
+
+
+class TestServe:
+    @pytest.mark.parametrize("content, message", [
+        (b"not json\n", "no JSON object header line"),
+        (b'{"format": "pir-mds-storage/2"}\n', "storage params must be the integers"),
+    ])
+    def test_malformed_storage_is_a_usage_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "storage-0.bin"
+        path.write_bytes(content)
+        assert run(["serve", "--storage", str(path), "--listen", "127.0.0.1:0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
 
 
 class TestVerify:
@@ -182,7 +226,7 @@ class TestEnvironment:
     def test_serve_reads_neither_variable(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PIR_SEED", "abc")
         monkeypatch.setenv("PIR_PRIME", "x")
-        missing = tmp_path / "storage-0.json"
+        missing = tmp_path / "storage-0.bin"
         assert run(["serve", "--storage", str(missing), "--listen", "127.0.0.1:0"]) == 3
         assert "PIR_" not in capsys.readouterr().err
 
@@ -195,8 +239,8 @@ class TestEnvironment:
         run(["setup", "--n", "4", "--k", "2", "--m", "2", "--p", "11", "--seed", "9",
              "--out", str(tmp_path / "flags")])
         for t in range(4):
-            name = f"storage-{t}.json"
-            assert (tmp_path / "env" / name).read_text() == (tmp_path / "flags" / name).read_text()
+            name = f"storage-{t}.bin"
+            assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
 
 class TestBench:

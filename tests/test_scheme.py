@@ -787,29 +787,172 @@ class TestRetrieveBatch:
             scheme.retrieve_batch([master], [0], storages, params, code)
 
 
+# The (5,3,3,7) example system's server 2 as a storage file: the header
+# line, then its (3, 2) fragments at one byte each.
+GOLDEN_STORAGE_2 = (
+    b'{"format": "pir-mds-storage/2", "params": {"n": 5, "k": 3, "m": 3, "p": 7},'
+    b' "server_index": 2}\n'
+    b"\x05\x02\x05\x04\x06\x00"
+)
+
+
+def _storage_file(header, body: bytes) -> bytes:
+    return json.dumps(header).encode() + b"\n" + body
+
+
+def _example_header(**changes) -> dict:
+    header = {
+        "format": "pir-mds-storage/2",
+        "params": {"n": 5, "k": 3, "m": 3, "p": 7},
+        "server_index": 2,
+    }
+    header.update(changes)
+    return header
+
+
 class TestStorageFiles:
     def test_round_trip(self, tmp_path, example_system):
         params, _, _, _, storages = example_system
-        path = tmp_path / "storage-2.json"
+        path = tmp_path / "storage-2.json"  # the suffix does not name the format
         scheme.save_storage(path, storages[2], params)
-        doc = json.loads(path.read_text())
-        assert doc["format"] == "pir-mds-storage/1"
-        assert doc["params"] == {"n": 5, "k": 3, "m": 3, "p": 7}
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert header["format"] == "pir-mds-storage/2"
+        assert header["params"] == {"n": 5, "k": 3, "m": 3, "p": 7}
         loaded, loaded_params = scheme.load_storage(path)
         assert loaded == storages[2]
         assert loaded_params == params
 
-    def test_bad_format(self):
-        with pytest.raises(ParameterError):
-            scheme.storage_from_json({"format": "nope"})
+    def test_golden_file(self, tmp_path, example_system):
+        params, _, _, _, storages = example_system
+        path = tmp_path / "storage-2.bin"
+        scheme.save_storage(path, storages[2], params)
+        assert path.read_bytes() == GOLDEN_STORAGE_2
+        loaded, _ = scheme.load_storage(path)
+        assert loaded.symbols.tolist() == [[5, 2, 0, 0, 0], [5, 4, 0, 0, 0], [6, 0, 0, 0, 0]]
+
+    @pytest.mark.parametrize("system, width", [
+        ((5, 3, 3, 7), 1), ((5, 3, 3, 257), 2), ((8, 5, 256, 65537), 4),
+    ])
+    def test_round_trip_at_each_width(self, tmp_path, system, width):
+        params = derive_params(*system)
+        _, storages = encode_system(params, scheme.random_sources(params, make_rng(7)))
+        symbols = storages[-1].symbols.copy()
+        symbols[0, 0] = params.prime - 1  # the widest value the field holds
+        storages[-1] = scheme.ServerStorage(storages[-1].server_index, symbols)
+        for storage in storages:
+            path = tmp_path / f"storage-{storage.server_index}.bin"
+            scheme.save_storage(path, storage, params)
+            header = path.read_bytes().split(b"\n", 1)[0]
+            body_bytes = params.m_files * params.rows_per_file * width
+            assert path.stat().st_size == len(header) + 1 + body_bytes
+            loaded, loaded_params = scheme.load_storage(path)
+            assert loaded == storage and loaded_params is params
+            assert loaded.symbols.dtype == np.int64 and not loaded.symbols.flags.writeable
+            assert not loaded.symbols[:, params.rows_per_file:].any()
+
+    def test_bad_format(self, tmp_path):
+        """A v1 JSON file, a v1 header, another format and none."""
+        body = b"\x05\x02\x05\x04\x06\x00"
+        path = tmp_path / "storage-2.bin"
+        for content in [
+            b'{"format": "pir-mds-storage/1", "params": {"n": 5, "k": 3, "m": 3, "p": 7},'
+            b' "server_index": 2, "fragments": [[5, 2], [5, 4], [6, 0]]}',
+            _storage_file(_example_header(format="pir-mds-storage/1"), body),
+            _storage_file(_example_header(format="nope"), body),
+            _storage_file({"params": {"n": 5, "k": 3, "m": 3, "p": 7}, "server_index": 2}, body),
+        ]:
+            path.write_bytes(content)
+            with pytest.raises(ParameterError):
+                scheme.load_storage(path)
 
     @pytest.mark.parametrize("value", [-1, 7])
-    def test_fragment_outside_the_field(self, example_system, value):
-        params, _, _, _, storages = example_system
-        doc = scheme.storage_to_json(storages[0], params)
-        doc["fragments"][1][0] = value
-        with pytest.raises(ParameterError):
-            scheme.storage_from_json(doc)
+    def test_fragment_outside_the_field(self, tmp_path, value):
+        """-1 is written as its one-byte two's complement, 255."""
+        path = tmp_path / "storage-2.bin"
+        body = bytearray(GOLDEN_STORAGE_2)
+        body[-5] = value % 256
+        path.write_bytes(bytes(body))
+        with pytest.raises(ParameterError, match=r"^fragments must be integers in \[0:7\)$"):
+            scheme.load_storage(path)
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}\n\x00", "no JSON object header line"),
+        (b"{not json}\n\x00", "no JSON object header line"),
+        (b"[1, 2]\n\x00", "no JSON object header line"),
+        (b"[" * 100000 + b"\n", "no JSON object header line"),
+        (GOLDEN_STORAGE_2.replace(b"\n", b" "), "no JSON object header line"),
+        (b"", "no JSON object header line"),
+    ], ids=["not-utf8", "not-json", "not-object", "deep", "no-newline", "empty"])
+    def test_bad_header(self, tmp_path, content, message):
+        path = tmp_path / "storage-2.bin"
+        path.write_bytes(content)
+        with pytest.raises(ParameterError, match=message):
+            scheme.load_storage(path)
+
+    @pytest.mark.parametrize("params, message", [
+        ({"n": 5, "k": 3, "m": 3, "p": 4}, "not prime"),
+        ({"n": 3, "k": 3, "m": 3, "p": 7}, "need N > K"),
+        ({"n": 5, "k": 3, "m": 1, "p": 7}, "need M > 1"),
+        ({"n": 5, "k": 3, "m": 3, "p": 2**32 + 15}, "u32"),
+        ({"n": 5, "k": 3, "m": 3}, "must be the integers"),
+        ({"n": 5, "k": 3, "m": 3, "p": "7"}, "must be the integers"),
+        ({"n": 5, "k": 3, "m": 3.0, "p": 7}, "must be the integers"),
+        ({"n": 5, "k": True, "m": 3, "p": 7}, "must be the integers"),
+        ([5, 3, 3, 7], "must be the integers"),
+        (None, "must be the integers"),
+    ])
+    def test_params_rejected(self, tmp_path, params, message):
+        path = tmp_path / "storage-2.bin"
+        path.write_bytes(_storage_file(_example_header(params=params), b"\x00" * 6))
+        with pytest.raises(ParameterError, match=message):
+            scheme.load_storage(path)
+
+    @pytest.mark.parametrize("index", [-1, 5, 2.0, "2", True, None])
+    def test_server_index_rejected(self, tmp_path, index):
+        path = tmp_path / "storage-2.bin"
+        path.write_bytes(_storage_file(_example_header(server_index=index), b"\x00" * 6))
+        with pytest.raises(ParameterError, match=r"server_index must be an integer in \[0:5\)"):
+            scheme.load_storage(path)
+
+    @pytest.mark.parametrize("body", [b"", b"\x00" * 5, b"\x00" * 7, b"\x00" * 12])
+    def test_body_length_rejected(self, tmp_path, body):
+        path = tmp_path / "storage-2.bin"
+        path.write_bytes(_storage_file(_example_header(), body))
+        with pytest.raises(ParameterError, match="storage body must be 3 x 2 values of 1 bytes"):
+            scheme.load_storage(path)
+
+    @pytest.mark.parametrize("system, width", [((5, 3, 3, 257), 2), ((8, 5, 256, 65537), 4)])
+    def test_value_at_p_rejected(self, tmp_path, system, width):
+        params = derive_params(*system)
+        _, storages = encode_system(params, scheme.random_sources(params, make_rng(3)))
+        path = tmp_path / "storage-0.bin"
+        scheme.save_storage(path, storages[0], params)
+        data = path.read_bytes()[:-width] + params.prime.to_bytes(width, "little")
+        path.write_bytes(data)
+        with pytest.raises(ParameterError, match="fragments must be integers"):
+            scheme.load_storage(path)
+
+    def test_fuzzed_files_raise_only_parameter_errors(self, tmp_path):
+        """Random files, every truncation of a valid one and random byte
+        changes to it either load or raise ParameterError."""
+        rng = random.Random(20261019)
+        path = tmp_path / "storage-2.bin"
+        contents = [GOLDEN_STORAGE_2[:cut] for cut in range(len(GOLDEN_STORAGE_2))]
+        for _ in range(300):
+            contents.append(rng.randbytes(rng.randrange(200)))
+            mutated = bytearray(GOLDEN_STORAGE_2)
+            for _ in range(rng.randrange(1, 4)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            contents.append(bytes(mutated))
+        loaded = 0
+        for content in contents:
+            path.write_bytes(content)
+            try:
+                scheme.load_storage(path)
+                loaded += 1
+            except ParameterError:
+                pass
+        assert 0 < loaded < len(contents)
 
     def test_ingest_round_trip(self):
         params = derive_params(5, 3, 3, 257)
