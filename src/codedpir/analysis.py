@@ -147,8 +147,7 @@ def verify_rank_identity(
 ) -> RankReport:
     """Check equal interference ranks and D_rel = L + K*r for one realization."""
     ranks, lengths = [], []
-    for t in range(params.n_servers):
-        query = scheme.build_server_query(master, theta, t, params)
+    for query in scheme.server_queries([master], [theta], params)[0].tolist():
         matrix = build_answer_matrix(query, params)
         lengths.append(len(matrix))
         ranks.append(interference_rank(matrix, theta, params))

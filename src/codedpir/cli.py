@@ -208,7 +208,10 @@ def cmd_retrieve(args) -> int:
         params = _params_from_args(args)
         if not 0 <= args.theta < params.m_files:
             raise CliError(f"theta must be in [0:{params.m_files})", EXIT_USAGE)
-        addresses = [net.parse_address(a) for a in args.servers.split(",")]
+        try:
+            addresses = [net.parse_address(a) for a in args.servers.split(",")]
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_USAGE) from exc
         try:
             result = net.client_retrieve(addresses, args.theta, params, args.seed)
         except net.RetrievalAbortedError as exc:
@@ -313,7 +316,10 @@ def _parse_grid(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = [int(x) for x in chunk.split(",")]
+        try:
+            parts = [int(x) for x in chunk.split(",")]
+        except ValueError:
+            parts = []  # not integers: a bad point, as below
         if len(parts) not in (3, 4):
             raise CliError(f"bad grid point {chunk!r}, expected N,K,M[,p]", EXIT_USAGE)
         grid.append(tuple(parts))

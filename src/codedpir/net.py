@@ -14,12 +14,12 @@ zero nibble (a server rejects any other pad, so a query has one
 encoding); u16s big-endian.  The client draws the master as M shifts;
 server t's are the master's with the desired one raised by t mod n,
 and its live rounds are the OR of its shifts' low rows
-(scheme.shift_tables), found and packed in Python past the draw: the
+(scheme.low_masks), found and packed in Python past the draw: the
 shifts are packed once, and only the desired one's bytes differ
 between servers.  A server checks the header against its own
 parameters first, then reads M shifts at n's width, never a layout the
 peer names, and rejects a shift not below n.  It expands the shifts
-through the shift table: a query of more than
+through the family table (scheme.family_table): a query of more than
 scheme.SMALL_QUERY_ENTRIES entries reaches scheme.server_answer as a
 C-contiguous (k, M) scheme.RankedQuery, u8 for n <= 256; a smaller one
 as scheme.RankedRows, row lists of Python ints built without numpy, as
@@ -372,13 +372,13 @@ def decode_query_payload(payload: bytes, params: SystemParams):
 
 @functools.lru_cache(maxsize=16)
 def _shift_lists(n: int, k: int):
-    """scheme.shift_tables as the codecs use them: each shift's column
+    """The shift family's table as the codecs use it: each shift's column
     as a tuple of Python ints, the columns of a read-only (k, n) array,
     and each shift's low-row mask as a Python int."""
-    table, low = scheme.shift_tables(n, k)
+    table = scheme.family_table(n, k, scheme.SHIFTS)
     rows = np.ascontiguousarray(table.T)
     rows.flags.writeable = False
-    return tuple(map(tuple, table.tolist())), rows, tuple(low.tolist())
+    return tuple(map(tuple, table.tolist())), rows, tuple(scheme.low_masks(table, n).tolist())
 
 
 @functools.lru_cache(maxsize=64)
@@ -724,7 +724,7 @@ def client_retrieve(
     n, k, nn = params.n_reduced, params.k_reduced, params.n_servers
     bits = _shift_bits(n)
     _, table, low = _shift_lists(n, k)
-    drawn = scheme.sample_master_shifts(params, scheme.make_rng(seed), 1)[0]
+    drawn = scheme.sample_master_rows(params, scheme.make_rng(seed), 1, table.shape[1])[0]
     shifts = drawn.tolist()
     # Server t's shifts are the master's, the desired one raised by t mod
     # n; its live rounds are the OR of its shifts' low rows.

@@ -9,25 +9,25 @@ independent rounds.  Rounds whose query row falls entirely in the dummy
 range [n-k:n) are NULL and cost nothing; everything else is one field
 element.
 
-Master columns come from one of two query families:
+Master columns come from one of two query families, each a table of
+columns (family_table), from which sample_master_queries draws M
+uniform rows:
 
 - OMEGA, the paper's: each column is uniform on Omega, the P(n,k)
-  partial permutations of [0:n).  A column is named by its rank in
-  Omega in itertools order (omega) wherever |Omega| <=
-  OMEGA_TABLE_LIMIT: masters are drawn as M uniform ranks, and
-  rank_tables gives each rank's shifts and low rows.  Larger systems
-  draw a column as the first k slots of a uniform permutation.
+  partial permutations of [0:n), tabled in itertools order (omega)
+  wherever |Omega| <= OMEGA_TABLE_LIMIT.  Larger systems draw a column
+  as the first k slots of a uniform permutation.
 - SHIFTS: column j is the base column (0, 1, ..., k-1) shifted by r_j
-  mod n, with r_j uniform on Z_n (sample_master_shifts); shift_tables
-  gives each shift's column and low rows.  Server t sees the desired
-  shift raised by t, so its view is uniform on Z_n^M for every desired
-  file; each entry is uniform on [0:n) and the files independent, so
-  the download, the rate and the file length are the paper's.  A query
-  is M shifts rather than M columns, and only n desired columns exist.
+  mod n, with r_j uniform on Z_n.  Server t sees the desired shift
+  raised by t, so its view is uniform on Z_n^M for every desired file;
+  each entry is uniform on [0:n) and the files independent, so the
+  download, the rate and the file length are the paper's.  A query is
+  M shifts rather than M columns, and only n desired columns exist.
 
-sample_master_queries and sim.run_trials draw OMEGA unless told
-otherwise, as the paper does; gen_master_query and retrieve draw SHIFTS
-unless told otherwise, as the TCP client (net) does.
+A round is live where one of its query's columns is low there
+(low_masks).  sample_master_queries and sim.run_trials draw OMEGA
+unless told otherwise, as the paper does; gen_master_query and retrieve
+draw SHIFTS unless told otherwise, as the TCP client (net) does.
 
 The protocol runs as one batch engine on numpy arrays whose leading
 axis counts retrievals: T master queries (T, k, M), C-contiguous in
@@ -51,14 +51,12 @@ DECODE_MAP_CACHE_BYTES.  A single retrieval is a batch of one.
 The list-based calls (gen_master_query, build_server_query,
 server_answer) work on k x M query row lists and length-k answer lists
 with None marking NULL rounds.  server_answer also takes a (k, M)
-integer array: a networked server passes a query of more than
-SMALL_QUERY_ENTRIES entries as one, u8 for n <= 256 and u16 above, and
-a smaller query as row lists.  It checks every query, except one that
-the wire decoder built from shifts it has checked (RankedQuery,
-RankedRows), whose columns are shifted base columns by construction.
-decode is decode_batch of one retrieval's (N, k) answer array, 0 in
-NULL rounds, which the networked client fills with the values it has
-checked on the wire.
+integer array.  It checks every query except the two forms the wire
+decoder builds from shifts it has checked (RankedQuery, RankedRows),
+whose columns are shifted base columns by construction.  decode is
+decode_batch of one retrieval's (N, k) answer array, 0 in NULL rounds,
+which the networked client fills with the values it has checked on
+the wire.
 
 A server's storage file (STORAGE_FORMAT, save_storage/load_storage) is
 one UTF-8 JSON header line, {"format", "params", "server_index"}, then
@@ -93,18 +91,17 @@ SOURCE_FORMAT = "pir-mds-source/1"
 PRIME_LIMIT = 2**32
 MAX_REDUCED_N = 2**16 - 1
 
-# Queries up to this many entries are answered by a loop over row
-# lists: numpy's per-call costs outweigh the work of a small query, and
-# more so in a threaded server than in a warm loop.  On a 2-core x86
-# (Python 3.11, numpy 2.4), passing the 9-entry (5,3,3) query to the
-# engine as a u8 array in the loopback server raised the traced time
-# per query from 37 to 85 us and the median retrieval from 0.41 to
-# 0.54 ms, where a warm loop had shown the engine only 7-12 us dearer.
-# At 1280 entries, (8,5,256), the engine answers the server's u8 array
-# in 36 us, range check and cast included, against 90 us through row
-# lists.  The wire codec (net) uses the same bound: a query this small
-# is unpacked into row lists, and the client packs it with string calls
-# rather than numpy.
+# The wire decoder (net) hands server_answer a query of up to this many
+# entries as RankedRows, answered by a loop over row lists, and a larger
+# one as a RankedQuery array, answered by one take: numpy's per-call
+# costs outweigh the work of a small query, and more so in a threaded
+# server than in a warm loop.  On a 2-core x86 (Python 3.11, numpy
+# 2.4), passing the 9-entry (5,3,3) query as a u8 array in the loopback
+# server raised the traced time per query from 37 to 85 us and the
+# median retrieval from 0.41 to 0.54 ms, where a warm loop had shown the
+# array only 7-12 us dearer.  At 1280 entries, (8,5,256), the array
+# took 36 us against 90 us through row lists.  The client packs a query
+# this small with string calls rather than numpy.
 SMALL_QUERY_ENTRIES = 128
 
 # Bytes of decode maps one code keeps in each of its two caches, the
@@ -114,8 +111,8 @@ SMALL_QUERY_ENTRIES = 128
 # and about a hundred of the 6720 columns.
 DECODE_MAP_CACHE_BYTES = 1 << 19
 
-# Omega is tabled, and a column named by its rank, up to this size: the
-# table holds at most 2^16 x 8 entries, and a rank fits the wire's u16.
+# Omega is tabled up to this many columns, at most 2^16 x 8 entries;
+# larger systems draw its columns by an argsort.
 OMEGA_TABLE_LIMIT = 2**16
 
 # The query families (see the module docstring).
@@ -255,16 +252,13 @@ def encode_system(params: SystemParams, sources, code: MdsCode | None = None):
 # queries
 
 
-def sample_master_ranks(params: SystemParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, M) ranks of uniform columns of Omega, floor(u * |Omega|) of
-    uniforms u: biased by at most |Omega| / 2^53, and never |Omega|."""
-    return (rng.random((count, params.m_files)) * omega_size(params)).astype(np.int64)
-
-
-def sample_master_shifts(params: SystemParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, M) shifts uniform on Z_n, floor(u * n) of uniforms u, as
-    sample_master_ranks draws ranks."""
-    return (rng.random((count, params.m_files)) * params.n_reduced).astype(np.int64)
+def sample_master_rows(
+    params: SystemParams, rng: np.random.Generator, count: int, rows: int
+) -> np.ndarray:
+    """(count, M) indices of uniform rows of a family table of `rows` rows,
+    floor(u * rows) of uniforms u: biased by at most rows / 2^53, and
+    never rows."""
+    return (rng.random((count, params.m_files)) * rows).astype(np.int64)
 
 
 def sample_master_queries(
@@ -273,20 +267,18 @@ def sample_master_queries(
     """(count, k, M) C-contiguous array of master-query entries of
     `family`, in n's narrowest dtype: u8 for n <= 256, u16 above.
 
-    SHIFTS columns are the shift table's rows at sample_master_shifts.
-    OMEGA columns, where Omega is tabled, are the table's rows at
-    sample_master_ranks; elsewhere the first k slots of an argsort of
-    iid uniforms, a uniform partial permutation of [0:n).  Widen before
-    arithmetic: entry + shift wraps in u8.
+    Column j is the family table's row at sample_master_rows.  Where
+    Omega is too large to table, it is the first k slots of an argsort
+    of iid uniforms, a uniform partial permutation of [0:n).  Widen
+    before arithmetic: entry + shift wraps in u8.
     """
     n, k, m = params.n_reduced, params.k_reduced, params.m_files
-    if _checked_family(family) == SHIFTS:
-        columns = shift_tables(n, k)[0].take(sample_master_shifts(params, rng, count), axis=0)
-    elif omega_size(params) <= OMEGA_TABLE_LIMIT:
-        columns = _narrow_omega(n, k).take(sample_master_ranks(params, rng, count), axis=0)
-    else:
+    if _checked_family(family) == OMEGA and omega_size(params) > OMEGA_TABLE_LIMIT:
         perms = np.argsort(rng.random((count, m, n)), axis=2)[:, :, :k]
         columns = perms.astype(np.min_scalar_type(n - 1))
+    else:
+        table = family_table(n, k, family)
+        columns = table.take(sample_master_rows(params, rng, count, len(table)), axis=0)
     return np.ascontiguousarray(columns.transpose(0, 2, 1))
 
 
@@ -388,67 +380,45 @@ def query_space(params: SystemParams, indices, family: str = OMEGA) -> np.ndarra
     """The (len(indices), k, M) master queries at `indices` of Omega^M or
     Z_n^M, in itertools.product order: the last file's column varies
     fastest."""
-    n, k = params.n_reduced, params.k_reduced
-    table = shift_tables(n, k)[0] if _checked_family(family) == SHIFTS else omega(n, k)
+    table = family_table(params.n_reduced, params.k_reduced, family)
     digits = np.unravel_index(indices, (len(table),) * params.m_files)
     return np.stack([table[d] for d in digits], axis=-1)
 
 
 @functools.lru_cache(maxsize=8)
-def _narrow_omega(n: int, k: int) -> np.ndarray:
-    """omega in n's narrowest dtype, the masters' own."""
-    table = omega(n, k).astype(np.min_scalar_type(n - 1))
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=8)
 def omega(n: int, k: int) -> np.ndarray:
-    """Omega as a read-only (|Omega|, k) int64 array in itertools.permutations
-    order, which is lexicographic: row r is the column of rank r."""
-    table = np.zeros((1, 0), dtype=np.int64)
+    """Omega as a read-only (|Omega|, k) array in n's narrowest dtype, in
+    itertools.permutations order, which is lexicographic: row r is the
+    column of rank r."""
+    dtype = np.min_scalar_type(n - 1)
+    table = np.zeros((1, 0), dtype=dtype)
     for _ in range(k):
         # every prefix, extended by each value it lacks, in ascending order
         prefix, value = np.nonzero((table[:, :, None] != np.arange(n)).all(axis=1))
-        table = np.column_stack([table[prefix], value])
+        table = np.column_stack([table[prefix], value.astype(dtype)])
     table.flags.writeable = False
     return table
 
 
-def column_ranks(columns: np.ndarray, n: int) -> np.ndarray:
-    """The ranks in Omega of columns (..., k) of distinct entries of [0:n):
-    digit s, entry s less the earlier entries below it, weighs P(n-1-s, k-1-s)."""
+@functools.lru_cache(maxsize=8)
+def family_table(n: int, k: int, family: str) -> np.ndarray:
+    """The columns of `family` as a read-only (rows, k) table in n's
+    narrowest dtype: omega, or row u the base column (0, 1, ..., k-1)
+    shifted by u mod n."""
+    if _checked_family(family) == OMEGA:
+        return omega(n, k)
+    table = ((np.arange(n)[:, None] + np.arange(k)) % n).astype(np.min_scalar_type(n - 1))
+    table.flags.writeable = False
+    return table
+
+
+def low_masks(columns: np.ndarray, n: int) -> np.ndarray:
+    """Bitmasks of the low rows of columns (..., k) of entries of [0:n):
+    bit s is set where entry s is below n-k, as round s of a query is
+    live where one of its columns' masks has bit s.  Past k = 63 they are
+    Python ints, which int64 would overflow."""
     k = columns.shape[-1]
-    earlier = np.tri(k, k, -1, dtype=bool)
-    digits = columns - ((columns[..., None, :] < columns[..., :, None]) & earlier).sum(axis=-1)
-    return digits @ np.array([math.perm(n - 1 - s, k - 1 - s) for s in range(k)])
-
-
-@functools.lru_cache(maxsize=8)
-def shift_tables(n: int, k: int):
-    """Read-only per-shift tables in their narrowest dtypes: (n, k) row u
-    the base column (0, 1, ..., k-1) shifted by u mod n, and n bitmasks
-    of its low rows, bit s set where entry s is below n-k, as
-    rank_tables gives them per rank."""
-    columns = (np.arange(n)[:, None] + np.arange(k)) % n
-    low = ((columns < n - k) @ (1 << np.arange(k))).astype(np.min_scalar_type((1 << k) - 1))
-    columns = columns.astype(np.min_scalar_type(n - 1))
-    columns.flags.writeable = low.flags.writeable = False
-    return columns, low
-
-
-@functools.lru_cache(maxsize=8)
-def rank_tables(n: int, k: int):
-    """Read-only per-rank tables: (|Omega|, n) the rank of each column
-    shifted by t mod n, and |Omega| bitmasks of its low rows, bit s set
-    where entry s is below n-k.  A query's round s is live where bit s
-    of one of its columns' masks is."""
-    table = omega(n, k)
-    shift = np.stack([column_ranks((table + t) % n, n) for t in range(n)], axis=1)
-    shift = shift.astype(np.min_scalar_type(len(table) - 1))
-    low = ((table < n - k) @ (1 << np.arange(k))).astype(np.min_scalar_type((1 << k) - 1))
-    shift.flags.writeable = low.flags.writeable = False
-    return shift, low
+    return (columns < n - k) @ (1 << np.arange(k, dtype=object if k > 63 else np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -467,41 +437,29 @@ class RankedQuery(np.ndarray):
 class RankedRows(list):
     """k row lists of Python ints whose columns are shifted base columns,
     as net.decode_query_payload builds a small query from shifts it has
-    range-checked; server_answer answers them without _is_plain_query.
+    range-checked; server_answer answers them by a loop, unchecked.
     Only that decoder makes one."""
 
 
 def server_answer(storage: ServerStorage, query, params: SystemParams) -> list[int | None]:
     """k per-round responses to a k x M query; None marks a NULL round.
 
-    The query is k row lists or a (k, M) integer array.  The server sees
-    only its own query, never the desired file index.  A query of more
-    than SMALL_QUERY_ENTRIES entries is validated by the batch engine,
-    in the array's own dtype, and answered by one take from the flat
-    storage; a smaller one by a loop over row lists, which is cheaper
-    than a dozen numpy calls.  Both raise validate_query's
-    ProtocolError for a query it rejects.  A RankedQuery or RankedRows,
-    which the wire decoder builds from checked shifts alone, is answered
-    unchecked: its columns are shifted base columns by construction.
+    The server sees only its own query, never the desired file index.  A
+    RankedQuery or RankedRows, which the wire decoder builds from checked
+    shifts alone, is answered unchecked: its columns are shifted base
+    columns by construction.  Any other query, row lists or a (k, M)
+    integer array, must pass validate_query (ProtocolError otherwise)
+    and is answered by one take from the flat storage.
     """
     kind = type(query)
     if kind is RankedQuery:
         return _gather_answer(storage, query.view(np.ndarray), params)
     if kind is RankedRows:
         return _loop_answer(storage, query, params)
-    k, m, n = params.k_reduced, params.m_files, params.n_reduced
-    if isinstance(query, np.ndarray):
-        if query.shape != (k, m):
-            raise ProtocolError(f"query must be {k} x {m}")
-        if k * m <= SMALL_QUERY_ENTRIES:
-            query = query.tolist()
-    elif len(query) != k or any(len(row) != m for row in query):
-        raise ProtocolError(f"query must be {k} x {m}")
-    if k * m > SMALL_QUERY_ENTRIES:
-        return _gather_answer(storage, validate_query(query, params), params)
-    if not _is_plain_query(query, n, k):
-        validate_query(query, params)  # the engine's checks decide
-    return _loop_answer(storage, query, params)
+    q = validate_query(query, params)
+    if q.ndim != 2:
+        raise ProtocolError(f"query must be {params.k_reduced} x {params.m_files}")
+    return _gather_answer(storage, q, params)
 
 
 def _gather_answer(storage: ServerStorage, q: np.ndarray, params: SystemParams):
@@ -532,20 +490,6 @@ def _file_offsets(n: int, m_files: int) -> np.ndarray:
     offsets = np.arange(0, m_files * n, n, dtype=np.min_scalar_type(m_files * n - 1))
     offsets.flags.writeable = False
     return offsets
-
-
-def _is_plain_query(rows, n: int, k: int) -> bool:
-    """Whether every entry is a Python int in [0:n) and every column
-    distinct, as the loop of server_answer takes them.  Any other query
-    goes to validate_query, so both paths reject alike."""
-    for row in rows:
-        for entry in row:
-            if type(entry) is not int or not 0 <= entry < n:
-                return False
-    for column in zip(*rows):
-        if len(set(column)) != k:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

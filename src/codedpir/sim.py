@@ -118,14 +118,13 @@ def exact_expectation_by_enumeration(
     Omega^M or Z_n^M, exactly.
 
     Counts live rounds of every server's query with the mask the batch
-    engine uses, read from the masters' column ranks or shifts: server
-    t's round s is live where the master's row s is live apart from the
-    desired file, or the desired column shifted by t is low in row s
-    (scheme.rank_tables, scheme.shift_tables).  This is an
-    enumeration-based check on the closed-form expectation, so it uses
-    no distributional shortcuts.  Masters are taken ENUM_CHUNK_ENTRIES
-    query entries at a time, by their index in the space
-    (scheme.query_space's order).
+    engine uses, read from the family table: server t's round s is live
+    where the master's row s is live apart from the desired file, or the
+    desired column shifted by t is low in row s (scheme.low_masks).
+    This is an enumeration-based check on the closed-form expectation,
+    so it uses no distributional shortcuts.  Masters are taken
+    ENUM_CHUNK_ENTRIES query entries at a time, by their index in the
+    space (scheme.query_space's order).
     """
     size = scheme.query_space_size(params, family)
     if size > budget:
@@ -134,24 +133,27 @@ def exact_expectation_by_enumeration(
         )
     scheme._checked_thetas(theta, params)
     n, k = params.n_reduced, params.k_reduced
-    if family == scheme.SHIFTS:
-        # shift u, moved on by t, is shift (u + t) mod n
-        shift = (np.arange(n)[:, None] + np.arange(n)) % n
-        low = scheme.shift_tables(n, k)[1]
-    else:
-        shift, low = scheme.rank_tables(n, k)
-    shape = (len(low),) * params.m_files
+    shifted = _shifted_low_masks(scheme.family_table(n, k, family), n)
+    shape = (len(shifted),) * params.m_files
     per_master = params.n_servers * k * params.m_files
     chunk = max(1, ENUM_CHUNK_ENTRIES // per_master)
     total = 0
     for start in range(0, size, chunk):
-        # (M, masters): each file's column rank or shift
+        # (M, masters): each file's row of the table
         digits = np.stack(np.unravel_index(np.arange(start, min(start + chunk, size)), shape))
-        others = np.bitwise_or.reduce(low[np.delete(digits, theta, axis=0)], axis=0)
+        others = np.bitwise_or.reduce(shifted[np.delete(digits, theta, axis=0), 0], axis=0)
         # (masters, n): the n shifts of the desired column, d servers each
-        live = others[:, None] | low[shift[digits[theta]]]
+        live = others[:, None] | shifted[digits[theta]]
         total += params.d * int((live[..., None] >> np.arange(k) & 1).sum())
     return Fraction(total, size)
+
+
+def _shifted_low_masks(table: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n): the low-row bitmask of each column of a family table
+    shifted by t mod n, one t at a time to bound the memory."""
+    # Widened: in the table's u8, entry + t would wrap mod 256.
+    wide = table.astype(np.int64)
+    return np.stack([scheme.low_masks((wide + t) % n, n) for t in range(n)], axis=1)
 
 
 def sweep(grid, trials: int, seed: int, theta_policy: str = "fixed"):

@@ -138,3 +138,15 @@ def run_trials_loop(params, n_trials, seed, theta_policy="fixed", theta=0):
         exact_expected_download=analysis.expected_download(params),
         exact_rate=analysis.scheme_rate(params),
     )
+
+
+
+def shifted_low_masks_loop(table, n):
+    """sim._shifted_low_masks by a loop, (rows, n) lists: bit s of the
+    mask of a column shifted by t is set where entry s plus t mod n is
+    below n-k."""
+    low = n - table.shape[1]
+    return [
+        [sum(1 << s for s, entry in enumerate(column) if (entry + t) % n < low) for t in range(n)]
+        for column in table.tolist()
+    ]

@@ -71,6 +71,11 @@ class TestRetrieve:
         assert run(["retrieve", "--theta", "0", "--storage-dir", str(system_dir),
                     "--servers", "h:1"]) == 2
 
+    def test_bad_server_address(self, capsys):
+        assert run(["retrieve", "--theta", "0", "--servers", "bad",
+                    "--n", "5", "--k", "3", "--m", "3"]) == 2
+        assert capsys.readouterr().err == "error: bad address 'bad', expected host:port\n"
+
     def _retrieve_fails(self, system_dir, capsys, code, message):
         assert run(["retrieve", "--theta", "1", "--storage-dir", str(system_dir)]) == code
         assert message in capsys.readouterr().err
@@ -261,3 +266,9 @@ class TestBench:
 
     def test_bad_grid(self, capsys):
         assert run(["bench", "--grid", "5,3"]) == 2
+
+    def test_grid_point_not_an_integer(self, capsys):
+        assert run(["bench", "--grid", "5,x,3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad grid point '5,x,3', expected N,K,M[,p]\n"
+        )

@@ -283,11 +283,12 @@ class TestPayloads:
         assert result.source == sources[1].tolist()
         assert sent == [encode_query_payload(params, q) for q in queries]
 
-    @pytest.mark.parametrize("shape", [(257, 1, 129, 257), (12, 7, 2, 13)])
+    @pytest.mark.parametrize("shape", [(257, 1, 129, 257), (12, 7, 2, 13), (71, 70, 2, 73)])
     def test_former_entry_systems_send_shifts(self, shape, monkeypatch):
         """k = 1 and |Omega| > 2^16, whose queries wires v2 and v3 sent
         as k*M entries, send M shifts at n's width like every system, end
-        to end."""
+        to end; at k = 70 the client's live-round masks take more bits
+        than int64 holds."""
         params = derive_params(*shape)
         n, m = params.n_reduced, params.m_files
         sources = scheme.random_sources(params, make_rng(2))

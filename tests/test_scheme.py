@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from codedpir import derive_params, encode_system, make_rng
-from codedpir import rs, scheme
+from codedpir import rs, scheme, sim
 from codedpir.linalg import matmul_mod
 from codedpir.rs import MdsCode, make_code
 from codedpir.scheme import (
@@ -34,6 +34,7 @@ from oracle import (
     live_rounds,
     retrieve_batch_reference,
     server_answer_loop,
+    shifted_low_masks_loop,
 )
 
 PRIMES = [7, 257, 65537, 2**31 - 1, 4294967291]
@@ -130,46 +131,16 @@ class TestQueries:
         assert seen == {0, 1}
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (5, 3), (7, 4), (8, 5), (9, 2)])
-    def test_rank_tables_over_all_of_omega(self, n, k):
-        """Row r of the table is the column of rank r in itertools order;
-        ranking inverts it, and the shift table names each column shifted
-        by t mod n, whose low rows are its entries below n-k."""
-        table = scheme.omega(n, k)
+    def test_omega_table(self, n, k):
+        """Row r of Omega's family table is the column of rank r in
+        itertools order, read-only in n's narrowest dtype; the low rows of
+        each column shifted by t are its entries below n-k."""
+        table = scheme.family_table(n, k, scheme.OMEGA)
+        assert table is scheme.omega(n, k)
         assert not table.flags.writeable
+        assert table.dtype == np.min_scalar_type(n - 1)
         assert table.tolist() == [list(c) for c in itertools.permutations(range(n), k)]
-        assert np.array_equal(scheme.column_ranks(table, n), np.arange(len(table)))
-        shift, low = scheme.rank_tables(n, k)
-        assert shift.shape == (len(table), n) and low.shape == (len(table),)
-        assert shift.dtype == np.min_scalar_type(len(table) - 1)
-        for t in range(n):
-            assert np.array_equal(table[shift[:, t]], (table + t) % n)
-        assert np.array_equal(low, (table < n - k) @ (1 << np.arange(k)))
-
-    def test_master_ranks_name_the_sampled_columns(self):
-        """Masters are C-contiguous in n's narrowest dtype.  A master is
-        the table's rows at its ranks, drawn from the same stream;
-        systems with |Omega| > 2^16 keep the argsort of n uniforms."""
-        for shape, dtype, tabled in [
-            ((8, 5, 40, 257), np.uint8, True),
-            ((300, 1, 3, 307), np.uint16, True),
-            ((12, 7, 2, 13), np.uint8, False),
-            ((301, 2, 2, 307), np.uint16, False),
-        ]:
-            params = derive_params(*shape)
-            n, k, m = params.n_reduced, params.k_reduced, params.m_files
-            assert (scheme.omega_size(params) <= scheme.OMEGA_TABLE_LIMIT) == tabled
-            masters = scheme.sample_master_queries(params, make_rng(3), 50)
-            assert masters.shape == (50, k, m) and masters.flags.c_contiguous
-            assert masters.dtype == dtype == np.min_scalar_type(n - 1)
-            scheme.validate_query(masters, params)
-            if tabled:
-                ranks = scheme.sample_master_ranks(params, make_rng(3), 50)
-                assert ranks.min() >= 0 and ranks.max() < scheme.omega_size(params)
-                expected = scheme.omega(n, k)[ranks].transpose(0, 2, 1)
-            else:
-                uniforms = make_rng(3).random((50, m, n))
-                expected = np.argsort(uniforms, axis=2)[:, :, :k].transpose(0, 2, 1)
-            assert np.array_equal(masters, expected)
+        assert sim._shifted_low_masks(table, n).tolist() == shifted_low_masks_loop(table, n)
 
     @pytest.mark.parametrize("n,k,m", [(2, 1, 2), (3, 2, 2), (5, 3, 2)])
     def test_query_space_in_product_order(self, n, k, m):
@@ -274,8 +245,10 @@ class TestServerAnswer:
 
 
 class TestAnswerPaths:
-    """server_answer takes a loop for small queries and the batch engine
-    for large ones; both must accept, reject and answer alike."""
+    """server_answer checks every query but the wire decoder's RankedRows
+    and RankedQuery, and answers it by the gather; the trusted forms are
+    answered by a loop and by the gather.  All agree on valid queries,
+    and every unchecked form is rejected as validate_query rejects it."""
 
     @staticmethod
     def outcome(answer, storage, query, params):
@@ -321,6 +294,9 @@ class TestAnswerPaths:
             assert self.outcome(server_answer, storages[1], form, params) == expected
         if not isinstance(expected, str):
             assert expected == server_answer_loop(storages[1], query, params)
+            trusted = [scheme.RankedRows(query), np.array(query, np.uint8).view(scheme.RankedQuery)]
+            for form in trusted:
+                assert server_answer(storages[1], form, params) == expected
 
     @pytest.mark.parametrize("m_files", [3, 50])
     @pytest.mark.parametrize("entry", [1.5, 1.0, "1", None])
@@ -335,6 +311,29 @@ class TestAnswerPaths:
             with pytest.raises(ProtocolError, match=f"^query must be 3 x {m_files} integers$"):
                 server_answer(storages[1], form, params)
 
+    @pytest.mark.parametrize("m_files", [3, 50])
+    @pytest.mark.parametrize("fault", ["stacked", "ragged", "bool"])
+    def test_unchecked_forms_are_rejected(self, m_files, fault):
+        """A stack of one query, a ragged row list and bools each raise
+        validate_query's ProtocolError, as row lists and as an array (a
+        float entry: test_non_integer_entry)."""
+        params = derive_params(5, 3, m_files, 257)
+        _, storages = encode_system(params, scheme.random_sources(params, make_rng(m_files)))
+        query = scheme.server_queries(
+            scheme.sample_master_queries(params, make_rng(5), 1), [0], params
+        )[0, 1].tolist()
+        shape = f"^query must be 3 x {m_files}"
+        if fault == "stacked":
+            query, message = [query], shape + "$"
+        elif fault == "ragged":
+            # the list does not convert to integers, the object array is 1-D
+            query[2], message = query[2][:-1], shape
+        else:
+            query, message = [[e < 2 for e in row] for row in query], shape + " integers$"
+        array = np.array(query, dtype=object if fault == "ragged" else None)
+        for form in (query, array):
+            with pytest.raises(ProtocolError, match=message):
+                server_answer(storages[1], form, params)
 
     @pytest.mark.parametrize("shape", [(8, 5, 32, 257), (8, 5, 256, 65537)])
     def test_large_query_arrays_agree_with_the_loop(self, shape):

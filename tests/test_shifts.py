@@ -17,6 +17,8 @@ from codedpir import analysis, derive_params, make_rng, scheme, sim
 from codedpir.rs import make_code
 from codedpir.scheme import OMEGA, SHIFTS
 
+from oracle import shifted_low_masks_loop
+
 GRID = [(5, 3, 3), (4, 2, 3), (6, 4, 2), (8, 5, 3), (3, 1, 3)]
 
 
@@ -26,38 +28,59 @@ def every_shift_master(params):
 
 
 class TestTables:
-    @pytest.mark.parametrize("n, k", [(2, 1), (3, 2), (5, 3), (8, 5), (17, 2), (259, 2)])
+    @pytest.mark.parametrize(
+        "n, k", [(2, 1), (3, 2), (5, 3), (8, 5), (17, 2), (259, 2), (75, 70)]
+    )
     def test_shift_tables(self, n, k):
-        """Row u is (0, 1, ..., k-1) + u mod n in n's narrowest dtype, and
-        bit s of its mask is set where entry s is below n-k."""
-        columns, low = scheme.shift_tables(n, k)
-        assert not columns.flags.writeable and not low.flags.writeable
-        assert columns.dtype == np.min_scalar_type(n - 1)
-        assert columns.tolist() == [[(u + s) % n for s in range(k)] for u in range(n)]
-        assert low.tolist() == [
-            sum(1 << s for s in range(k) if (u + s) % n < n - k) for u in range(n)
-        ]
+        """Row u of the shift family's table is (0, 1, ..., k-1) + u mod n,
+        read-only in n's narrowest dtype; the low rows of each column
+        shifted by t are its entries below n-k, past k = 63 in more bits
+        than int64 holds."""
+        table = scheme.family_table(n, k, SHIFTS)
+        assert not table.flags.writeable
+        assert table.dtype == np.min_scalar_type(n - 1)
+        assert table.tolist() == [[(u + s) % n for s in range(k)] for u in range(n)]
+        assert sim._shifted_low_masks(table, n).tolist() == shifted_low_masks_loop(table, n)
 
     def test_masters_are_rows_of_the_table(self):
-        """sample_master_queries(SHIFTS) is the table's rows at
-        sample_master_shifts, from the same stream, (T, k, M) C-contiguous
-        in n's narrowest dtype; gen_master_query draws the same by
-        default."""
-        for shape in [(5, 3, 3, 7), (8, 5, 256, 65537), (259, 2, 2, 263)]:
+        """A master of either family is (T, k, M) C-contiguous in n's
+        narrowest dtype, its columns the family table's rows at
+        sample_master_rows, drawn from the same stream; where |Omega| >
+        2^16 its columns are an argsort of n uniforms instead.
+        gen_master_query draws shifts by default."""
+        for shape, family, tabled in [
+            ((5, 3, 3, 7), SHIFTS, True),
+            ((8, 5, 256, 65537), SHIFTS, True),
+            ((259, 2, 2, 263), SHIFTS, True),
+            ((8, 5, 40, 257), OMEGA, True),
+            ((300, 1, 3, 307), OMEGA, True),
+            ((12, 7, 2, 13), OMEGA, False),
+            ((301, 2, 2, 307), OMEGA, False),
+        ]:
             params = derive_params(*shape)
             n, k, m = params.n_reduced, params.k_reduced, params.m_files
-            shifts = scheme.sample_master_shifts(params, make_rng(3), 50)
-            assert shifts.shape == (50, m) and shifts.min() >= 0 and shifts.max() < n
-            masters = scheme.sample_master_queries(params, make_rng(3), 50, SHIFTS)
+            masters = scheme.sample_master_queries(params, make_rng(3), 50, family)
             assert masters.shape == (50, k, m) and masters.flags.c_contiguous
             assert masters.dtype == np.min_scalar_type(n - 1)
-            expected = (shifts[:, None, :] + np.arange(k)[:, None]) % n
+            scheme.validate_query(masters, params)
+            if tabled:
+                table = scheme.family_table(n, k, family)
+                # floor(u * rows), the stream both families have always drawn
+                rows = (make_rng(3).random((50, m)) * len(table)).astype(np.int64)
+                drawn = scheme.sample_master_rows(params, make_rng(3), 50, len(table))
+                assert np.array_equal(drawn, rows) and rows.max() < len(table)
+                expected = table[rows].transpose(0, 2, 1)
+            else:
+                assert scheme.omega_size(params) > scheme.OMEGA_TABLE_LIMIT
+                uniforms = make_rng(3).random((50, m, n))
+                expected = np.argsort(uniforms, axis=2)[:, :, :k].transpose(0, 2, 1)
             assert np.array_equal(masters, expected)
-            assert scheme.gen_master_query(params, make_rng(3)) == masters[0].tolist()
+            if family == SHIFTS:
+                assert scheme.gen_master_query(params, make_rng(3)) == masters[0].tolist()
 
     def test_shifts_are_uniform(self):
         params = derive_params(5, 3, 3, 7)
-        shifts = scheme.sample_master_shifts(params, make_rng(0), 20_000)
+        shifts = scheme.sample_master_queries(params, make_rng(0), 20_000, SHIFTS)[:, 0]
         counts = Counter(shifts.ravel().tolist())
         assert set(counts) == set(range(5))
         assert max(counts.values()) / min(counts.values()) < 1.1
