@@ -130,6 +130,37 @@ class TestQueries:
         seen = {gen_master_query(params, rng)[0][0] for _ in range(50)}
         assert seen == {0, 1}
 
+    def test_master_ranks_name_the_sampled_columns(self):
+        """Omega masters are (T, k, M) C-contiguous in n's narrowest dtype,
+        their columns Omega's rows at the ranks sample_master_rows draws
+        from the same stream; systems with |Omega| > 2^16 keep the argsort
+        of n uniforms."""
+        for shape, dtype, tabled in [
+            ((8, 5, 40, 257), np.uint8, True),
+            ((300, 1, 3, 307), np.uint16, True),
+            ((12, 7, 2, 13), np.uint8, False),
+            ((301, 2, 2, 307), np.uint16, False),
+        ]:
+            params = derive_params(*shape)
+            n, k, m = params.n_reduced, params.k_reduced, params.m_files
+            assert (scheme.omega_size(params) <= scheme.OMEGA_TABLE_LIMIT) == tabled
+            masters = scheme.sample_master_queries(params, make_rng(3), 50, scheme.OMEGA)
+            assert masters.shape == (50, k, m) and masters.flags.c_contiguous
+            assert masters.dtype == dtype == np.min_scalar_type(n - 1)
+            scheme.validate_query(masters, params)
+            if tabled:
+                table = scheme.family_table(n, k, scheme.OMEGA)
+                # floor(u * |Omega|), the stream Omega masters have always drawn
+                ranks = (make_rng(3).random((50, m)) * len(table)).astype(np.int64)
+                drawn = scheme.sample_master_rows(params, make_rng(3), 50, len(table))
+                assert np.array_equal(drawn, ranks)
+                assert ranks.min() >= 0 and ranks.max() < scheme.omega_size(params)
+                expected = table[ranks].transpose(0, 2, 1)
+            else:
+                uniforms = make_rng(3).random((50, m, n))
+                expected = np.argsort(uniforms, axis=2)[:, :, :k].transpose(0, 2, 1)
+            assert np.array_equal(masters, expected)
+
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (5, 3), (7, 4), (8, 5), (9, 2)])
     def test_omega_table(self, n, k):
         """Row r of Omega's family table is the column of rank r in

@@ -43,40 +43,24 @@ class TestTables:
         assert sim._shifted_low_masks(table, n).tolist() == shifted_low_masks_loop(table, n)
 
     def test_masters_are_rows_of_the_table(self):
-        """A master of either family is (T, k, M) C-contiguous in n's
-        narrowest dtype, its columns the family table's rows at
-        sample_master_rows, drawn from the same stream; where |Omega| >
-        2^16 its columns are an argsort of n uniforms instead.
-        gen_master_query draws shifts by default."""
-        for shape, family, tabled in [
-            ((5, 3, 3, 7), SHIFTS, True),
-            ((8, 5, 256, 65537), SHIFTS, True),
-            ((259, 2, 2, 263), SHIFTS, True),
-            ((8, 5, 40, 257), OMEGA, True),
-            ((300, 1, 3, 307), OMEGA, True),
-            ((12, 7, 2, 13), OMEGA, False),
-            ((301, 2, 2, 307), OMEGA, False),
-        ]:
+        """A shift master is (T, k, M) C-contiguous in n's narrowest
+        dtype, its columns the shift table's rows at sample_master_rows,
+        drawn from the same stream; gen_master_query draws the same by
+        default.  test_scheme checks the Omega family the same way."""
+        for shape in [(5, 3, 3, 7), (8, 5, 256, 65537), (259, 2, 2, 263)]:
             params = derive_params(*shape)
             n, k, m = params.n_reduced, params.k_reduced, params.m_files
-            masters = scheme.sample_master_queries(params, make_rng(3), 50, family)
+            masters = scheme.sample_master_queries(params, make_rng(3), 50, SHIFTS)
             assert masters.shape == (50, k, m) and masters.flags.c_contiguous
             assert masters.dtype == np.min_scalar_type(n - 1)
             scheme.validate_query(masters, params)
-            if tabled:
-                table = scheme.family_table(n, k, family)
-                # floor(u * rows), the stream both families have always drawn
-                rows = (make_rng(3).random((50, m)) * len(table)).astype(np.int64)
-                drawn = scheme.sample_master_rows(params, make_rng(3), 50, len(table))
-                assert np.array_equal(drawn, rows) and rows.max() < len(table)
-                expected = table[rows].transpose(0, 2, 1)
-            else:
-                assert scheme.omega_size(params) > scheme.OMEGA_TABLE_LIMIT
-                uniforms = make_rng(3).random((50, m, n))
-                expected = np.argsort(uniforms, axis=2)[:, :, :k].transpose(0, 2, 1)
-            assert np.array_equal(masters, expected)
-            if family == SHIFTS:
-                assert scheme.gen_master_query(params, make_rng(3)) == masters[0].tolist()
+            table = scheme.family_table(n, k, SHIFTS)
+            # floor(u * n), the stream shift masters have always drawn
+            rows = (make_rng(3).random((50, m)) * len(table)).astype(np.int64)
+            drawn = scheme.sample_master_rows(params, make_rng(3), 50, len(table))
+            assert np.array_equal(drawn, rows) and rows.max() < len(table)
+            assert np.array_equal(masters, table[rows].transpose(0, 2, 1))
+            assert scheme.gen_master_query(params, make_rng(3)) == masters[0].tolist()
 
     def test_shifts_are_uniform(self):
         params = derive_params(5, 3, 3, 7)
