@@ -1,47 +1,65 @@
 """
-TCP transport for the retrieval protocol, wire format v4.
+TCP transport for the retrieval protocol, wire format v5.
 
-Frame: 4-byte magic "PIR4", 1-byte message type, u32 big-endian payload
-length, payload.  A peer that sends another magic, such as v3's "PIR3",
-gets no reply and a closed connection.
+Frame: a 1-byte tag, then the u32 big-endian payload length, then the
+payload.  The tag names the version and the message type at once: 5 in
+its high nibble, the type in its low one, so 0x51 is a QUERY, 0x52 an
+ANSWER and 0x53 an ERROR.  A frame whose first byte is no tag gets no
+reply and a closed connection, and a client reading one raises
+BadMagicError.  Every v1-v4 frame began with its magic's "P" (0x50), so
+its first byte alone refuses it.
 
-QUERY: (N, K, M, p) as four big-endian u32s, then the M shifts of a
-query of scheme.SHIFTS: column j is the base column (0, 1, ..., k-1)
-shifted by shift j mod n.  A shift takes the narrowest of 4, 8 or 16
-bits that holds n-1, so (5,3,3) sends 2 bytes of shifts and (8,5,256)
-128.  Nibbles go two to a byte, high first, an odd count padded with a
-zero nibble (a server rejects any other pad, so a query has one
-encoding); u16s big-endian.  The client draws the master as M shifts;
-server t's are the master's with the desired one raised by t mod n,
-and its live rounds are the OR of its shifts' low rows
-(scheme.low_masks), found and packed in Python past the draw: the
-shifts are packed once, and only the desired one's bytes differ
-between servers.  A server checks the header against its own
-parameters first, then reads M shifts at n's width, never a layout the
-peer names, and rejects a shift not below n.  It expands the shifts
-through the family table (scheme.family_table): a query of more than
-scheme.SMALL_QUERY_ENTRIES entries reaches scheme.server_answer as a
-C-contiguous (k, M) scheme.RankedQuery, u8 for n <= 256; a smaller one
-as scheme.RankedRows, row lists of Python ints built without numpy, as
-its loop answers them faster than numpy would.  Their columns are
-shifted base columns by construction, so the shift check is the only
-one a query gets, and server_answer answers it unchecked.
+QUERY: the system tag, the big-endian CRC-32 of (N, K, M, p) as four
+big-endian u32s, then the M shifts of a query of scheme.SHIFTS: column
+j is the base column (0, 1, ..., k-1) shifted by shift j mod n.  A
+server compares the tag with its own before anything else and answers a
+mismatch with ERR_PARAM_MISMATCH.  The tag is safe as a check: CRC-32
+detects every error burst of 32 bits or fewer, so two systems that
+differ in one of the four fields always get different tags; systems
+that differ in two or more collide with chance 2^-32, and even then the
+server reads the body at its own M and n and never answers a query that
+is malformed for its own system.  Parameters are sent in every QUERY,
+not once per connection, so every byte count is exact per retrieval.
 
-ANSWER: one width byte w, the fewest of 1, 2 or 4 bytes that hold the
-largest live value (1 when no round is live), then the live values
-only, big-endian, in round order.  There is no round count and no
-flag: the client derives each server's live rounds from the query it
-sent and places the values of all N answers in the (N, k) array, 0 in
-NULL rounds, that scheme.decode takes.  A width outside {1, 2, 4} or
-wider than p-1 needs, or a value not below p, is a WireError; a length
-other than 1 + live*w an AnswerMismatchError.  Both widths are
-functions of what the server sees, n and its own answer values, so
-neither tells it anything about the desired file.
+A shift takes the narrowest of 4, 8 or 16 bits that holds n-1, so
+(5,3,3) sends 2 bytes of shifts and (8,5,256) 128.  Nibbles go two to a
+byte, high first, an odd count padded with a zero nibble (a server
+rejects any other pad, so a query has one encoding); u16s big-endian.
+The client draws the master as M shifts; server t's are the master's
+with the desired one raised by t mod n, and its live rounds are the OR
+of its shifts' low rows (scheme.low_masks), found and packed in Python
+past the draw: the shifts are packed once, and only the desired one's
+bytes differ between servers.  A server reads M shifts at n's width,
+never a layout the peer names, and rejects a shift not below n.  It
+expands the shifts through the family table (scheme.family_table): a
+query of more than scheme.SMALL_QUERY_ENTRIES entries reaches
+scheme.server_answer as a C-contiguous (k, M) scheme.RankedQuery, u8
+for n <= 256; a smaller one as scheme.RankedRows, row lists of Python
+ints built without numpy, as its loop answers them faster than numpy
+would.  Their columns are shifted base columns by construction, so the
+shift check is the only one a query gets, and server_answer answers it
+unchecked.
+
+ANSWER: one head byte, then the live values only, big-endian, in round
+order.  The head byte's low 3 bits hold the width w, the fewest of 1, 2
+or 4 bytes that hold the largest live value (1 when no round is live);
+its high 5 bits hold the answer's sequence, the number of QUERY frames
+the server had read on the connection before the one answered, mod 32.
+There is no round count and no flag: the client derives each server's
+live rounds from the query it sent and places the values of all N
+answers in the (N, k) array, 0 in NULL rounds, that scheme.decode
+takes.  A width outside {1, 2, 4} or wider than p-1 needs, or a value
+not below p, is a WireError; a sequence other than the count of queries
+the client sent on the connection before this one a StaleAnswerError,
+checked before the length; a length other than 1 + live*w an
+AnswerMismatchError.  The widths and the sequence are functions of what
+the server sees, n, its own answer values and the connection's own
+frames, so none tells it anything about the desired file.
 
 ERROR: a u16 code plus UTF-8 detail.  All k rounds ride in one ANSWER:
 the scheme has no inter-round dependency, so a retrieval is a single
 round trip per server.  Each side bounds the payload it reads by the
-size the system's parameters imply before reading it: 16 + ceil(M *
+size the system's parameters imply before reading it: 4 + ceil(M *
 bits / 8) bytes for a QUERY, 1 + w_p * k for an ANSWER, where w_p is
 the width of p-1, and MAX_ERROR_PAYLOAD for an ERROR.
 
@@ -62,14 +80,16 @@ Bytes beyond the frame in the first read are a WireError: the server
 replies ERR_MALFORMED_QUERY and closes the connection, the client
 aborts the retrieval and does not pool the socket.  The client keeps
 idle sockets in a pool of at most MAX_IDLE_CONNECTIONS, keyed by
-address and the timeout they are armed with; a retrieval sends its N
-queries, each on its own connection, then reads the N answers in turn,
-in one thread.  A socket goes back to the pool only after the client
-has accepted its ANSWER; on any error, timeout or rejected answer it is
-closed, so a late answer cannot desync a later retrieval.  A pooled
-socket that turns out dead is replaced once by a new connection, which
-resends the identical query frame: a second copy of a query tells the
-server nothing new, whereas a fresh query for the same file would.
+address and the timeout they are armed with, each beside the count of
+queries sent on it; a retrieval sends its N queries, each on its own
+connection, then reads the N answers in turn, in one thread.  A socket
+goes back to the pool only after the client has accepted its ANSWER; on
+any error, timeout, stale or rejected answer it is closed, so a late
+answer cannot desync a later retrieval, and a late duplicate that
+arrives after a good answer is caught by its sequence.  A pooled socket
+that turns out dead is replaced once by a new connection, which resends
+the identical query frame: a second copy of a query tells the server
+nothing new, whereas a fresh query for the same file would.
 
 Download accounting reports element counts (the scheme's cost metric)
 and payload byte counts separately.
@@ -86,6 +106,7 @@ import socketserver
 import struct
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +117,7 @@ from .scheme import ProtocolError, ServerStorage, SystemParams
 
 logger = logging.getLogger(__name__)
 
-MAGIC = b"PIR4"
+VERSION = 5
 MSG_QUERY = 1
 MSG_ANSWER = 2
 MSG_ERROR = 3
@@ -123,12 +144,19 @@ MAX_SERVER_CONNECTIONS = 256
 # Longest ERROR payload a client reads; a server cuts its detail to fit.
 MAX_ERROR_PAYLOAD = 1024
 
-_HEADER = struct.Struct(">4sBI")
+_HEADER = struct.Struct(">BI")
+# A frame tag, the version in its high nibble and the type in its low,
+# to the message type.
+_FRAME_TYPES = {VERSION << 4 | t: t for t in (MSG_QUERY, MSG_ANSWER, MSG_ERROR)}
 # struct timeval (seconds, microseconds), the argument of SO_RCVTIMEO and
 # SO_SNDTIMEO; seconds beyond _MAX_TIMEVAL_S are cut to it.
 _TIMEVAL = struct.Struct("@ll")
 _MAX_TIMEVAL_S = 2**31 - 1
-_QUERY_PARAMS = struct.Struct(">IIII")
+_SYSTEM = struct.Struct(">IIII")
+_SYSTEM_TAG = struct.Struct(">I")
+# An ANSWER's sequence counts QUERY frames mod 32, in the 5 bits of its
+# head byte above the 3 of the width.
+_SEQUENCES = 32
 # struct code of an answer value of each width, in bytes
 _VALUE_CODES = {1: "B", 2: "H", 4: "I"}
 # Each hex digit's ASCII code to its value, and back: a query's nibbles
@@ -142,11 +170,16 @@ class WireError(ProtocolError):
 
 
 class BadMagicError(WireError):
-    """Frame does not start with the protocol magic."""
+    """Frame does not start with a v5 frame tag."""
 
 
 class HeaderMismatchError(WireError):
-    """A QUERY header names other (N, K, M, p) than the server's."""
+    """A QUERY's system tag is not that of the server's (N, K, M, p)."""
+
+
+class StaleAnswerError(WireError):
+    """An ANSWER's sequence is not that of the query last sent on its
+    connection: it answers an earlier one."""
 
 
 class AnswerLengthError(WireError):
@@ -217,7 +250,7 @@ def _read_rest(
 
 def send_message(sock: socket.socket, msg_type: int, payload: bytes) -> None:
     try:
-        sock.sendall(_HEADER.pack(MAGIC, msg_type, len(payload)) + payload)
+        sock.sendall(_HEADER.pack(VERSION << 4 | msg_type, len(payload)) + payload)
     except BlockingIOError as exc:  # a kernel timeout (SO_SNDTIMEO) expired
         raise TimeoutError("send timed out") from exc
 
@@ -250,11 +283,10 @@ def recv_message(
                 deadline = time.monotonic() + timeout
             _read_rest(sock, buffer, received, _HEADER.size, deadline)
             received = _HEADER.size
-        magic, msg_type, length = _HEADER.unpack_from(buffer)
-        if magic != MAGIC:
-            raise BadMagicError("bad magic")
-        if msg_type not in (MSG_QUERY, MSG_ANSWER, MSG_ERROR):
-            raise WireError(f"unknown message type {msg_type}")
+        tag, length = _HEADER.unpack_from(buffer)
+        msg_type = _FRAME_TYPES.get(tag)
+        if msg_type is None:
+            raise BadMagicError(f"0x{tag:02x} is no v5 frame tag")
         if limits is not None and length > limits.get(msg_type, 0):
             raise WireError(f"{length}-byte payload too long for message type {msg_type}")
         end = _HEADER.size + length
@@ -297,8 +329,12 @@ def _value_width(value: int) -> int:
 
 
 def _query_head(params: SystemParams) -> bytes:
-    """The (N, K, M, p) header of a QUERY payload."""
-    return _QUERY_PARAMS.pack(params.n_servers, params.k_mds, params.m_files, params.prime)
+    """The system tag that heads a QUERY payload: the CRC-32 of
+    (N, K, M, p) as four big-endian u32s, itself a big-endian u32.
+    (Not memoized: hashing the params for a cache lookup costs more
+    than the CRC of 16 bytes.)"""
+    system = _SYSTEM.pack(params.n_servers, params.k_mds, params.m_files, params.prime)
+    return _SYSTEM_TAG.pack(zlib.crc32(system))
 
 
 def _pack_shifts(shifts: list[int], bits: int) -> bytes:
@@ -331,24 +367,26 @@ def encode_query_payload(params: SystemParams, query) -> bytes:
 def decode_query_payload(payload: bytes, params: SystemParams):
     """The query of a QUERY payload sent to a server of `params`.
 
-    The header must be params' own (HeaderMismatchError otherwise); the
-    shifts are then read at n's width and must fill the payload exactly,
-    with a zero pad nibble, and each must be below n (WireError
+    The system tag must be params' own (HeaderMismatchError otherwise);
+    the shifts are then read at n's width and must fill the payload
+    exactly, with a zero pad nibble, and each must be below n (WireError
     otherwise).  A query of more than SMALL_QUERY_ENTRIES entries comes
     back as a C-contiguous (k, M) scheme.RankedQuery, u8 for n <= 256
     and u16 above, a smaller one as scheme.RankedRows, k row lists of
     Python ints: their columns are shifted base columns, which
     scheme.server_answer trusts.
     """
-    if len(payload) < _QUERY_PARAMS.size:
+    if len(payload) < _SYSTEM_TAG.size:
         raise WireError("query payload too short")
-    header = _QUERY_PARAMS.unpack_from(payload)
-    expected = (params.n_servers, params.k_mds, params.m_files, params.prime)
-    if header != expected:
-        raise HeaderMismatchError(f"query params {header} do not match storage {expected}")
+    if payload[: _SYSTEM_TAG.size] != _query_head(params):
+        system = (params.n_servers, params.k_mds, params.m_files, params.prime)
+        raise HeaderMismatchError(
+            f"query system tag {payload[:_SYSTEM_TAG.size].hex()} is not that of"
+            f" this server's (N, K, M, p) = {system}"
+        )
     n, k, m = params.n_reduced, params.k_reduced, params.m_files
     bits = _shift_bits(n)
-    body = payload[_QUERY_PARAMS.size :]
+    body = payload[_SYSTEM_TAG.size :]
     size = -(-m * bits // 8)
     if len(body) != size:
         raise WireError(f"expected {m} {bits}-bit shifts in {size} bytes")
@@ -389,9 +427,10 @@ def _answer_layout(count: int, width: int) -> struct.Struct:
     return struct.Struct(f">B{count}{_VALUE_CODES[width]}")
 
 
-def encode_answer_payload(answer: list[int | None]) -> bytes:
-    """ANSWER payload of k round answers, None in NULL rounds: the width
-    byte, then the live values at that width."""
+def encode_answer_payload(answer: list[int | None], sequence: int = 0) -> bytes:
+    """ANSWER payload of k round answers, None in NULL rounds: the head
+    byte, `sequence` (in [0:32)) above the width, then the live values
+    at that width."""
     values = []
     top = 0
     for value in answer:
@@ -401,24 +440,31 @@ def encode_answer_payload(answer: list[int | None]) -> bytes:
                 top = value
     width = _value_width(top)
     try:
-        return _answer_layout(len(values), width).pack(width, *values)
+        return _answer_layout(len(values), width).pack(sequence << 3 | width, *values)
     except struct.error as exc:
         raise WireError(f"answer values must be integers in [0:2^32): {exc}") from exc
 
 
-def decode_answer_payload(payload: bytes, count: int, prime: int) -> tuple[int, ...]:
+def decode_answer_payload(
+    payload: bytes, count: int, prime: int, sequence: int = 0
+) -> tuple[int, ...]:
     """The live values of an ANSWER payload, in round order, given the
-    count of live rounds of the query it answers and p.
+    count of live rounds of the query it answers, p, and the sequence
+    due: the count of queries sent on the connection before that one,
+    mod 32.
 
-    Raises WireError for an empty payload, a width byte outside {1, 2, 4}
-    or wider than p-1 needs, or a value not below p, and
-    AnswerLengthError unless the payload holds exactly `count` values.
+    Raises WireError for an empty payload, a width outside {1, 2, 4} or
+    wider than p-1 needs, or a value not below p; StaleAnswerError for
+    another sequence; and AnswerLengthError unless the payload holds
+    exactly `count` values.
     """
     if not payload:
         raise WireError("answer payload empty")
-    width = payload[0]
+    width = payload[0] & 7
     if width not in _VALUE_CODES or width > _value_width(prime - 1):
         raise WireError(f"answer value width {width} is not allowed for p={prime}")
+    if payload[0] >> 3 != sequence:
+        raise StaleAnswerError(f"answer sequence {payload[0] >> 3} where {sequence} was due")
     if len(payload) != 1 + count * width:
         raise AnswerLengthError(
             f"{len(payload) - 1} value bytes of width {width}, the query has {count} live rounds"
@@ -449,6 +495,7 @@ class _Handler(socketserver.BaseRequestHandler):
         server: StorageServer = self.server  # type: ignore[assignment]
         idle = IDLE_TIMEOUT_S
         _kernel_timeouts(self.request, idle)
+        queries = 0  # QUERY frames read on this connection
         while True:
             try:
                 msg_type, payload = recv_message(self.request, server.frame_limits, idle)
@@ -462,8 +509,10 @@ class _Handler(socketserver.BaseRequestHandler):
             if msg_type != MSG_QUERY:
                 self._reply_error(ERR_MALFORMED_QUERY, "expected QUERY")
                 return
+            sequence = queries % _SEQUENCES
+            queries += 1
             try:
-                answer = self._answer(server, payload)
+                answer = self._answer(server, payload, sequence)
             except ServerSideError as exc:
                 self._reply_error(exc.code, exc.detail)
                 continue
@@ -476,8 +525,8 @@ class _Handler(socketserver.BaseRequestHandler):
             except OSError:  # the client gave up on this answer
                 return
 
-    def _answer(self, server: "StorageServer", payload: bytes) -> bytes:
-        """The ANSWER payload of a QUERY payload."""
+    def _answer(self, server: "StorageServer", payload: bytes, sequence: int) -> bytes:
+        """The ANSWER payload of a QUERY payload, of the given sequence."""
         params = server.params
         try:
             query = decode_query_payload(payload, params)
@@ -489,7 +538,7 @@ class _Handler(socketserver.BaseRequestHandler):
             answer = scheme.server_answer(server.storage, query, params)
         except ProtocolError as exc:
             raise ServerSideError(ERR_MALFORMED_QUERY, str(exc)) from exc
-        return encode_answer_payload(answer)
+        return encode_answer_payload(answer, sequence)
 
     def _reply_error(self, code: int, detail: str) -> None:
         try:
@@ -515,7 +564,7 @@ class StorageServer(socketserver.ThreadingTCPServer):
         self.storage = storage
         self.params = params
         shifts = -(-params.m_files * _shift_bits(params.n_reduced) // 8)
-        self.frame_limits = {MSG_QUERY: _QUERY_PARAMS.size + shifts}
+        self.frame_limits = {MSG_QUERY: _SYSTEM_TAG.size + shifts}
         self._connections: set = set()
         self._connections_lock = threading.Lock()
         super().__init__(address, _Handler)
@@ -580,36 +629,39 @@ class RetrievalResult:
 
 
 class _ConnectionPool:
-    """Idle client sockets, each with its key: the address it is
-    connected to and the timeout it is armed with."""
+    """Idle client sockets, each with its key, the address it is
+    connected to and the timeout it is armed with, and beside it the
+    sequence its next answer must carry: the count of queries sent on
+    it, mod 32."""
 
     def __init__(self):
-        self._idle: list[tuple[tuple, socket.socket]] = []
+        self._idle: list[tuple[tuple, socket.socket, int]] = []
         self._lock = threading.Lock()
 
-    def take(self, key) -> socket.socket | None:
-        """The socket of `key` returned last, if one is idle."""
+    def take(self, key) -> tuple[socket.socket, int] | None:
+        """The socket of `key` returned last and its sequence, if one is
+        idle."""
         with self._lock:
             for i in range(len(self._idle) - 1, -1, -1):
                 if self._idle[i][0] == key:
-                    return self._idle.pop(i)[1]
+                    return self._idle.pop(i)[1:]
         return None
 
-    def put(self, key, sock: socket.socket) -> None:
+    def put(self, key, sock: socket.socket, sequence: int) -> None:
         """Keep `sock` for reuse, closing the longest idle socket when
         more than MAX_IDLE_CONNECTIONS are kept."""
         with self._lock:
-            self._idle.append((key, sock))
+            self._idle.append((key, sock, sequence))
             evicted = self._idle[: max(0, len(self._idle) - MAX_IDLE_CONNECTIONS)]
             del self._idle[: len(evicted)]
-        for _, old in evicted:
+        for _, old, _ in evicted:
             old.close()
 
     def clear(self) -> None:
         """Close every idle socket."""
         with self._lock:
             idle, self._idle = self._idle, []
-        for _, sock in idle:
+        for _, sock, _ in idle:
             sock.close()
 
 
@@ -626,16 +678,15 @@ def _connect(address, timeout: float) -> socket.socket:
 class _Link:
     """One server's share of a retrieval: its query, sent on a pooled
     socket armed with the same timeout when one is idle and on a new
-    connection otherwise."""
+    connection otherwise, and the sequence its answer must carry."""
 
     def __init__(self, address, payload: bytes, timeout: float):
         self.address = address
         self.payload = payload
         self.timeout = timeout
-        self.sock = _pool.take((address, timeout))
-        self.fresh = self.sock is None
-        if self.fresh:
-            self.sock = _connect(address, timeout)
+        idle = _pool.take((address, timeout))
+        self.fresh = idle is None
+        self.sock, self.sequence = (_connect(address, timeout), 0) if self.fresh else idle
 
     def send(self) -> None:
         try:
@@ -654,7 +705,7 @@ class _Link:
     def keep(self) -> None:
         """Put the socket back in the pool, once its answer is accepted;
         `close` closes it otherwise."""
-        _pool.put((self.address, self.timeout), self.sock)
+        _pool.put((self.address, self.timeout), self.sock, (self.sequence + 1) % _SEQUENCES)
         self.sock = None
 
     def _reconnect(self, exc: OSError) -> None:
@@ -665,7 +716,7 @@ class _Link:
             raise exc
         self.sock.close()
         self.fresh = True
-        self.sock = _connect(self.address, self.timeout)
+        self.sock, self.sequence = _connect(self.address, self.timeout), 0
         send_message(self.sock, MSG_QUERY, self.payload)
 
     def close(self) -> None:
@@ -675,17 +726,17 @@ class _Link:
 
 
 def _read_answer(
-    reply: tuple[int, bytearray], count: int, server_index: int, prime: int
+    reply: tuple[int, bytearray], count: int, server_index: int, prime: int, sequence: int
 ) -> tuple[int, ...]:
     """Server `server_index`'s live values, given the count of live
-    rounds of the query it was sent."""
+    rounds of the query it was sent and the sequence due."""
     msg_type, payload = reply
     if msg_type == MSG_ERROR:
         raise ServerSideError(*decode_error_payload(payload))
     if msg_type != MSG_ANSWER:
         raise WireError("expected ANSWER")
     try:
-        return decode_answer_payload(payload, count, prime)
+        return decode_answer_payload(payload, count, prime, sequence)
     except AnswerLengthError as exc:
         raise scheme.AnswerMismatchError(server_index, str(exc)) from exc
 
@@ -706,11 +757,13 @@ def client_retrieve(
     answer that does not fit its query aborts the retrieval with
     RetrievalAbortedError naming the server.  For a misfit answer its
     cause is a WireError (a frame longer than k values of p-1's width,
-    bytes beyond the frame in the read that began it, a bad width byte,
-    a value outside [0:p)) or scheme.AnswerMismatchError (a length other
-    than one value per live round).  `timeout`, in seconds, bounds each
-    connect, send and read, and a frame from its first read; ValueError
-    unless it is a finite number > 0, before any connection is opened.
+    bytes beyond the frame in the read that began it, a bad width, a
+    value outside [0:p), or a StaleAnswerError, an answer to an earlier
+    query on the connection) or scheme.AnswerMismatchError (a length
+    other than one value per live round).  `timeout`, in seconds, bounds
+    each connect, send and read, and a frame from its first read;
+    ValueError unless it is a finite number > 0, before any connection
+    is opened.
     """
     if not (timeout > 0 and math.isfinite(timeout)):
         raise ValueError(f"timeout={timeout} is not a finite number of seconds > 0")
@@ -761,7 +814,7 @@ def client_retrieve(
             links[t].send()
         for t, link in enumerate(links):
             reply = link.receive(limits)
-            values += _read_answer(reply, masks[t].bit_count(), t, params.prime)
+            values += _read_answer(reply, masks[t].bit_count(), t, params.prime, link.sequence)
             link.keep()
             download_bytes += len(reply[1])
     except (OSError, WireError, ServerSideError, scheme.AnswerMismatchError) as exc:

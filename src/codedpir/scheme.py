@@ -86,10 +86,15 @@ DEFAULT_PRIME = 257
 STORAGE_FORMAT = "pir-mds-storage/2"
 SOURCE_FORMAT = "pir-mds-source/1"
 
-# On the wire a query header carries p as a u32, an answer value takes
-# at most 4 bytes, and a query entry at most 16 bits.
+# On the wire a query's system tag covers p as a u32, an answer value
+# takes at most 4 bytes, and a query entry at most 16 bits.
 PRIME_LIMIT = 2**32
 MAX_REDUCED_N = 2**16 - 1
+# M is bounded too: a QUERY payload is a 4-byte tag and M shifts of at
+# most 16 bits, whose 4 + 2M bytes must fit the frame's u32 length, and
+# the tag covers M as a u32.  M < 2^30 keeps 4 + 2M below 2^31 for
+# every n.
+FILE_LIMIT = 2**30
 
 # The wire decoder (net) hands server_answer a query of up to this many
 # entries as RankedRows, answered by a loop over row lists, and a larger
@@ -162,6 +167,8 @@ def derive_params(n_servers: int, k_mds: int, m_files: int, prime: int) -> Syste
         raise ParameterError(f"need N > K >= 1, got N={n_servers}, K={k_mds}")
     if m_files <= 1:
         raise ParameterError(f"need M > 1, got M={m_files}")
+    if m_files >= FILE_LIMIT:
+        raise ParameterError(f"M={m_files} >= {FILE_LIMIT}: a query would not fit a wire frame")
     if not is_prime(prime):
         raise ParameterError(f"p={prime} is not prime")
     if prime < n_servers:

@@ -137,9 +137,9 @@ class TestRetrieve:
         doc = json.loads(capsys.readouterr().out)
         source = json.loads((system_dir / "source-1.json").read_text())
         assert doc["rows"] == source["rows"]
-        # 5 queries of a 16-byte header and 3 nibble shifts in 2 bytes; a
-        # width byte and one byte per element back
-        assert doc["upload_payload_bytes"] == 5 * (16 + 2) == 90
+        # 5 queries of a 4-byte system tag and 3 nibble shifts in 2 bytes;
+        # a head byte and one byte per element back
+        assert doc["upload_payload_bytes"] == 5 * (4 + 2) == 30
         assert doc["download_payload_bytes"] == 5 + doc["download_elements"]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -154,6 +156,8 @@ def in_process_links(monkeypatch, storages, params):
     sent = []
 
     class Link:
+        sequence = 0
+
         def __init__(self, address, payload, timeout):
             self.address, self.payload = address, payload
             sent.append(payload)
@@ -174,6 +178,11 @@ def in_process_links(monkeypatch, storages, params):
 
     monkeypatch.setattr(net, "_Link", Link)
     return sent
+
+
+def system_tag(*system):
+    """The system tag of (N, K, M, p), computed apart from net."""
+    return struct.pack(">I", zlib.crc32(struct.pack(">IIII", *system)))
 
 
 # The largest prime below 2^32, the widest field the wire carries.
@@ -238,19 +247,60 @@ class TestPayloads:
             shifts = [rng.randrange(5) for _ in range(3)]
             query = [[(u + s) % 5 for u in shifts] for s in range(3)]
             payload = encode_query_payload(params, query)
-            assert payload[16:] == pack_reference(shifts, 4)
+            assert payload[4:] == pack_reference(shifts, 4)
             assert decode_query_payload(bytearray(payload), params) == query
 
     def test_example_query_golden_bytes(self):
         params = derive_params(5, 3, 3, 7)
         payload = encode_query_payload(params, SHIFT_QUERY)
         assert payload == bytes.fromhex(
-            "00000005" "00000003" "00000003" "00000007"  # N, K, M, p
+            "11dd2bf0"  # the system tag: CRC-32 of N, K, M, p as u32s
             "34" "30"  # the shifts 3, 4, 3 as nibbles, and a zero pad nibble
         )
         # The worked example's columns are not shifts of (0, 1, 2).
         with pytest.raises(WireError, match="not shifts of the base column"):
             encode_query_payload(params, EXAMPLE_QUERY)
+
+    def test_example_query_frame_golden_bytes(self):
+        """The whole QUERY frame of the worked example, 11 bytes."""
+        payload = encode_query_payload(derive_params(5, 3, 3, 7), SHIFT_QUERY)
+        left, right = socket.socketpair()
+        with left, right:
+            send_message(left, MSG_QUERY, payload)
+            frame = right.recv(64)
+        assert frame == bytes.fromhex(
+            "51"  # the frame tag: version 5, type 1 (QUERY)
+            "00000006"  # the payload length
+            "11dd2bf0"  # the system tag
+            "34" "30"  # the shifts 3, 4, 3 as nibbles, and a zero pad nibble
+        )
+        assert frame[5:9] == system_tag(5, 3, 3, 7)
+
+    @pytest.mark.parametrize("system", [(5, 3, 3, 7), (8, 5, 256, 65537)])
+    def test_system_tag_changes_with_any_one_field(self, system):
+        """CRC-32 detects every error burst of 32 bits or fewer, so
+        changing any one of the four u32 fields changes the tag: checked
+        over a seeded sample of values for each field, the extremes
+        included."""
+        params = derive_params(*system)
+        tag = net._query_head(params)
+        assert tag == system_tag(*system)
+        rng = random.Random(sum(system))
+        fields = ("n_servers", "k_mds", "m_files", "prime")
+        for field, value in zip(fields, system):
+            values = {0, 1, value - 1, value + 1, 2**32 - 1}
+            values.update(rng.randrange(2**32) for _ in range(200))
+            values.discard(value)
+            for other in values:
+                changed = dataclasses.replace(params, **{field: other})
+                assert net._query_head(changed) != tag, (field, other)
+
+    def test_system_tags_of_random_tuples_differ(self):
+        """Tuples that differ in several fields collide with chance 2^-32
+        a pair: none of a seeded sample of 1,000 does."""
+        rng = random.Random(19)
+        systems = {tuple(rng.randrange(2**32) for _ in range(4)) for _ in range(1000)}
+        assert len({system_tag(*system) for system in systems}) == len(systems)
 
     @pytest.mark.parametrize("shape, bits", [
         ((5, 3, 3, 7), 4), ((5, 3, 43, 7), 4),
@@ -269,8 +319,8 @@ class TestPayloads:
         queries = shift_queries(params, m, 1)
         for query in queries:
             payload = encode_query_payload(params, query)
-            assert payload[16:] == pack_reference(reference_shifts(query, n), bits)
-            assert len(payload) == 16 + -(-m * bits // 8)
+            assert payload[4:] == pack_reference(reference_shifts(query, n), bits)
+            assert len(payload) == 4 + -(-m * bits // 8)
             decoded = decode_query_payload(bytearray(payload), params)
             if large:
                 assert decoded.dtype == np.min_scalar_type(n - 1) and decoded.flags.c_contiguous
@@ -308,14 +358,14 @@ class TestPayloads:
     def test_wide_query_matches_struct_reference(self):
         params = derive_params(8, 5, 256, 65537)
         queries = shift_queries(params, 3, 200)
-        head = struct.pack(">IIII", 8, 5, 256, 65537)
+        head = system_tag(8, 5, 256, 65537)
         for query in queries:
             reference = head + pack_reference(reference_shifts(query, 8), 4)
-            assert len(reference) == 16 + 128
+            assert len(reference) == 4 + 128
             assert encode_query_payload(params, query.tolist()) == reference
             assert encode_query_payload(params, query) == reference
             with pytest.raises(WireError, match="integers"):
-                encode_query_payload(params, reference[16:])
+                encode_query_payload(params, reference[4:])
             decoded = decode_query_payload(bytearray(reference), params)
             assert decoded.dtype == np.uint8 and decoded.flags.c_contiguous
             assert decoded.tolist() == query.tolist()
@@ -333,8 +383,8 @@ class TestPayloads:
         n = params.n_reduced
         query = [[(n - 1 - i) % n for i in range(m_files)]]
         payload = encode_query_payload(params, query)
-        assert payload[16:] == pack_reference(query[0], bits)
-        assert len(payload) == 16 + -(-m_files * bits // 8)
+        assert payload[4:] == pack_reference(query[0], bits)
+        assert len(payload) == 4 + -(-m_files * bits // 8)
         decoded = decode_query_payload(bytearray(payload), params)
         if m_files > scheme.SMALL_QUERY_ENTRIES:
             assert decoded.dtype == (np.uint16 if bits == 16 else np.uint8)
@@ -355,7 +405,7 @@ class TestPayloads:
         assert large == (m_files == 27)
         query = shift_queries(params, 5, 1)[0]
         payload = bytearray(encode_query_payload(params, query))
-        assert len(payload) == 16 + (m_files + 1) // 2
+        assert len(payload) == 4 + (m_files + 1) // 2
         assert payload[-1] & 0x0F == 0
         assert np.array_equal(decode_query_payload(payload, params), query)
         payload[-1] |= 0x01
@@ -365,18 +415,19 @@ class TestPayloads:
     def test_query_decoder_checks_header_then_own_width(self):
         params = derive_params(5, 3, 3, 7)
         payload = encode_query_payload(params, SHIFT_QUERY)
-        for bad in (payload[:-1], payload + b"\x00", payload[:15]):
+        for bad in (payload[:-1], payload + b"\x00", payload[:3]):
             with pytest.raises(WireError) as exc:
                 decode_query_payload(bad, params)
             assert not isinstance(exc.value, HeaderMismatchError)
         other = derive_params(5, 3, 3, 11)
-        with pytest.raises(HeaderMismatchError):
+        # the detail names the server's own system
+        with pytest.raises(HeaderMismatchError, match=re.escape("= (5, 3, 3, 7)")):
             decode_query_payload(encode_query_payload(other, SHIFT_QUERY), params)
         with pytest.raises(HeaderMismatchError):  # the header decides first
             decode_query_payload(encode_query_payload(other, SHIFT_QUERY) + bytes(7), params)
-        # The same header with the 9 entries as bytes: a server of (5,3)
+        # The same tag with the 9 entries as bytes: a server of (5,3)
         # reads 3 nibble shifts, so the length is wrong.
-        wide = payload[:16] + bytes(e for row in SHIFT_QUERY for e in row)
+        wide = payload[:4] + bytes(e for row in SHIFT_QUERY for e in row)
         with pytest.raises(WireError, match="3 4-bit shifts"):
             decode_query_payload(wide, params)
 
@@ -413,6 +464,9 @@ class TestPayloads:
         assert encode_answer_payload([65535]) == bytes.fromhex("02" "ffff")
         assert encode_answer_payload([65536, 1]) == bytes.fromhex("04" "00010000" "00000001")
         assert encode_answer_payload([2**32 - 1]) == bytes.fromhex("04" "ffffffff")
+        # the sequence in the head byte's high 5 bits
+        assert encode_answer_payload([None, 5, 7], 1) == bytes([1 << 3 | 1, 5, 7])
+        assert encode_answer_payload([7, 256], 31) == bytes.fromhex("fa" "0007" "0100")
         for values in ([2**32], [-1], [1.5]):
             with pytest.raises(WireError):
                 encode_answer_payload(values)
@@ -425,20 +479,30 @@ class TestPayloads:
             decode_answer_payload(payload[:-1], 2, 7)
         with pytest.raises(net.AnswerLengthError):
             decode_answer_payload(payload + b"\x00", 2, 7)
+        # the sequence is checked before the length
+        stale = encode_answer_payload([1, 2], 3)
+        for bad in (stale, stale[:-1], stale + b"\x00"):
+            with pytest.raises(net.StaleAnswerError):
+                decode_answer_payload(bad, 2, 7)
 
     @pytest.mark.parametrize("prime, widths", [
         (7, [1]), (257, [1, 2]), (65537, [1, 2, 4]), (WIDEST_PRIME, [1, 2, 4]),
     ])
     def test_answer_width_byte(self, prime, widths):
-        """Only 1, 2 or 4, and none wider than p-1 needs."""
-        for width in range(256):
-            payload = bytes([width]) + bytes(2 * width)
+        """Only 1, 2 or 4, and none wider than p-1 needs, in the head
+        byte's low 3 bits, checked before the sequence in its high 5."""
+        for head in range(256):
+            width, sequence = head & 7, head >> 3
+            payload = bytes([head]) + bytes(2 * width)
             if width in widths:
-                assert decode_answer_payload(payload, 2, prime) == (0, 0)
+                assert decode_answer_payload(payload, 2, prime, sequence) == (0, 0)
+                with pytest.raises(net.StaleAnswerError):
+                    decode_answer_payload(payload, 2, prime, (sequence + 1) % 32)
             else:
-                with pytest.raises(WireError) as exc:
-                    decode_answer_payload(payload, 2, prime)
-                assert not isinstance(exc.value, net.AnswerLengthError)
+                for due in (sequence, (sequence + 1) % 32):
+                    with pytest.raises(WireError) as exc:
+                        decode_answer_payload(payload, 2, prime, due)
+                    assert not isinstance(exc.value, (net.AnswerLengthError, net.StaleAnswerError))
 
     @pytest.mark.parametrize("prime", [7, 257, 65537, WIDEST_PRIME])
     def test_answer_value_below_p(self, prime):
@@ -499,7 +563,7 @@ class TestEndToEnd:
         params, _, addresses, _ = cluster
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
             # announces 2^32 - 1 payload bytes and sends none
-            sock.sendall(net._HEADER.pack(net.MAGIC, MSG_QUERY, 2**32 - 1))
+            sock.sendall(net._HEADER.pack(0x51, 2**32 - 1))
             msg_type, payload = recv_message(sock)
             assert msg_type == MSG_ERROR
             assert decode_error_payload(payload)[0] == net.ERR_MALFORMED_QUERY
@@ -550,14 +614,31 @@ class TestEndToEnd:
             sock.sendall(v3_frame)
             assert sock.recv(1024) == b""
 
+    def test_v4_frame_gets_no_reply(self, cluster):
+        """A PIR4 peer's query, the worked example's shifts after the
+        16-byte (N, K, M, p) header, is refused by its first byte alone:
+        no reply, a closed connection; and a client reading a PIR4 frame
+        raises BadMagicError."""
+        _, _, addresses, _ = cluster
+        payload = struct.pack(">IIII", 5, 3, 3, 7) + bytes.fromhex("3430")
+        v4_frame = struct.pack(">4sBI", b"PIR4", MSG_QUERY, len(payload)) + payload
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            sock.sendall(v4_frame)
+            assert sock.recv(1024) == b""
+        left, right = socket.socketpair()
+        with left, right:
+            left.sendall(struct.pack(">4sBI", b"PIR4", MSG_ANSWER, 3) + bytes([1, 5, 4]))
+            with pytest.raises(BadMagicError):
+                recv_message(right)
+
     def test_payload_bytes_both_ways(self, cluster):
-        """(5,3,3,7): 16 header bytes and 3 nibble shifts in 2 bytes per
-        server up; a width byte and one byte per element down."""
+        """(5,3,3,7): a 4-byte system tag and 3 nibble shifts in 2 bytes
+        per server up; a head byte and one byte per element down."""
         params, sources, addresses, _ = cluster
         for seed in range(5):
             result = client_retrieve(addresses, seed % 3, params, seed)
             assert result.source == sources[seed % 3]
-            assert result.upload_bytes == 5 * (16 + 2) == 90
+            assert result.upload_bytes == 5 * (4 + 2) == 30
             assert result.download_bytes == 5 + result.download_elements
 
     def test_server_down_aborts_with_index(self, cluster):
@@ -611,7 +692,7 @@ class TestEndToEnd:
         monkeypatch.setattr(net, "send_message", recording_send)
         assert client_retrieve(addresses, 2, params, seed=9).source == sources[2]
         master = scheme.gen_master_query(params, make_rng(9))
-        head = struct.pack(">IIII", 5, 3, 3, 7)
+        head = system_tag(5, 3, 3, 7)
         expected = []
         for t in range(params.n_servers):
             query = scheme.build_server_query(master, 2, t, params)
@@ -664,11 +745,11 @@ class TestEndToEnd:
     def test_multiple_queries_per_connection(self, cluster):
         params, _, addresses, _ = cluster
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
-            for _ in range(3):
+            for sequence in range(3):
                 send_message(sock, MSG_QUERY, encode_query_payload(params, SHIFT_QUERY))
                 msg_type, payload = recv_message(sock)
                 assert msg_type == net.MSG_ANSWER
-                assert len(decode_answer_payload(payload, 2, 7)) == 2
+                assert len(decode_answer_payload(payload, 2, 7, sequence)) == 2
 
 
 class TestLargeQueries:
@@ -698,7 +779,7 @@ class TestLargeQueries:
         if entry >= 16:
             return
         payload = bytearray(encode_query_payload(params, query))
-        payload[16 + 2] = payload[16 + 2] & 0xF0 | entry  # shift 5, a low nibble
+        payload[4 + 2] = payload[4 + 2] & 0xF0 | entry  # shift 5, a low nibble
         with serving([storages[2]], params) as servers, socket.create_connection(
             servers[0].server_address, timeout=2.0
         ) as sock:
@@ -710,7 +791,7 @@ class TestLargeQueries:
             msg_type, reply = recv_message(sock)
             assert msg_type == MSG_ANSWER
             count = int(live_rounds(query, params).sum())
-            assert decode_answer_payload(reply, count, params.prime) == live_values(
+            assert decode_answer_payload(reply, count, params.prime, 1) == live_values(
                 scheme.server_answer(storages[2], query.tolist(), params)
             )
 
@@ -721,7 +802,7 @@ class TestLargeQueries:
         params, _, addresses, servers = wide_cluster
         query = shift_queries(params, 1, 3)[2]
         payload = bytearray(encode_query_payload(params, query))
-        payload[16 + 2] = payload[16 + 2] & 0xF0 | shift  # shift 5, a low nibble
+        payload[4 + 2] = payload[4 + 2] & 0xF0 | shift  # shift 5, a low nibble
         with socket.create_connection(addresses[2], timeout=2.0) as sock:
             send_message(sock, MSG_QUERY, payload)
             assert decode_error_payload(recv_message(sock)[1]) == (
@@ -731,7 +812,7 @@ class TestLargeQueries:
             msg_type, payload = recv_message(sock)
             assert msg_type == MSG_ANSWER
             count = int(live_rounds(query, params).sum())
-            assert decode_answer_payload(payload, count, params.prime) == live_values(
+            assert decode_answer_payload(payload, count, params.prime, 1) == live_values(
                 scheme.server_answer(servers[2].storage, query.tolist(), params)
             )
 
@@ -746,7 +827,7 @@ class TestLargeQueries:
         _, storages = scheme.encode_system(params, sources)
         query = shift_queries(params, 2, 4)[9]
         bad = bytearray(encode_query_payload(params, query))
-        bad[16 + 200 : 16 + 202] = struct.pack(">H", entry)  # shift 100
+        bad[4 + 200 : 4 + 202] = struct.pack(">H", entry)  # shift 100
         message = f"shift {entry} out of [0:257)"
         with pytest.raises(WireError, match=re.escape(message)):
             decode_query_payload(bad, params)
@@ -760,14 +841,15 @@ class TestLargeQueries:
                 msg_type, payload = recv_message(sock)
                 assert msg_type == MSG_ANSWER
                 count = int(live_rounds(query, params).sum())
-                assert decode_answer_payload(payload, count, 257) == live_values(
+                assert decode_answer_payload(payload, count, 257, 1) == live_values(
                     scheme.server_answer(storages[9], query.tolist(), params)
                 )
 
-    def test_wide_retrieval_sends_1224_query_bytes(self, monkeypatch):
+    def test_wide_retrieval_sends_1096_query_bytes(self, monkeypatch):
         """(8,5,256,65537), the benchmark's tcp-wide system: 8 QUERY frames
-        of 9 + 16 + 128 bytes, 1,224 B, where wire v3's u16 ranks took
-        4,296, nibble entries 5,320 and u16 entries 20,680."""
+        of 5 + 4 + 128 bytes, 1,096 B, where wire v4's 9-byte frame and
+        16-byte query headers took 1,224, wire v3's u16 ranks 4,296,
+        nibble entries 5,320 and u16 entries 20,680."""
         params = derive_params(8, 5, 256, 65537)
         sources = scheme.random_sources(params, make_rng(8)).tolist()
         _, storages = scheme.encode_system(params, sources)
@@ -777,9 +859,9 @@ class TestLargeQueries:
             addresses = [server.server_address for server in servers]
             result = client_retrieve(addresses, 200, params, seed=1)
         assert result.source == sources[200]
-        assert [frame[4] for _, frame in frames] == [MSG_QUERY] * 8
-        assert sum(len(frame) for _, frame in frames) == 1224
-        assert result.upload_bytes == 1224 - 8 * net._HEADER.size
+        assert [frame[0] for _, frame in frames] == [0x51] * 8
+        assert sum(len(frame) for _, frame in frames) == 1096
+        assert result.upload_bytes == 1096 - 8 * net._HEADER.size == 8 * 132
         # 2 bytes per element (p-1 needs 3, so 4 at most) and a width byte
         assert result.download_bytes <= 8 + 4 * result.download_elements
 
@@ -943,8 +1025,8 @@ class TestAnswerChecks:
         honest = net._Handler._answer
 
         def install(change):
-            def answer(handler, server, payload):
-                reply = honest(handler, server, payload)
+            def answer(handler, server, payload, sequence):
+                reply = honest(handler, server, payload, sequence)
                 return change(reply) if server.storage.server_index == 2 else reply
 
             monkeypatch.setattr(net._Handler, "_answer", answer)
@@ -991,9 +1073,60 @@ class TestAnswerChecks:
         tamper(lambda answer, params: answer[:-1])
         for _ in range(3):
             self.aborted_by(cluster, scheme.AnswerMismatchError, seed)
-            idle = [key[0] for key, _ in net._pool._idle]
+            idle = [key[0] for key, *_ in net._pool._idle]
             assert sorted(idle) == sorted(addresses[:2])
         assert servers[2].accepts == 3
+
+    def test_late_duplicate_answer_is_never_decoded(self, cluster, monkeypatch):
+        """Server 2 sends its first ANSWER again after the client has
+        accepted it, and delays its later answers, so the duplicate is
+        read alone in place of the answer to its next query on that
+        connection, a query with as many live rounds: every retrieval
+        returns its source or aborts, the one that meets the duplicate
+        with StaleAnswerError."""
+        params, sources, addresses, _ = cluster
+
+        def server_2_live(seed):
+            return int(live_rounds(shift_queries(params, seed, 0)[2], params).sum())
+
+        second = next(seed for seed in itertools.count(1) if server_2_live(seed) == server_2_live(0))
+        honest = net._Handler._answer
+        accepted, duplicated = threading.Event(), threading.Event()
+        senders = []
+
+        def send_again(sock, reply):
+            accepted.wait(10)
+            send_message(sock, MSG_ANSWER, reply)
+            duplicated.set()
+
+        def answer(handler, server, payload, sequence):
+            reply = honest(handler, server, payload, sequence)
+            if server.storage.server_index == 2:
+                if senders:
+                    time.sleep(0.1)
+                else:
+                    senders.append(threading.Thread(target=send_again, args=(handler.request, reply)))
+                    senders[0].start()
+            return reply
+
+        monkeypatch.setattr(net._Handler, "_answer", answer)
+        outcomes = []
+        try:
+            for seed in (0, second, second + 1, second + 2):
+                try:
+                    result = client_retrieve(addresses, 0, params, seed=seed)
+                    outcomes.append(result.source == sources[0])
+                except RetrievalAbortedError as exc:
+                    outcomes.append((exc.server_index, type(exc.cause)))
+                if seed == 0:
+                    accepted.set()
+                    assert duplicated.wait(10)
+        finally:
+            accepted.set()
+            for sender in senders:
+                sender.join(10)
+                assert not sender.is_alive()
+        assert outcomes == [True, (2, net.StaleAnswerError), True, True]
 
     def test_frame_longer_than_k_rounds(self, cluster, tamper):
         tamper(lambda answer, params: [0] * (len(answer) + 1))
@@ -1068,10 +1201,10 @@ class TestConnectionPool:
                     stalled.append(sock)
             if not stall:
                 return send(sock, msg_type, payload)
-            frame = net._HEADER.pack(net.MAGIC, msg_type, len(payload)) + payload
-            sock.sendall(frame[:7])
+            frame = net._HEADER.pack(0x52, len(payload)) + payload
+            sock.sendall(frame[:3])
             release.wait(10)
-            sock.sendall(frame[7:])
+            sock.sendall(frame[3:])
 
         monkeypatch.setattr(net, "send_message", stalling_send)
         with pytest.raises(RetrievalAbortedError) as exc:
@@ -1121,20 +1254,21 @@ class TestFraming:
     def test_two_queries_in_one_write_get_two_answers(self, cluster):
         params, _, addresses, _ = cluster
         payload = encode_query_payload(params, SHIFT_QUERY)
-        frame = net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
+        frame = net._HEADER.pack(0x51, len(payload)) + payload
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
             sock.sendall(frame + frame)
             first, second = recv_message(sock), recv_message(sock)
-        assert first == second
-        assert first[0] == MSG_ANSWER
+        # the same values, the second answer's sequence one higher
+        assert first[1][1:] == second[1][1:] and second[1][0] == first[1][0] | 1 << 3
+        assert first[0] == second[0] == MSG_ANSWER
 
     def test_short_query_then_another_frame_is_malformed(self, cluster):
         """A QUERY two bytes short, then a valid one in the same write:
         the first read runs past the short frame's end."""
         params, _, addresses, _ = cluster
         payload = encode_query_payload(params, SHIFT_QUERY)
-        short = net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload) - 2) + payload[:-2]
-        valid = net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
+        short = net._HEADER.pack(0x51, len(payload) - 2) + payload[:-2]
+        valid = net._HEADER.pack(0x51, len(payload)) + payload
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
             sock.sendall(short + valid)
             msg_type, reply = recv_message(sock)
@@ -1152,7 +1286,7 @@ class TestFraming:
 
         def doubled_send(sock, msg_type, payload):
             if msg_type == MSG_ANSWER and sock.getsockname() == addresses[2]:
-                frame = net._HEADER.pack(net.MAGIC, msg_type, len(payload)) + payload
+                frame = net._HEADER.pack(0x52, len(payload)) + payload
                 return sock.sendall(frame + frame)
             return send(sock, msg_type, payload)
 
@@ -1173,9 +1307,9 @@ class TestFraming:
         with left, right:
             net._kernel_timeouts(right, 2.0)
             armed = right.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, 16)
-            frame = net._HEADER.pack(net.MAGIC, MSG_ANSWER, 3) + bytes([1, 2, 3])
-            left.sendall(frame[:5])
-            rest = threading.Timer(0.2, left.sendall, [frame[5:]])
+            frame = net._HEADER.pack(0x52, 3) + bytes([1, 2, 3])
+            left.sendall(frame[:3])
+            rest = threading.Timer(0.2, left.sendall, [frame[3:]])
             rest.start()
             try:
                 reply = recv_message(right, {MSG_ANSWER: 4}, 2.0)
@@ -1193,7 +1327,7 @@ class TestFraming:
         payload = encode_query_payload(params, SHIFT_QUERY)
         closed = False
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
-            sock.sendall(net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)))
+            sock.sendall(net._HEADER.pack(0x51, len(payload)))
             start = time.monotonic()
             sock.settimeout(0.1)
             for byte in payload:
@@ -1209,6 +1343,26 @@ class TestFraming:
         assert closed
         assert elapsed < 2 * 0.2
         assert client_retrieve(addresses, 1, params, seed=0).source == sources[1]
+
+    def test_every_first_byte_but_a_tag_is_a_bad_magic(self):
+        """Of the 256 first bytes only 0x51, 0x52 and 0x53 name a frame;
+        each of the other 253 raises BadMagicError, with or without
+        limits."""
+        tags = {0x51: MSG_QUERY, 0x52: MSG_ANSWER, 0x53: MSG_ERROR}
+        left, right = socket.socketpair()
+        with left, right:
+            right.settimeout(2.0)
+            refused = 0
+            for first in range(256):
+                for limits in (None, {MSG_ANSWER: 4, MSG_ERROR: 4}):
+                    left.sendall(net._HEADER.pack(first, 0))
+                    if first in tags:
+                        assert recv_message(right, limits) == (tags[first], bytearray())
+                        continue
+                    with pytest.raises(BadMagicError):
+                        recv_message(right, limits)
+                    refused += 1
+        assert refused == 2 * 253
 
     def test_timeout_below_a_microsecond_still_expires(self):
         """A timeval of 0 would block for good; 1e-9 s arms 1 µs."""
@@ -1270,19 +1424,25 @@ class TestFuzz:
     """Arbitrary bytes from a peer fail with WireError, or ConnectionError
     when they end mid-frame, and never stop a server."""
 
-    # Frames that get past the magic, with any type, length and body,
-    # and QUERY payloads whose header matches the worked example.
+    # Frames with any first byte, a v5 tag or not, length and body, and
+    # QUERY payloads with the worked example's system tag or any other.
     frames = st.builds(
-        lambda msg_type, length, body: net._HEADER.pack(net.MAGIC, msg_type, length) + body,
-        st.integers(0, 255),
+        lambda tag, length, body: net._HEADER.pack(tag, length) + body,
+        st.integers(0, 255) | st.sampled_from([0x51, 0x52, 0x53]),
         st.integers(0, 2**32 - 1) | st.integers(0, 64),
         st.binary(max_size=64),
     )
     query_payloads = st.builds(
-        lambda body: net._QUERY_PARAMS.pack(5, 3, 3, 7) + body, st.binary(max_size=40)
+        lambda tag, body: tag + body,
+        st.just(system_tag(5, 3, 3, 7)) | st.binary(min_size=4, max_size=4),
+        st.binary(max_size=40),
     )
     peer_bytes = st.binary(max_size=128) | frames | query_payloads.map(
-        lambda payload: net._HEADER.pack(net.MAGIC, MSG_QUERY, len(payload)) + payload
+        lambda payload: net._HEADER.pack(0x51, len(payload)) + payload
+    )
+    # ANSWER payloads with any head byte: every width and sequence.
+    answer_payloads = st.builds(
+        lambda head, values: bytes([head]) + values, st.integers(0, 255), st.binary(max_size=24)
     )
     # Shift bodies of the right length, shifts below n or not:
     # (5,3,3,7) 3 nibbles and a pad; (8,5,32,257) 32 nibbles, decoded to
@@ -1290,37 +1450,42 @@ class TestFuzz:
     # (3,2,3,7) 3 nibbles and a pad, n = 3.
     shift_payloads = (
         st.builds(
-            lambda body: net._QUERY_PARAMS.pack(5, 3, 3, 7) + body,
+            lambda body: system_tag(5, 3, 3, 7) + body,
             st.binary(min_size=2, max_size=2),
         )
         | st.builds(
-            lambda seed, top: net._QUERY_PARAMS.pack(8, 5, 32, 257)
+            lambda seed, top: system_tag(8, 5, 32, 257)
             + net._pack_shifts(np.random.default_rng(seed).integers(0, top, 32).tolist(), 4),
             st.integers(0, 2**32 - 1),
             st.sampled_from([8, 16]),  # every shift below n, or most not
         )
         | st.builds(
-            lambda seed, top: net._QUERY_PARAMS.pack(17, 2, 65, 17)
+            lambda seed, top: system_tag(17, 2, 65, 17)
             + bytes(np.random.default_rng(seed).integers(0, top, 65).tolist()),
             st.integers(0, 2**32 - 1),
             st.sampled_from([17, 18, 256]),
         )
         | st.builds(
-            lambda body: net._QUERY_PARAMS.pack(3, 2, 3, 7) + body,
+            lambda body: system_tag(3, 2, 3, 7) + body,
             st.binary(min_size=2, max_size=2) | st.binary(max_size=4),
         )
     )
     wide_query_payloads = st.builds(
-        lambda body: net._QUERY_PARAMS.pack(8, 5, 32, 257) + body, st.binary(max_size=100)
+        lambda body: system_tag(8, 5, 32, 257) + body, st.binary(max_size=100)
     )
 
     @settings(max_examples=300, deadline=None)
     @given(
-        payload=st.binary(max_size=64) | query_payloads | shift_payloads | wide_query_payloads,
+        payload=st.binary(max_size=64)
+        | query_payloads
+        | shift_payloads
+        | wide_query_payloads
+        | answer_payloads,
         count=st.integers(0, 6),
         prime=st.sampled_from([7, 257, 65537, WIDEST_PRIME]),
+        sequence=st.integers(0, 31),
     )
-    def test_payload_decoders(self, payload, count, prime):
+    def test_payload_decoders(self, payload, count, prime, sequence):
         for params in (
             derive_params(5, 3, 3, 7),
             derive_params(8, 5, 32, 257),
@@ -1339,19 +1504,21 @@ class TestFuzz:
             assert answer == scheme.server_answer(storage, [list(row) for row in query], params)
             # a decoded query is encoded back to its own payload
             assert encode_query_payload(params, query) == bytes(payload)
-        decoders = [
-            lambda: decode_answer_payload(payload, count, prime),
-            lambda: decode_error_payload(payload),
-        ]
-        for decoder in decoders:
-            try:
-                decoder()
-            except WireError:
-                pass
+        try:
+            values = decode_answer_payload(payload, count, prime, sequence)
+        except WireError:
+            pass
+        else:
+            assert payload[0] >> 3 == sequence and len(values) == count
+            assert all(0 <= value < prime for value in values)
+        try:
+            decode_error_payload(payload)
+        except WireError:
+            pass
 
     @settings(max_examples=60, deadline=None)
     @given(data=peer_bytes, limits=st.sampled_from([
-        {MSG_QUERY: 16 + 2},  # a (5,3,3,7) server's limits, then a client's
+        {MSG_QUERY: 4 + 2},  # a (5,3,3,7) server's limits, then a client's
         {MSG_ANSWER: 1 + 1 * 3, MSG_ERROR: net.MAX_ERROR_PAYLOAD},
     ]))
     def test_recv_message(self, data, limits):

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from codedpir import derive_params, encode_system, make_rng
-from codedpir import rs, scheme, sim
+from codedpir import net, rs, scheme, sim
 from codedpir.linalg import matmul_mod
 from codedpir.rs import MdsCode, make_code
 from codedpir.scheme import (
@@ -59,11 +59,23 @@ class TestDeriveParams:
             (3, 3, 2, 5), (2, 3, 2, 5), (5, 3, 1, 7), (5, 3, 3, 6), (5, 3, 3, 3),
             (5, 3, 3, 2**32 + 15),  # prime, but wider than the wire's u32
             (65537, 1, 2, 65537),  # n = 65537 query entries overflow u16
+            (5, 3, 2**32, 257),  # M wider than the system tag's u32
+            (5, 3, 2**30, 257),  # M at the bound
         ],
     )
     def test_rejections(self, args):
         with pytest.raises(ParameterError):
             derive_params(*args)
+
+    def test_largest_file_count_fits_the_wire(self):
+        """The largest M passes, for 4-bit and 16-bit shifts alike: its
+        system tag packs, and its QUERY payload of a 4-byte tag and M
+        shifts fits a frame's u32 length."""
+        largest = scheme.FILE_LIMIT - 1
+        for system in ((5, 3, largest, 257), (65535, 1, largest, 65537)):
+            params = derive_params(*system)
+            assert len(net._query_head(params)) == 4
+            assert 4 + -(-largest * net._shift_bits(params.n_reduced) // 8) < 2**32
 
 
 class TestEncodeSystem:
