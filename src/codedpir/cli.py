@@ -25,7 +25,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis, net, scheme, sim
-from .rs import make_code
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

@@ -10,9 +10,9 @@ property): their recovery matrix maps them to it, and their residual
 matrix strips it from a received word.
 
 Matrices are read-only int64 arrays with entries in [0:p), cached per
-position set up to MATRIX_CACHE_BYTES; codes are cached per (N, K, p)
-by `make_code`, so every caller in a process shares one code and its
-caches.
+position set, and the scheme's decode maps per desired column, each up
+to MATRIX_CACHE_BYTES; codes are cached per (N, K, p) by `make_code`,
+so every caller in a process shares one code and its caches.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import numpy as np
 from .gf import inv_mod, is_prime
 
 
-# Bytes of matrices one code keeps in each of its recovery and residual
-# caches: every matrix of (8,5) (56 of each, 18 and 29 KB) and of (5,3)
-# fits, and a (259,2) code keeps about a thousand 4 KB recovery
-# matrices and seven 537 KB residual ones, where C(259,2) and 259 of
-# them (137 and 139 MB) would otherwise pile up in a long-lived client.
+# Bytes of matrices one code keeps in each of its three caches: every
+# recovery and residual matrix of (5,3) and (8,5) fits, and about 870 of
+# the 6720 (8,5) decode maps; a (259,2) code keeps about a thousand 4 KB
+# recovery matrices, seven 537 KB residual ones and one 2.1 MB decode
+# map, where a long-lived client would otherwise pile up hundreds of MB.
 MATRIX_CACHE_BYTES = 1 << 22
 
 
@@ -89,15 +89,8 @@ class MdsCode:
         self.prime = prime
         self.recovery_matrices = MatrixCache(MATRIX_CACHE_BYTES)
         self.residual_matrices = MatrixCache(MATRIX_CACHE_BYTES)
-        # Decode maps of the PIR scheme, least recently used first: the
-        # maps built per column set, keyed by the sorted column, and the
-        # maps derived from them per column.  scheme.decode_map fills
-        # and bounds both under the one lock.  (A MatrixCache each, a
-        # lock per lookup, read 3 % more local-533 latency on a 2-core
-        # x86.)
-        self.column_set_maps: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
-        self.decode_maps: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
-        self.decode_maps_lock = threading.Lock()
+        # The PIR scheme's decode maps per desired column (scheme.decode_map).
+        self.decode_maps = MatrixCache(MATRIX_CACHE_BYTES)
         self.generator = self.recovery_matrix(tuple(range(k_msg)))
 
     def recovery_matrix(self, positions: tuple[int, ...]) -> np.ndarray:

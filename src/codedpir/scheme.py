@@ -40,13 +40,12 @@ stacked, summing the files in one product (in float64 where that is
 exact, linalg.sum_dtype).  Decoding is linear: once the desired file's
 master column c is fixed, one (lam*K x N*k) matrix D_c maps the N*k
 answers to the file, and one product applies the stacked maps of a
-batch's distinct columns to all of it.  Reordering c only reorders the
-rounds, so D_c is built once per column set, as D of sorted(c).  A
-batch of more than one orders each retrieval's rounds by its desired
-column before decoding and so uses built maps alone; a single
-retrieval derives D_c for another order by permuting the round
-columns of the built map.  Both kinds are cached up to
-DECODE_MAP_CACHE_BYTES.  A single retrieval is a batch of one.
+batch's distinct columns to all of it.  The code caches D_c per column
+(decode_map).  Reordering c only reorders the rounds, so a batch of
+more than one orders each retrieval's rounds by its desired column
+before decoding and needs at most one map per column set; a single
+retrieval, a batch of one, keys its map by c as drawn, one of only n
+columns for the SHIFTS family.
 
 The list-based calls (gen_master_query, build_server_query,
 server_answer) work on k x M query row lists and length-k answer lists
@@ -108,13 +107,6 @@ FILE_LIMIT = 2**30
 # took 36 us against 90 us through row lists.  The client packs a query
 # this small with string calls rather than numpy.
 SMALL_QUERY_ENTRIES = 128
-
-# Bytes of decode maps one code keeps in each of its two caches, the
-# maps built per column set and the maps derived for single retrievals
-# per unsorted column: the 10 sets and 50 other columns of (5,3) fit,
-# and of (8,5) all 56 sets (269 KB), which are every map a batch uses,
-# and about a hundred of the 6720 columns.
-DECODE_MAP_CACHE_BYTES = 1 << 19
 
 # Omega is tabled up to this many columns, at most 2^16 x 8 entries;
 # larger systems draw its columns by an argsort.
@@ -507,51 +499,16 @@ def decode_map(column, params: SystemParams, code: MdsCode) -> np.ndarray:
     """The (lam*K x N*k) matrix D_c with file.flat = D_c @ answers.flat mod p.
 
     `column` is the desired file's master column c = master[:, theta];
-    answers are (N, k), server-major, with 0 in NULL rounds.  Only
-    D of sorted(c) is built; round s of c is round rank[s] of sorted(c),
-    so D_c gathers column t*k + rank[s] of it for each server t and
-    round s.  The code caches the built maps per sorted column in
-    `column_set_maps`, and the derived maps of unsorted columns in
-    `decode_maps`, each least recently used out first, up to
-    DECODE_MAP_CACHE_BYTES.  A sorted column takes no slot among the
-    derived maps.
+    answers are (N, k), server-major, with 0 in NULL rounds.  The code
+    keeps the maps it has built per column as given in `decode_maps`,
+    least recently used out first beyond rs.MATRIX_CACHE_BYTES.
     """
     key = tuple(column)
-    with code.decode_maps_lock:
-        found = _recall(code.decode_maps, key)
-        if found is not None:
-            return found
-        ordered = tuple(sorted(key))
-        base = _recall(code.column_set_maps, ordered)
-    if base is None:
-        base = _build_decode_map(ordered, params, code)
-        with code.decode_maps_lock:
-            _remember(code.column_set_maps, ordered, base)
-    if key == ordered:
-        return base
-    rank = [ordered.index(value) for value in key]
-    d_map = base[:, (np.arange(0, base.shape[1], len(key))[:, None] + rank).ravel()]
-    d_map.flags.writeable = False
-    with code.decode_maps_lock:
-        _remember(code.decode_maps, key, d_map)
+    d_map = code.decode_maps.get(key)
+    if d_map is None:
+        d_map = _build_decode_map(key, params, code)
+        code.decode_maps.put(key, d_map)
     return d_map
-
-
-def _recall(cache, key):
-    """The cached map of `key` or None, marked as used most recently."""
-    found = cache.get(key)
-    if found is not None:
-        cache.move_to_end(key)
-    return found
-
-
-def _remember(cache, key, d_map) -> None:
-    """Cache a map as the most recent, dropping the least recent ones
-    beyond DECODE_MAP_CACHE_BYTES (all maps of one code are one size)."""
-    cache[key] = d_map
-    cache.move_to_end(key)
-    while len(cache) > max(1, DECODE_MAP_CACHE_BYTES // d_map.nbytes):
-        cache.popitem(last=False)
 
 
 def _build_decode_map(column: tuple, params: SystemParams, code: MdsCode) -> np.ndarray:
@@ -613,13 +570,17 @@ def decode_batch(
 ) -> np.ndarray:
     """Files (T, lam, K) from answers (T, N, k), 0 in NULL rounds, and the
     desired columns (T, k): the maps of the distinct columns, stacked
-    once, applied to all T retrievals in one product."""
+    once, applied to all T retrievals in one product.  DecodingError for
+    a column that is not k distinct entries of [0:n)."""
     count = len(answers)
     flat = answers.reshape(count, -1)
     if count == 1:
         d_map = decode_map(tuple(columns[0].tolist()), params, code)
         files = matmul_mod(flat, d_map.T, params.prime)
     else:
+        # An entry outside [0:n) would give a column another's key.
+        if np.asarray(columns, dtype=np.int64).view(np.uint64).max() >= params.n_reduced:
+            raise DecodingError(f"desired columns must hold entries of [0:{params.n_reduced})")
         keys, which = _distinct_rows(columns, params.n_reduced)
         maps = np.stack([decode_map(key, params, code) for key in keys])
         files = matmul_mod(maps[which], flat[:, :, None], params.prime)
@@ -667,8 +628,8 @@ def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCod
     all N servers; one take adds the desired file's shifted rows.  A
     batch of more than one decodes each retrieval with its rounds in
     ascending order of its desired column: permuting a master's rounds
-    permutes all N answers alike, so every decode key is a column set
-    and takes its built map as it is.  The mask keeps the masters' order."""
+    permutes all N answers alike, so every decode key is a sorted column,
+    one of C(n, k).  The mask keeps the masters' order."""
     masters = validate_query(masters, params)
     thetas = _checked_thetas(thetas, params)
     nn, n, m, lam = params.n_servers, params.n_reduced, params.m_files, params.rows_per_file

@@ -9,9 +9,6 @@ import math
 import time
 from fractions import Fraction
 
-import numpy as np
-import pytest
-
 from codedpir import analysis, net, scheme, sim
 from codedpir.rs import make_code
 

@@ -26,7 +26,7 @@ from codedpir.scheme import (
     server_answer,
 )
 
-from conftest import EXAMPLE_QUERY
+from conftest import EXAMPLE_QUERY, start_serving, stop_servers
 from oracle import (
     answer_array,
     answer_queries,
@@ -546,47 +546,30 @@ class TestDecodeMap:
         assert matmul_mod(d_map, flat, prime).tolist() == [v for row in expected for v in row]
 
     def test_cache_holds_every_column_of_five_three(self):
+        """Each of the 60 columns of (5,3) gets its own map, built once and
+        kept under the column as given."""
         params = derive_params(5, 3, 3, 257)
-        code = make_code(5, 3, 257)
+        code = MdsCode(5, 3, 257)
         columns = list(map(tuple, scheme.omega(5, 3).tolist()))
-        for column in columns:
-            scheme.decode_map(column, params, code)
-        column_sets = {column for column in columns if list(column) == sorted(column)}
-        assert set(code.column_set_maps) == column_sets
-        assert set(code.decode_maps) == set(columns) - column_sets
-
-    def test_cache_is_bounded_in_bytes(self):
-        params = derive_params(8, 5, 2, 65537)
-        code = make_code(8, 5, 65537)
-        for column in scheme.omega(8, 5)[:400].tolist():
-            scheme.decode_map(column, params, code)
-        held = sum(d_map.nbytes for d_map in code.decode_maps.values())
-        assert 0 < held <= scheme.DECODE_MAP_CACHE_BYTES
-        assert len(code.decode_maps) < 400
-
-    @settings(max_examples=60, deadline=None)
-    @given(n_servers=st.integers(2, 9), data=st.data(), prime=st.sampled_from(PRIMES))
-    def test_derived_maps_equal_built_maps(self, n_servers, data, prime):
-        assume(prime >= n_servers)
-        k_mds = data.draw(st.integers(1, n_servers - 1))
-        params = derive_params(n_servers, k_mds, 2, prime)
-        n, k = params.n_reduced, params.k_reduced
-        column = tuple(data.draw(st.permutations(range(n)))[:k])
-        expected = scheme._build_decode_map(column, params, MdsCode(n_servers, k_mds, prime))
-        for set_cached_first in (False, True):
-            code = MdsCode(n_servers, k_mds, prime)
-            if set_cached_first:
-                scheme.decode_map(sorted(column), params, code)
-            d_map = scheme.decode_map(column, params, code)
-            assert d_map.dtype == expected.dtype
-            assert np.array_equal(d_map, expected)
+        maps = [scheme.decode_map(column, params, code) for column in columns]
+        assert set(code.decode_maps) == set(columns)
+        for column, d_map in zip(columns, maps):
+            assert code.decode_maps.get(column) is d_map
+            assert scheme.decode_map(list(column), params, code) is d_map
             assert not d_map.flags.writeable
-            assert scheme.decode_map(column, params, code) is d_map
 
     @pytest.mark.parametrize("n,k", [(5, 3), (8, 5)])
     def test_one_build_per_column_set(self, n, k, monkeypatch):
+        """A batch whose desired columns are all of Omega decodes with its
+        rounds ordered by column, so it builds one map per column set."""
         params = derive_params(n, k, 2, 65537)
         code = MdsCode(n, k, 65537)
+        sources = scheme.random_sources(params, make_rng(n))
+        _, storages = encode_system(params, sources, code)
+        table = scheme.omega(n, k)
+        masters = np.zeros((len(table), k, 2), dtype=table.dtype)
+        masters[:, :, 0] = table
+        masters[:, :, 1] = table[::-1]
         built = []
         build = scheme._build_decode_map
 
@@ -595,12 +578,12 @@ class TestDecodeMap:
             return build(column, params, code)
 
         monkeypatch.setattr(scheme, "_build_decode_map", counting_build)
-        for column in scheme.omega(n, k).tolist():
-            scheme.decode_map(column, params, code)
+        thetas = np.zeros(len(table), dtype=np.int64)
+        files, _ = scheme.retrieve_batch(masters, thetas, storages, params, code)
+        assert np.array_equal(files, sources[thetas])
         assert len(built) == len(set(built)) == math.comb(n, k)  # 10 and 56
         assert all(list(column) == sorted(column) for column in built)
-        for cache in (code.column_set_maps, code.decode_maps):
-            assert 0 < sum(d_map.nbytes for d_map in cache.values()) <= scheme.DECODE_MAP_CACHE_BYTES
+        assert set(code.decode_maps) == set(built)
 
     def test_threads_get_identical_maps(self):
         params = derive_params(8, 5, 2, 65537)
@@ -630,13 +613,118 @@ class TestDecodeMap:
             for held in maps:
                 assert np.array_equal(held[column], expected)
                 assert not held[column].flags.writeable
-        for cache in (code.column_set_maps, code.decode_maps):
-            assert sum(d_map.nbytes for d_map in cache.values()) <= scheme.DECODE_MAP_CACHE_BYTES
+        # 560 maps of 4.8 KB: all fit, each counted once however many
+        # threads built it.
+        cache = code.decode_maps
+        assert set(cache) == set(columns)
+        assert cache.nbytes == sum(d_map.nbytes for d_map in cache.values()) <= cache.limit
 
     def test_repeated_column_entry(self, example_system):
         params, code, _, _, _ = example_system
         with pytest.raises(DecodingError):
             scheme.decode_map((1, 1, 2), params, code)
+
+
+class TestBenchmarkTraffic:
+    """Single retrievals draw SHIFTS masters, whose n desired columns key
+    their own maps; batches key theirs by column set.  What the benchmark
+    runs, in process and over TCP, fits one code's decode-map cache."""
+
+    @pytest.mark.parametrize("shape, batch, held", [
+        ((5, 3, 3, 257), 1000, 12),  # C(5,3) + 2
+        ((8, 5, 256, 65537), 20, 60),  # C(8,5) + 4
+    ])
+    def test_every_map_is_built_once(self, shape, batch, held, monkeypatch):
+        params = derive_params(*shape)
+        n, k = params.n_reduced, params.k_reduced
+        code = make_code(*shape[:2], shape[3])
+        monkeypatch.setattr(code, "decode_maps", rs.MatrixCache(rs.MATRIX_CACHE_BYTES))
+        keys, built = set(), []
+        decode_map, build = scheme.decode_map, scheme._build_decode_map
+
+        def recording_decode_map(column, params, code):
+            keys.add(tuple(column))
+            return decode_map(column, params, code)
+
+        def counting_build(column, params, code):
+            built.append(column)
+            return build(column, params, code)
+
+        monkeypatch.setattr(scheme, "decode_map", recording_decode_map)
+        monkeypatch.setattr(scheme, "_build_decode_map", counting_build)
+        shift_columns = set(map(tuple, scheme.family_table(n, k, scheme.SHIFTS).tolist()))
+        sources = scheme.random_sources(params, make_rng(11))
+        _, storages = encode_system(params, sources, code)
+        rng = make_rng(12)
+        for index in range(200):
+            theta = index % params.m_files
+            source, _ = retrieve(theta, storages, params, rng, code)
+            assert source == sources[theta].tolist()
+            if keys == shift_columns:
+                break
+        assert keys == shift_columns
+        keys.clear()
+        servers = [net.StorageServer(storage, params) for storage in storages]
+        for server in servers:
+            start_serving(server)
+        try:
+            addresses = [server.server_address for server in servers]
+            for seed in range(200):
+                theta = seed % params.m_files
+                result = net.client_retrieve(addresses, theta, params, seed)
+                assert result.source == sources[theta].tolist()
+                if keys == shift_columns:
+                    break
+        finally:
+            net._pool.clear()
+            stop_servers(servers)
+        assert keys == shift_columns
+        # One batch of 20 (8,5) trials meets at most 20 of the 56 column
+        # sets; 20 batches meet them all.
+        for seed in range(20):
+            assert sim.run_trials(params, batch, seed, theta_policy="uniform").trials == batch
+        # The n - k + 1 unwrapped shift columns are column sets too.
+        assert len(built) == len(set(built)) == len(code.decode_maps) == held
+        assert set(code.decode_maps) == set(built) >= shift_columns
+        assert code.decode_maps.nbytes <= code.decode_maps.limit
+
+
+class TestMalformedColumns:
+    """decode and decode_batch raise DecodingError for a desired column
+    that is not k distinct entries of [0:n), in a batch too, where its
+    base-n key may equal a valid column's."""
+
+    BAD = [  # (desired column, a batch partner of the same length)
+        ([3, 0], [3, 0]),
+        ([3, 0, 1, 2], [3, 0, 1, 2]),
+        ([3, 3, 1], [3, 1, 0]),
+        ([3, 0, 5], [3, 1, 0]),  # same base-5 key
+        ([3, -1, 1], [2, 4, 1]),  # same base-5 key
+    ]
+    IDS = ["short", "long", "repeat", "n", "negative"]
+
+    @pytest.fixture
+    def answers(self, example_system):
+        params, _, _, _, storages = example_system
+        return answer_array([
+            server_answer(st, build_server_query(EXAMPLE_QUERY, 0, st.server_index, params), params)
+            for st in storages
+        ])
+
+    @pytest.mark.parametrize("column, partner", BAD, ids=IDS)
+    def test_decode(self, answers, example_system, column, partner):
+        params, code, _, _, _ = example_system
+        master = [[entry, 1, 2] for entry in column]
+        with pytest.raises(DecodingError, match="desired column"):
+            decode(answers, master, 0, params, code)
+
+    @pytest.mark.parametrize("column, partner", BAD, ids=IDS)
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_decode_batch(self, answers, example_system, column, partner, bad_first):
+        params, code, _, _, _ = example_system
+        columns = np.array([column, partner] if bad_first else [partner, column])
+        with pytest.raises(DecodingError, match="desired column"):
+            scheme.decode_batch(np.stack([answers, answers]), columns, params, code)
 
 
 class TestAnswerChecks:
@@ -726,8 +814,8 @@ class TestRetrieveBatch:
         assert not live[::2, :, 0].all() and live.any()
 
     def test_batch_decodes_by_column_set(self, monkeypatch):
-        """A batch reaches the decode maps only with sorted columns, so it
-        builds maps and derives none."""
+        """A batch reaches the decode maps only with sorted columns, and
+        builds each map once."""
         params = derive_params(8, 5, 256, 65537)
         code = MdsCode(8, 5, 65537)
         sources = scheme.random_sources(params, make_rng(5))
@@ -752,15 +840,16 @@ class TestRetrieveBatch:
         assert np.array_equal(files, sources[thetas])
         desired = masters[np.arange(20), :, thetas].tolist()
         assert any(column != sorted(column) for column in desired)
-        assert set(keys["decode_map"]) == {tuple(sorted(column)) for column in desired}
-        assert keys["_build_decode_map"] and set(keys["_build_decode_map"]) <= set(keys["decode_map"])
-        assert not code.decode_maps
-        assert set(code.column_set_maps) == set(keys["decode_map"])
+        sorted_keys = {tuple(sorted(column)) for column in desired}
+        assert set(keys["decode_map"]) == sorted_keys
+        assert sorted(keys["_build_decode_map"]) == sorted(sorted_keys)
+        assert set(code.decode_maps) == sorted_keys
 
     def test_matrix_caches_stay_within_their_bound(self):
-        """A (259,2) column set takes 257 recovery matrices of 4 KB and two
-        residual matrices of 537 KB; after 12 of them each cache holds
-        as many as fit its bound, and every file still decodes."""
+        """A (259,2) column set takes 257 recovery matrices of 4 KB, two
+        residual matrices of 537 KB and one decode map of 2.1 MB; after
+        12 of them each cache holds as many as fit its bound, and every
+        file still decodes."""
         params = derive_params(259, 2, 2, 263)
         code = MdsCode(259, 2, 263)
         sources = scheme.random_sources(params, make_rng(7))
@@ -770,7 +859,7 @@ class TestRetrieveBatch:
         thetas = rng.integers(0, params.m_files, size=12)
         files, _ = scheme.retrieve_batch(masters, thetas, storages, params, code)
         assert np.array_equal(files, sources[thetas])
-        for cache in (code.recovery_matrices, code.residual_matrices):
+        for cache in (code.recovery_matrices, code.residual_matrices, code.decode_maps):
             sizes = [matrix.nbytes for matrix in cache.values()]
             assert cache.limit == rs.MATRIX_CACHE_BYTES
             assert cache.limit - sizes[0] < cache.nbytes == sum(sizes) <= cache.limit
