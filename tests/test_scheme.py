@@ -558,6 +558,21 @@ class TestDecodeMap:
             assert scheme.decode_map(list(column), params, code) is d_map
             assert not d_map.flags.writeable
 
+    def test_cache_is_bounded_in_bytes(self):
+        """1200 maps of 4.8 KB overflow rs.MATRIX_CACHE_BYTES; the cache
+        keeps the most recent ones that fit and drops the rest."""
+        params = derive_params(8, 5, 2, 65537)
+        code = MdsCode(8, 5, 65537)
+        columns = list(map(tuple, scheme.omega(8, 5)[:1200].tolist()))
+        for column in columns:
+            scheme.decode_map(column, params, code)
+        cache = code.decode_maps
+        held = sum(d_map.nbytes for d_map in cache.values())
+        assert cache.limit == rs.MATRIX_CACHE_BYTES
+        assert 0 < held == cache.nbytes <= cache.limit
+        assert len(cache) < len(columns)
+        assert list(cache) == columns[-len(cache):]
+
     @pytest.mark.parametrize("n,k", [(5, 3), (8, 5)])
     def test_one_build_per_column_set(self, n, k, monkeypatch):
         """A batch whose desired columns are all of Omega decodes with its
