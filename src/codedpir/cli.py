@@ -215,8 +215,6 @@ def cmd_retrieve(args) -> int:
             result = net.client_retrieve(addresses, args.theta, params, args.seed)
         except net.RetrievalAbortedError as exc:
             raise CliError(str(exc), EXIT_IO) from exc
-        except net.ParameterMismatch as exc:
-            raise CliError(str(exc), EXIT_USAGE) from exc
         source, downloaded = result.source, result.download_elements
     doc = {
         "theta": args.theta,

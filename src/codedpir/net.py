@@ -52,7 +52,7 @@ takes.  A width outside {1, 2, 4} or wider than p-1 needs, or a value
 not below p, is a WireError; a sequence other than the count of queries
 the client sent on the connection before this one a StaleAnswerError,
 checked before the length; a length other than 1 + live*w an
-AnswerMismatchError.  The widths and the sequence are functions of what
+AnswerLengthError.  The widths and the sequence are functions of what
 the server sees, n, its own answer values and the connection's own
 frames, so none tells it anything about the desired file.
 
@@ -193,10 +193,6 @@ class ServerSideError(RuntimeError):
         super().__init__(f"server error {code}: {detail}")
         self.code = code
         self.detail = detail
-
-
-class ParameterMismatch(ValueError):
-    """Endpoint list does not match the system parameters."""
 
 
 class RetrievalAbortedError(RuntimeError):
@@ -726,19 +722,16 @@ class _Link:
 
 
 def _read_answer(
-    reply: tuple[int, bytearray], count: int, server_index: int, prime: int, sequence: int
+    reply: tuple[int, bytearray], count: int, prime: int, sequence: int
 ) -> tuple[int, ...]:
-    """Server `server_index`'s live values, given the count of live
-    rounds of the query it was sent and the sequence due."""
+    """A server's live values, given the count of live rounds of the
+    query it was sent and the sequence due."""
     msg_type, payload = reply
     if msg_type == MSG_ERROR:
         raise ServerSideError(*decode_error_payload(payload))
     if msg_type != MSG_ANSWER:
         raise WireError("expected ANSWER")
-    try:
-        return decode_answer_payload(payload, count, prime, sequence)
-    except AnswerLengthError as exc:
-        raise scheme.AnswerMismatchError(server_index, str(exc)) from exc
+    return decode_answer_payload(payload, count, prime, sequence)
 
 
 def client_retrieve(
@@ -756,20 +749,21 @@ def client_retrieve(
     cannot be reached, times out, replies with an ERROR, or sends an
     answer that does not fit its query aborts the retrieval with
     RetrievalAbortedError naming the server.  For a misfit answer its
-    cause is a WireError (a frame longer than k values of p-1's width,
+    cause is a WireError: a frame longer than k values of p-1's width,
     bytes beyond the frame in the read that began it, a bad width, a
-    value outside [0:p), or a StaleAnswerError, an answer to an earlier
-    query on the connection) or scheme.AnswerMismatchError (a length
-    other than one value per live round).  `timeout`, in seconds, bounds
-    each connect, send and read, and a frame from its first read;
-    ValueError unless it is a finite number > 0, before any connection
-    is opened.
+    value outside [0:p), a StaleAnswerError (an answer to an earlier
+    query on the connection) or an AnswerLengthError (a length other
+    than one value per live round).  `timeout`, in seconds, bounds each
+    connect, send and read, and a frame from its first read; ValueError
+    unless it is a finite number > 0, and scheme.ParameterError unless
+    there is one address per server and theta is a file, before any
+    connection is opened.
     """
     if not (timeout > 0 and math.isfinite(timeout)):
         raise ValueError(f"timeout={timeout} is not a finite number of seconds > 0")
     addresses = list(server_addresses)
     if len(addresses) != params.n_servers:
-        raise ParameterMismatch(
+        raise scheme.ParameterError(
             f"need {params.n_servers} server addresses, got {len(addresses)}"
         )
     if not 0 <= theta < params.m_files:
@@ -814,10 +808,10 @@ def client_retrieve(
             links[t].send()
         for t, link in enumerate(links):
             reply = link.receive(limits)
-            values += _read_answer(reply, masks[t].bit_count(), t, params.prime, link.sequence)
+            values += _read_answer(reply, masks[t].bit_count(), params.prime, link.sequence)
             link.keep()
             download_bytes += len(reply[1])
-    except (OSError, WireError, ServerSideError, scheme.AnswerMismatchError) as exc:
+    except (OSError, WireError, ServerSideError) as exc:
         raise RetrievalAbortedError(t, exc) from exc
     finally:
         for link in links:

@@ -9,10 +9,11 @@ matrix of positions 0..K-1.  Any K symbols determine the codeword (MDS
 property): their recovery matrix maps them to it, and their residual
 matrix strips it from a received word.
 
-Matrices are read-only int64 arrays with entries in [0:p), cached per
-position set, and the scheme's decode maps per desired column, each up
-to MATRIX_CACHE_BYTES; codes are cached per (N, K, p) by `make_code`,
-so every caller in a process shares one code and its caches.
+Matrices are int64 arrays with entries in [0:p).  Recovery matrices are
+cached per position set, and the scheme's decode maps per desired
+column, both read-only and each cache up to MATRIX_CACHE_BYTES; codes
+are cached per (N, K, p) by `make_code`, so every caller in a process
+shares one code and its caches.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ import numpy as np
 from .gf import inv_mod, is_prime
 
 
-# Bytes of matrices one code keeps in each of its three caches: every
-# recovery and residual matrix of (5,3) and (8,5) fits, and about 870 of
-# the 6720 (8,5) decode maps; a (259,2) code keeps about a thousand 4 KB
-# recovery matrices, seven 537 KB residual ones and one 2.1 MB decode
-# map, where a long-lived client would otherwise pile up hundreds of MB.
+# Bytes of matrices one code keeps in each of its two caches: every
+# recovery matrix of (5,3) and (8,5) fits, and about 870 of the 6720
+# (8,5) decode maps; a (259,2) code keeps about a thousand 4 KB recovery
+# matrices and one 2.1 MB decode map, where a long-lived client would
+# otherwise pile up hundreds of MB.
 MATRIX_CACHE_BYTES = 1 << 22
 
 
@@ -88,7 +89,6 @@ class MdsCode:
         self.k_msg = k_msg
         self.prime = prime
         self.recovery_matrices = MatrixCache(MATRIX_CACHE_BYTES)
-        self.residual_matrices = MatrixCache(MATRIX_CACHE_BYTES)
         # The PIR scheme's decode maps per desired column (scheme.decode_map).
         self.decode_maps = MatrixCache(MATRIX_CACHE_BYTES)
         self.generator = self.recovery_matrix(tuple(range(k_msg)))
@@ -124,16 +124,12 @@ class MdsCode:
 
         Row t of X gives symbol t of a received word minus the codeword
         interpolated from its K symbols at `positions`; rows at those
-        positions are zero.
+        positions are zero.  Built on every call: only a decode map
+        build, itself cached, asks for one.
         """
-        cached = self.residual_matrices.get(positions)
-        if cached is not None:
-            return cached
         residual = np.eye(self.n_total, dtype=np.int64)
         residual[:, list(positions)] -= self.recovery_matrix(positions).T
         residual %= self.prime
-        residual.flags.writeable = False
-        self.residual_matrices.put(positions, residual)
         return residual
 
 

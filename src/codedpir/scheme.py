@@ -125,15 +125,6 @@ class ProtocolError(ValueError):
     """Malformed query or answer."""
 
 
-class AnswerMismatchError(ProtocolError):
-    """An answer does not fit the query it answers: it holds other than
-    one value per live round."""
-
-    def __init__(self, server_index: int, detail: str):
-        super().__init__(f"server {server_index}: {detail}")
-        self.server_index = server_index
-
-
 class DecodingError(RuntimeError):
     """Internal invariant violated while reconstructing a file."""
 
@@ -197,13 +188,6 @@ class ServerStorage:
 
     server_index: int
     symbols: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, ServerStorage):
-            return NotImplemented
-        return self.server_index == other.server_index and np.array_equal(
-            self.symbols, other.symbols
-        )
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -353,8 +337,7 @@ def validate_query(query, params: SystemParams) -> np.ndarray:
         entry = q[(q < 0) | (q >= n)][0]
         raise ProtocolError(f"query entry {entry} out of [0:{n})")
     # Entry pairs of a column that are equal: only the k self-pairs when
-    # its entries are distinct.  (np.sort releases and retakes the GIL
-    # on every call, a thread hand-off per query in a threaded server.)
+    # its entries are distinct.
     equal = q[..., :, None, :] == q[..., None, :, :]
     if np.count_nonzero(equal) != q.size:
         column = np.nonzero(equal.sum(axis=(-3, -2)) > k)[-1][0]
@@ -362,7 +345,6 @@ def validate_query(query, params: SystemParams) -> np.ndarray:
     return q
 
 
-@functools.lru_cache(maxsize=64)
 def omega_size(params: SystemParams) -> int:
     """|Omega| = P(n, k), the number of distinct columns."""
     return math.perm(params.n_reduced, params.k_reduced)
@@ -512,7 +494,7 @@ def decode_map(column, params: SystemParams, code: MdsCode) -> np.ndarray:
 
 
 def _build_decode_map(column: tuple, params: SystemParams, code: MdsCode) -> np.ndarray:
-    """D_c from the code's cached recovery and residual matrices.
+    """D_c from the code's recovery and residual matrices.
 
     In round s the K servers whose shifted entry c[s]+t lands in the
     dummy range answer pure interference, a codeword; the residual
@@ -653,37 +635,16 @@ def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCod
     answers = answers.reshape(len(masters), -1, nn)
     answers += symbols.take(thetas[:, None, None] * (n * nn) + desired)
     if len(masters) > 1:
-        order = _column_set_order(columns)
-        answers = answers.reshape(-1, nn).take(order, axis=0).reshape(answers.shape)
-        columns = columns.ravel().take(order).reshape(columns.shape)
+        order = columns.argsort(axis=1, kind="stable")
+        order += np.arange(0, columns.size, columns.shape[1])[:, None]
+        answers = answers.reshape(-1, nn).take(order.ravel(), axis=0).reshape(answers.shape)
+        columns = columns.ravel().take(order)
     # (T, N, k) as decode_batch takes them; float64 sums are exact integers.
     answers = answers.transpose(0, 2, 1).astype(np.int64, order="C")
     answers %= params.prime
     live = (others.min(axis=0) < lam)[:, :, None] | (desired < lam * nn)
     files = decode_batch(answers, columns, params, code)
     return files, live.transpose(0, 2, 1)
-
-
-def _column_set_order(columns: np.ndarray) -> np.ndarray:
-    """The (T*k,) flat order that puts each retrieval's rounds in ascending
-    order of its desired column (T, k): row t*k + r of the result is
-    round order[t*k + r] of the flat (T*k, ...) rounds.
-
-    Round s of retrieval t has rank r = #{entries of its column below
-    entry s}, taken by one (k, k, T) comparison with trials last, and
-    goes to row t*k + r; the order is that map inverted, for a take.  On
-    a 2-core x86 (numpy 2.4), at T = 1000 and k = 3, the rank took
-    11 us, where the comparison on the (T, k) view took 69 us and an
-    argsort over the k axis 25-45 us; a take of the (T*k, N) rounds took
-    15 us, where scattering them to their rows took 60 us.
-    """
-    count, k = columns.shape
-    entries = np.ascontiguousarray(columns.T)
-    rank = (entries[None] < entries[:, None]).sum(axis=1)
-    rows = (rank.T + np.arange(0, count * k, k)[:, None]).ravel()
-    order = np.empty_like(rows)
-    order[rows] = np.arange(count * k)
-    return order
 
 
 @functools.lru_cache(maxsize=16)

@@ -27,10 +27,10 @@ def example_system():
 
 def start_serving(server) -> threading.Thread:
     """Run server.serve_forever on a daemon thread, polling for shutdown
-    every 50 ms: StorageServer.start keeps serve_forever's 0.5 s, which
+    every 5 ms: StorageServer.start keeps serve_forever's 0.5 s, which
     every stop would wait out."""
     thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        target=server.serve_forever, kwargs={"poll_interval": 0.005}, daemon=True
     )
     thread.start()
     return thread

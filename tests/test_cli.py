@@ -75,6 +75,11 @@ class TestRetrieve:
                     "--n", "5", "--k", "3", "--m", "3"]) == 2
         assert capsys.readouterr().err == "error: bad address 'bad', expected host:port\n"
 
+    def test_wrong_address_count(self, capsys):
+        assert run(["retrieve", "--theta", "0", "--servers", "h:1,h:2",
+                    "--n", "5", "--k", "3", "--m", "3"]) == 2
+        assert capsys.readouterr().err == "error: need 5 server addresses, got 2\n"
+
     def _retrieve_fails(self, system_dir, capsys, code, message):
         assert run(["retrieve", "--theta", "1", "--storage-dir", str(system_dir)]) == code
         assert message in capsys.readouterr().err

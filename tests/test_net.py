@@ -559,6 +559,45 @@ class TestEndToEnd:
                 net.ERR_MALFORMED_QUERY, f"shift {shift} out of [0:5)"
             )
 
+    def test_answer_frame_gets_expected_query(self, cluster):
+        """A zero-length ANSWER frame passes the server's frame limits;
+        it gets ERR_MALFORMED_QUERY and a closed connection."""
+        _, _, addresses, _ = cluster
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            sock.sendall(net._HEADER.pack(0x52, 0))
+            msg_type, reply = recv_message(sock)
+            assert msg_type == MSG_ERROR
+            assert decode_error_payload(reply) == (net.ERR_MALFORMED_QUERY, "expected QUERY")
+            assert sock.recv(1) == b""
+
+    def test_internal_error_keeps_the_connection(self, cluster, monkeypatch, caplog):
+        """An exception while answering is logged and replied to with
+        ERR_INTERNAL; the connection then answers the next query, whose
+        sequence counts the failed one."""
+        params, _, addresses, _ = cluster
+        honest = scheme.server_answer
+        calls = []
+
+        def failing_once(storage, query, params):
+            calls.append(storage.server_index)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return honest(storage, query, params)
+
+        monkeypatch.setattr(scheme, "server_answer", failing_once)
+        payload = encode_query_payload(params, SHIFT_QUERY)
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            send_message(sock, MSG_QUERY, payload)
+            msg_type, reply = recv_message(sock)
+            assert msg_type == MSG_ERROR
+            assert decode_error_payload(reply) == (net.ERR_INTERNAL, "boom")
+            send_message(sock, MSG_QUERY, payload)
+            msg_type, reply = recv_message(sock)
+            assert msg_type == MSG_ANSWER
+            assert len(decode_answer_payload(reply, 2, 7, sequence=1)) == 2
+        assert calls == [0, 0]
+        assert "internal error answering query" in caplog.text
+
     def test_oversized_query_header_rejected(self, cluster):
         params, _, addresses, _ = cluster
         with socket.create_connection(addresses[0], timeout=2.0) as sock:
@@ -674,8 +713,17 @@ class TestEndToEnd:
 
     def test_wrong_address_count(self, cluster):
         params, _, addresses, _ = cluster
-        with pytest.raises(net.ParameterMismatch):
+        with pytest.raises(scheme.ParameterError):
             client_retrieve(addresses[:4], 0, params, seed=0)
+
+    @pytest.mark.parametrize("theta", [-1, 3])
+    def test_theta_out_of_range_opens_no_connection(self, cluster, theta, monkeypatch):
+        params, _, addresses, _ = cluster
+        opened = []
+        monkeypatch.setattr(net.socket, "create_connection", lambda *args, **kw: opened.append(1))
+        with pytest.raises(scheme.ParameterError, match="theta"):
+            client_retrieve(addresses, theta, params, seed=0)
+        assert opened == []
 
     def test_query_frames_follow_the_seed(self, cluster, monkeypatch):
         """client_retrieve sends each server its query of the seed's
@@ -1042,7 +1090,7 @@ class TestAnswerChecks:
 
     def test_dropped_live_round(self, cluster, tamper):
         tamper(lambda answer, params: [None] * len(answer))
-        self.aborted_by(cluster, scheme.AnswerMismatchError)
+        self.aborted_by(cluster, net.AnswerLengthError)
 
     @staticmethod
     def first_seed(params, wanted):
@@ -1056,13 +1104,13 @@ class TestAnswerChecks:
     def test_value_in_null_round(self, cluster, tamper):
         seed = self.first_seed(cluster[0], lambda live: not live.all())
         tamper(lambda answer, params: [0 if a is None else a for a in answer])
-        self.aborted_by(cluster, scheme.AnswerMismatchError, seed)
+        self.aborted_by(cluster, net.AnswerLengthError, seed)
 
     def test_short_vector(self, cluster, tamper):
         # the last round must be live for its loss to shorten the answer
         seed = self.first_seed(cluster[0], lambda live: live[-1])
         tamper(lambda answer, params: answer[:-1])
-        self.aborted_by(cluster, scheme.AnswerMismatchError, seed)
+        self.aborted_by(cluster, net.AnswerLengthError, seed)
 
     def test_rejected_answer_leaves_no_idle_socket(self, cluster, tamper):
         """Server 2 answers with one value too few: the retrieval aborts,
@@ -1072,7 +1120,7 @@ class TestAnswerChecks:
         seed = self.first_seed(params, lambda live: live[-1])
         tamper(lambda answer, params: answer[:-1])
         for _ in range(3):
-            self.aborted_by(cluster, scheme.AnswerMismatchError, seed)
+            self.aborted_by(cluster, net.AnswerLengthError, seed)
             idle = [key[0] for key, *_ in net._pool._idle]
             assert sorted(idle) == sorted(addresses[:2])
         assert servers[2].accepts == 3
@@ -1246,6 +1294,40 @@ class TestConnectionPool:
         assert len(frames) == params.n_servers + 1
         assert servers[2].accepts == 2
 
+    def test_pool_closes_the_longest_idle_beyond_its_bound(self, cluster, monkeypatch):
+        params, sources, addresses, servers = cluster
+        monkeypatch.setattr(net, "MAX_IDLE_CONNECTIONS", 2)
+        opened = []
+        connect = socket.create_connection
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(net.socket, "create_connection", recording_connect)
+        assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
+        # Sockets are pooled in server order, so those of servers 0-2 go.
+        assert [sock.fileno() == -1 for sock in opened] == [True] * 3 + [False] * 2
+        assert [key[0] for key, *_ in net._pool._idle] == addresses[3:]
+        assert client_retrieve(addresses, 1, params, seed=1).source == sources[1]
+        assert [server.accepts for server in servers] == [2, 2, 2, 1, 1]
+
+    def test_send_failure_on_a_pooled_socket_resends_once(self, cluster, monkeypatch):
+        """A pooled socket whose send fails is replaced by a new
+        connection, which carries the identical query before the next
+        server's is sent."""
+        params, sources, addresses, servers = cluster
+        frames = []
+        record_frames(monkeypatch, frames)
+        assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
+        (pooled,) = [sock for key, sock, _ in net._pool._idle if key[0] == addresses[2]]
+        pooled.shutdown(socket.SHUT_WR)
+        frames.clear()
+        assert client_retrieve(addresses, 1, params, seed=1).source == sources[1]
+        assert [address for address, _ in frames] == addresses[:3] + addresses[2:]
+        assert frames[2][1] == frames[3][1]
+        assert [server.accepts for server in servers] == [1, 1, 2, 1, 1]
+
 
 class TestFraming:
     """A frame is read whole, bytes beyond it are refused, and a frame
@@ -1301,6 +1383,24 @@ class TestFraming:
         # Server 2's socket was not pooled; those of servers 3 and 4,
         # never read, were closed with it.
         assert [server.accepts for server in servers] == [1, 1, 2, 2, 2]
+
+    def test_reply_of_another_type_aborts_the_retrieval(self, cluster, monkeypatch):
+        """A zero-length QUERY frame passes the client's frame limits and
+        is refused as no ANSWER."""
+        params, _, addresses, _ = cluster
+        send = net.send_message
+
+        def query_reply(sock, msg_type, payload):
+            if msg_type == MSG_ANSWER and sock.getsockname() == addresses[2]:
+                return sock.sendall(net._HEADER.pack(0x51, 0))
+            return send(sock, msg_type, payload)
+
+        monkeypatch.setattr(net, "send_message", query_reply)
+        with pytest.raises(RetrievalAbortedError) as exc:
+            client_retrieve(addresses, 1, params, seed=1)
+        assert exc.value.server_index == 2
+        assert type(exc.value.cause) is WireError
+        assert str(exc.value.cause) == "expected ANSWER"
 
     def test_split_frame_restores_the_receive_timeout(self):
         left, right = socket.socketpair()
