@@ -121,10 +121,6 @@ class RankReport:
     identity_holds: bool
 
     @property
-    def rank(self) -> int:
-        return self.ranks[0]
-
-    @property
     def passed(self) -> bool:
         return self.ranks_equal and self.identity_holds
 

@@ -7,12 +7,15 @@ Operator entry point: one binary, five subcommands.
     pir verify    runtime checks: capacity, bound, privacy, rank, enumerate
     pir bench     parameter sweeps with Monte-Carlo trials
 
-Exit codes: 0 success/pass, 1 check failure, 2 usage or parameter
-error, 3 I/O or network error.  Flags beat the PIR_SEED / PIR_PRIME
-environment variables, which beat the defaults (seed 0, p 257).
-PIR_PRIME is read only where the parameters come from flags, so
-`pir retrieve --storage-dir`, which takes p from the storage files,
-never reads it.
+Exit codes, decided in main alone: 0 success or pass; 1 a check failed
+or a retrieval did not decode (DecodingError); 2 a usage or parameter
+error (ParameterError, BudgetExceededError, a port outside [0:65535],
+a count below its least); 3 an I/O or network error
+(RetrievalAbortedError).  `pir serve` stops on Ctrl-C and exits 0.
+Flags beat the PIR_SEED / PIR_PRIME environment variables, which beat
+the defaults (seed 0, p 257).  PIR_PRIME is read only where the
+parameters come from flags, so `pir retrieve --storage-dir`, which
+takes p from the storage files, never reads it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,15 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# main's exit code for each library error, by exact class; an error whose
+# message needs a path or other context is raised as a CliError instead.
+EXIT_CODES = {
+    scheme.ParameterError: EXIT_USAGE,
+    analysis.BudgetExceededError: EXIT_USAGE,
+    scheme.DecodingError: EXIT_CHECK_FAILED,
+    net.RetrievalAbortedError: EXIT_IO,
+}
 
 
 class CliError(Exception):
@@ -60,10 +72,18 @@ def _params_from_args(args) -> scheme.SystemParams:
     """The parameters the flags give; an absent --p is PIR_PRIME's value,
     else the default prime."""
     prime = args.p if args.p is not None else _env_int("PIR_PRIME", scheme.DEFAULT_PRIME)
-    try:
-        return scheme.derive_params(args.n, args.k, args.m, prime)
-    except scheme.ParameterError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
+    return scheme.derive_params(args.n, args.k, args.m, prime)
+
+
+def _count(least: int):
+    """The argparse type of a count: an integer of at least `least`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return count
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,10 +95,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 def _emit(doc, fmt: str) -> None:
     if fmt == "json":
-        def plain(v):
-            return str(v) if isinstance(v, Fraction) else v
-
-        print(json.dumps(doc, default=plain, indent=2))
+        print(json.dumps(doc, default=sim.exact_json, indent=2))
     else:
         _emit_text(doc)
 
@@ -120,10 +137,7 @@ def cmd_setup(args) -> int:
             data = Path(args.source).read_bytes()
         except OSError as exc:
             raise CliError(f"cannot read {args.source}: {exc}", EXIT_IO) from exc
-        try:
-            sources, byte_length = scheme.ingest_bytes(data, params)
-        except scheme.ParameterError as exc:
-            raise CliError(str(exc), EXIT_USAGE) from exc
+        sources, byte_length = scheme.ingest_bytes(data, params)
 
     _, storages = scheme.encode_system(params, sources)
     try:
@@ -193,28 +207,18 @@ def cmd_retrieve(args) -> int:
         raise CliError("need exactly one of --storage-dir or --servers", EXIT_USAGE)
     if args.storage_dir:
         storages, params = _load_storage_dir(Path(args.storage_dir))
-        if not 0 <= args.theta < params.m_files:
-            raise CliError(f"theta must be in [0:{params.m_files})", EXIT_USAGE)
         rng = scheme.make_rng(args.seed)
-        try:
-            source, downloaded = scheme.retrieve(args.theta, storages, params, rng)
-        except scheme.DecodingError as exc:
-            raise CliError(str(exc), EXIT_CHECK_FAILED) from exc
+        source, downloaded = scheme.retrieve(args.theta, storages, params, rng)
         result = None
     else:
         if not (args.n and args.k and args.m):
             raise CliError("--servers mode needs --n/--k/--m", EXIT_USAGE)
         params = _params_from_args(args)
-        if not 0 <= args.theta < params.m_files:
-            raise CliError(f"theta must be in [0:{params.m_files})", EXIT_USAGE)
         try:
             addresses = [net.parse_address(a) for a in args.servers.split(",")]
         except ValueError as exc:
             raise CliError(str(exc), EXIT_USAGE) from exc
-        try:
-            result = net.client_retrieve(addresses, args.theta, params, args.seed)
-        except net.RetrievalAbortedError as exc:
-            raise CliError(str(exc), EXIT_IO) from exc
+        result = net.client_retrieve(addresses, args.theta, params, args.seed)
         source, downloaded = result.source, result.download_elements
     doc = {
         "theta": args.theta,
@@ -237,38 +241,24 @@ def cmd_verify(args) -> int:
     if args.mode == "capacity":
         cap = analysis.capacity(n_servers, k_mds, m_files)
         rate = analysis.scheme_rate(params)
-        ok = rate == cap
-        doc = {
-            "check": "capacity",
-            "rate": rate,
-            "capacity": cap,
-            "pass": ok,
-        }
+        doc = {"check": "capacity", "rate": rate, "capacity": cap, "pass": rate == cap}
     elif args.mode == "bound":
         info = analysis.min_file_length_bound(n_servers, k_mds, m_files)
-        expected_gap = (
-            1 if info.tight else Fraction(k_mds, params.d)
-        )
-        ok = info.gap_factor == expected_gap
+        expected_gap = 1 if info.tight else Fraction(k_mds, params.d)
         doc = {
             "check": "bound",
             "L": params.file_len,
             "bound": info.bound,
             "tight": info.tight,
             "gap_factor": info.gap_factor,
-            "pass": ok,
+            "pass": info.gap_factor == expected_gap,
         }
     elif args.mode == "privacy":
-        try:
-            if args.samples:
-                rng = scheme.make_rng(args.seed)
-                report = analysis.verify_privacy(
-                    params, "statistical", rng=rng, samples=args.samples
-                )
-            else:
-                report = analysis.verify_privacy(params, "exhaustive", budget=args.budget)
-        except analysis.BudgetExceededError as exc:
-            raise CliError(str(exc), EXIT_USAGE) from exc
+        if args.samples:
+            rng = scheme.make_rng(args.seed)
+            report = analysis.verify_privacy(params, "statistical", rng=rng, samples=args.samples)
+        else:
+            report = analysis.verify_privacy(params, "exhaustive", budget=args.budget)
         doc = report.to_json(params)
     elif args.mode == "rank":
         rng = scheme.make_rng(args.seed)
@@ -288,20 +278,14 @@ def cmd_verify(args) -> int:
             "failures": reports,
         }
     elif args.mode == "enumerate":
-        try:
-            enumerated = sim.exact_expectation_by_enumeration(params, budget=args.budget)
-        except analysis.BudgetExceededError as exc:
-            raise CliError(str(exc), EXIT_USAGE) from exc
+        enumerated = sim.exact_expectation_by_enumeration(params, budget=args.budget)
         formula = analysis.expected_download(params)
-        ok = enumerated == formula
         doc = {
             "check": "enumerate",
             "enumerated_mean_download": enumerated,
             "formula": formula,
-            "pass": ok,
+            "pass": enumerated == formula,
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown mode {args.mode}", EXIT_USAGE)
 
     _emit(doc, args.format)
     return EXIT_OK if doc["pass"] else EXIT_CHECK_FAILED
@@ -388,16 +372,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_verify)
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--budget", type=int, default=10**6)
-    p_verify.add_argument("--trials", type=int, default=100,
+    p_verify.add_argument("--trials", type=_count(1), default=100,
                           help="random realizations for --mode rank")
-    p_verify.add_argument("--samples", type=int, default=0,
+    p_verify.add_argument("--samples", type=_count(0), default=0,
                           help="use statistical privacy mode with this many samples")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="sweep a parameter grid")
     p_bench.add_argument("--grid", required=True, help="semicolon-separated N,K,M[,p]")
-    p_bench.add_argument("--trials", type=int, default=0)
+    p_bench.add_argument("--trials", type=_count(0), default=0)
     p_bench.add_argument("--seed", type=int)
     p_bench.add_argument("--out", help="output path (stdout if omitted)")
     p_bench.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -411,12 +395,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _fill_from_environment(args)
         return args.func(args)
-    except CliError as exc:
+    except (CliError, *EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except scheme.ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return exc.code if isinstance(exc, CliError) else EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

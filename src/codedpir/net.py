@@ -98,6 +98,7 @@ and payload byte counts separately.
 from __future__ import annotations
 
 import binascii
+import contextlib
 import functools
 import logging
 import math
@@ -495,10 +496,8 @@ class _Handler(socketserver.BaseRequestHandler):
         while True:
             try:
                 msg_type, payload = recv_message(self.request, server.frame_limits, idle)
-            except BadMagicError:
+            except (BadMagicError, OSError):  # no tag, closed, idle, slow, server_close
                 return  # close without reply
-            except OSError:  # closed, idle or mid-frame too long, or server_close
-                return
             except WireError as exc:
                 self._reply_error(ERR_MALFORMED_QUERY, str(exc))
                 return
@@ -509,8 +508,11 @@ class _Handler(socketserver.BaseRequestHandler):
             queries += 1
             try:
                 answer = self._answer(server, payload, sequence)
-            except ServerSideError as exc:
-                self._reply_error(exc.code, exc.detail)
+            except HeaderMismatchError as exc:
+                self._reply_error(ERR_PARAM_MISMATCH, str(exc))
+                continue
+            except ProtocolError as exc:
+                self._reply_error(ERR_MALFORMED_QUERY, str(exc))
                 continue
             except Exception as exc:  # keep the daemon alive
                 logger.exception("internal error answering query")
@@ -524,16 +526,8 @@ class _Handler(socketserver.BaseRequestHandler):
     def _answer(self, server: "StorageServer", payload: bytes, sequence: int) -> bytes:
         """The ANSWER payload of a QUERY payload, of the given sequence."""
         params = server.params
-        try:
-            query = decode_query_payload(payload, params)
-        except HeaderMismatchError as exc:
-            raise ServerSideError(ERR_PARAM_MISMATCH, str(exc)) from exc
-        except WireError as exc:
-            raise ServerSideError(ERR_MALFORMED_QUERY, str(exc)) from exc
-        try:
-            answer = scheme.server_answer(server.storage, query, params)
-        except ProtocolError as exc:
-            raise ServerSideError(ERR_MALFORMED_QUERY, str(exc)) from exc
+        query = decode_query_payload(payload, params)
+        answer = scheme.server_answer(server.storage, query, params)
         return encode_answer_payload(answer, sequence)
 
     def _reply_error(self, code: int, detail: str) -> None:
@@ -603,13 +597,14 @@ class StorageServer(socketserver.ThreadingTCPServer):
 
 
 def serve(storage_path, listen_address: tuple[str, int]):
-    """Load a storage file and serve it until interrupted."""
+    """Load a storage file and serve it until Ctrl-C, then close the server."""
     storage, params = scheme.load_storage(storage_path)
-    server = StorageServer(storage, params, listen_address)
-    logger.info(
-        "serving server_index=%d on %s:%d", storage.server_index, *server.server_address
-    )
-    server.serve_forever()
+    with StorageServer(storage, params, listen_address) as server:
+        logger.info(
+            "serving server_index=%d on %s:%d", storage.server_index, *server.server_address
+        )
+        with contextlib.suppress(KeyboardInterrupt):
+            server.serve_forever()
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +825,10 @@ def client_retrieve(
 
 
 def parse_address(text: str) -> tuple[str, int]:
+    """(host, port) of "host:port", the port in [0:65535]; ValueError otherwise."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not (port.isascii() and port.isdigit()):
         raise ValueError(f"bad address {text!r}, expected host:port")
+    if int(port) > 65535:
+        raise ValueError(f"bad address {text!r}, port {int(port)} out of [0:65535]")
     return host, int(port)

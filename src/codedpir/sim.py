@@ -223,10 +223,13 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def rows_to_json(rows) -> str:
-    def plain(value):
-        if isinstance(value, Fraction):
-            return str(value)
-        return value
+def exact_json(value) -> str:
+    """json.dumps' `default`: an exact rational as its str, "p/q" or "n";
+    TypeError for any other value JSON has no form for."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
-    return json.dumps([{k: plain(v) for k, v in row.items()} for row in rows], indent=2)
+
+def rows_to_json(rows) -> str:
+    return json.dumps(rows, default=exact_json, indent=2)

@@ -149,7 +149,7 @@ class TestRankIdentity:
         params = derive_params(5, 3, 3, 7)
         report = verify_rank_identity(EXAMPLE_QUERY, 0, params)
         assert report.passed
-        assert report.rank == 2
+        assert report.ranks == [2] * 5
         assert report.realized_download == 12
 
     def test_exhaustive_tiny(self):

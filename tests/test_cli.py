@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -9,6 +10,25 @@ from conftest import start_serving, stop_servers
 
 def run(argv):
     return cli.main(argv)
+
+
+def usage_error(argv, capsys) -> str:
+    """The stderr of an argv that argparse refuses, which exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pir ")
+    return err
+
+
+@pytest.fixture
+def no_sockets(monkeypatch):
+    """Fail any attempt to open a socket."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", refuse)
 
 
 class TestSetup:
@@ -64,6 +84,30 @@ class TestRetrieve:
 
     def test_theta_out_of_range(self, system_dir, capsys):
         assert run(["retrieve", "--theta", "3", "--storage-dir", str(system_dir)]) == 2
+        assert capsys.readouterr().err == "error: theta=3 out of [0:3)\n"
+
+    def test_networked_theta_out_of_range(self, capsys, no_sockets):
+        assert run(["retrieve", "--theta", "-1", "--servers", ",".join(["h:1"] * 5),
+                    "--n", "5", "--k", "3", "--m", "3"]) == 2
+        assert capsys.readouterr().err == "error: theta=-1 out of [0:3)\n"
+
+    def test_port_out_of_range(self, capsys, no_sockets):
+        """A port beyond 65535 is refused before any connection, not
+        taken mod 65536 by the socket layer."""
+        servers = ",".join(["127.0.0.1:1"] * 4 + ["127.0.0.1:99999"])
+        assert run(["retrieve", "--theta", "0", "--servers", servers,
+                    "--n", "5", "--k", "3", "--m", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad address '127.0.0.1:99999', port 99999 out of [0:65535]\n"
+        )
+
+    def test_decoding_error_exits_1(self, system_dir, capsys, monkeypatch):
+        def fail(*args):
+            raise scheme.DecodingError("answers do not decode")
+
+        monkeypatch.setattr(scheme, "retrieve", fail)
+        assert run(["retrieve", "--theta", "0", "--storage-dir", str(system_dir)]) == 1
+        assert capsys.readouterr().err == "error: answers do not decode\n"
 
     def test_needs_exactly_one_source(self, system_dir):
         assert run(["retrieve", "--theta", "0"]) == 2
@@ -159,6 +203,29 @@ class TestServe:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
 
+    @pytest.fixture
+    def storage_file(self, tmp_path, capsys):
+        run(["setup", "--n", "5", "--k", "3", "--m", "3", "--p", "7", "--out", str(tmp_path)])
+        capsys.readouterr()
+        return str(tmp_path / "storage-0.bin")
+
+    def test_port_out_of_range(self, storage_file, capsys, no_sockets):
+        assert run(["serve", "--storage", storage_file, "--listen", "127.0.0.1:99999"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad address '127.0.0.1:99999', port 99999 out of [0:65535]\n"
+        )
+
+    def test_ctrl_c_closes_the_server_and_exits_0(self, storage_file, monkeypatch):
+        servers = []
+
+        def interrupted(server, *args, **kwargs):
+            servers.append(server)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(net.StorageServer, "serve_forever", interrupted)
+        assert run(["serve", "--storage", storage_file, "--listen", "127.0.0.1:0"]) == 0
+        assert len(servers) == 1 and servers[0].socket.fileno() == -1
+
 
 class TestVerify:
     def test_capacity(self, capsys):
@@ -184,6 +251,20 @@ class TestVerify:
     def test_rank(self, capsys):
         assert run(["verify", "--mode", "rank", "--n", "4", "--k", "2",
                     "--m", "2", "--p", "257", "--trials", "20"]) == 0
+
+    @pytest.mark.parametrize("mode, flag, value, least", [
+        ("privacy", "--samples", "-5", 0),
+        ("rank", "--trials", "0", 1),
+    ])
+    def test_count_below_its_least(self, mode, flag, value, least, capsys):
+        err = usage_error(["verify", "--mode", mode, "--n", "5", "--k", "3", "--m", "3",
+                           flag, value], capsys)
+        assert f"argument {flag}: must be at least {least}, got {value}" in err
+
+    def test_count_not_an_integer(self, capsys):
+        assert "argument --samples: invalid count value: 'x'" in usage_error(
+            ["verify", "--mode", "privacy", "--n", "5", "--k", "3", "--m", "3",
+             "--samples", "x"], capsys)
 
     def test_enumerate(self, capsys):
         assert run(["verify", "--mode", "enumerate", "--n", "3", "--k", "2",
@@ -267,6 +348,10 @@ class TestBench:
         err = capsys.readouterr().err
         assert "skipped" in err
         assert len(target.read_text().strip().splitlines()) == 2
+
+    def test_negative_trials(self, capsys):
+        err = usage_error(["bench", "--grid", "5,3,3", "--trials", "-1"], capsys)
+        assert "argument --trials: must be at least 0, got -1" in err
 
     def test_bad_grid(self, capsys):
         assert run(["bench", "--grid", "5,3"]) == 2

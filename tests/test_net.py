@@ -519,8 +519,11 @@ class TestPayloads:
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:8000") == ("127.0.0.1", 8000)
-        with pytest.raises(ValueError):
-            parse_address("nope")
+        assert parse_address("h:0") == ("h", 0)
+        assert parse_address("[::1]:65535") == ("[::1]", 65535)
+        for text in ("nope", "h:", "h:-1", "h:65536", "h:99999", "h:\u00b2", "h:\u0663"):
+            with pytest.raises(ValueError):
+                parse_address(text)
 
 
 class TestEndToEnd:
@@ -569,6 +572,23 @@ class TestEndToEnd:
             assert msg_type == MSG_ERROR
             assert decode_error_payload(reply) == (net.ERR_MALFORMED_QUERY, "expected QUERY")
             assert sock.recv(1) == b""
+
+    def test_protocol_error_is_malformed_and_keeps_the_connection(self, cluster, monkeypatch):
+        """A ProtocolError while answering, not only the wire decoder's,
+        is replied to with ERR_MALFORMED_QUERY and its message."""
+        params, _, addresses, _ = cluster
+
+        def refuse(storage, query, params):
+            raise scheme.ProtocolError("query refused")
+
+        monkeypatch.setattr(scheme, "server_answer", refuse)
+        payload = encode_query_payload(params, SHIFT_QUERY)
+        with socket.create_connection(addresses[0], timeout=2.0) as sock:
+            for _ in range(2):
+                send_message(sock, MSG_QUERY, payload)
+                msg_type, reply = recv_message(sock)
+                assert msg_type == MSG_ERROR
+                assert decode_error_payload(reply) == (net.ERR_MALFORMED_QUERY, "query refused")
 
     def test_internal_error_keeps_the_connection(self, cluster, monkeypatch, caplog):
         """An exception while answering is logged and replied to with

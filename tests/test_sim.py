@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -147,3 +148,14 @@ class TestSweep:
         assert "25/49" in lines[1]
         json_text = sim.rows_to_json(rows)
         assert "error" in json_text
+        assert json.loads(json_text)[0]["capacity"] == "25/49"
+
+    def test_json_refuses_values_it_has_no_rule_for(self):
+        """Exact rationals become their str; anything else JSON has no
+        form for is a TypeError, not a silent str."""
+        assert sim.exact_json(Fraction(6, 4)) == "3/2"
+        for value in (object(), 1.5j, {1, 2}):
+            with pytest.raises(TypeError):
+                sim.exact_json(value)
+        with pytest.raises(TypeError):
+            sim.rows_to_json([{"N": 5, "extra": object()}])
