@@ -66,30 +66,41 @@ the width of p-1, and MAX_ERROR_PAYLOAD for an ERROR.
 Connections persist.  A server answers every QUERY on a connection
 until the client closes it, the connection stays idle for
 IDLE_TIMEOUT_S seconds, a frame is not complete IDLE_TIMEOUT_S after
-its first read, or the server is closed; it keeps at most
-MAX_SERVER_CONNECTIONS open and closes any further one as it accepts
-it, so the number of its threads is bounded.  Sockets are blocking,
-with kernel timeouts (SO_RCVTIMEO, SO_SNDTIMEO) set once per
-connection, so each send and each read is one system call: a Python
-timeout would add a poll to each, and setting it a call of its own.
-A frame is read whole: the first read asks for the header and the
-longest payload the reader accepts, which for a server is exactly one
-QUERY frame, so pipelined queries lose no byte; only a frame split
-across reads takes more, each waiting only for the frame's time left.
-Bytes beyond the frame in the first read are a WireError: the server
-replies ERR_MALFORMED_QUERY and closes the connection, the client
-aborts the retrieval and does not pool the socket.  The client keeps
-idle sockets in a pool of at most MAX_IDLE_CONNECTIONS, keyed by
-address and the timeout they are armed with, each beside the count of
-queries sent on it; a retrieval sends its N queries, each on its own
-connection, then reads the N answers in turn, in one thread.  A socket
-goes back to the pool only after the client has accepted its ANSWER; on
-any error, timeout, stale or rejected answer it is closed, so a late
-answer cannot desync a later retrieval, and a late duplicate that
-arrives after a good answer is caught by its sequence.  A pooled socket
-that turns out dead is replaced once by a new connection, which resends
-the identical query frame: a second copy of a query tells the server
-nothing new, whereas a fresh query for the same file would.
+its first read, or the server is shut down.  One thread serves every
+server started in a process: a selectors loop over their non-blocking
+listeners and connections, each connection holding the bytes of a
+frame it has begun and its deadline, so an idle or trickling peer costs
+a descriptor, not a thread, and stalls no other.  The loop answers and
+sends a QUERY before it reads the connection's next frame; a send that
+would block closes that connection.  A server keeps at most
+MAX_SERVER_CONNECTIONS open: a new one beyond them closes the longest
+idle, never one in the middle of a frame.  Which one goes depends on
+timing alone, never on a query.  A frame is read whole: the first read
+asks for the header and the longest payload the reader accepts, which
+for a server is exactly one QUERY frame, so pipelined queries lose no
+byte; only a frame split across reads takes more.  Bytes beyond the
+frame in the first read are a WireError: the server replies
+ERR_MALFORMED_QUERY and closes the connection, the client aborts the
+retrieval and does not pool the socket.
+
+Client sockets are blocking, with kernel timeouts (SO_RCVTIMEO,
+SO_SNDTIMEO) set once per connection, so each send and each read is one
+system call: a Python timeout would add a poll to each, and setting it
+a call of its own; the reads of a split frame wait only for the frame's
+time left.  The client pools idle sockets a retrieval's set at a time,
+keyed by the N addresses and the timeout they are armed with, each
+socket beside the count of queries sent on it, at most
+MAX_IDLE_CONNECTIONS sockets in all.  A retrieval takes its set in one
+call, sends its N queries, each on its own connection, reads the N
+answers in turn, in one thread, and puts the set back in one call.  A
+socket goes back to the pool only after the client has accepted its
+ANSWER; on any error, timeout, stale or rejected answer it is closed,
+so a late answer cannot desync a later retrieval, and a late duplicate
+that arrives after a good answer is caught by its sequence.  A pooled
+socket that turns out dead, closed at its server's idle timeout or cap,
+is replaced once by a new connection, which resends the identical query
+frame: a second copy of a query tells the server nothing new, whereas a
+fresh query for the same file would.
 
 Download accounting reports element counts (the scheme's cost metric)
 and payload byte counts separately.
@@ -102,8 +113,8 @@ import contextlib
 import functools
 import logging
 import math
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -134,12 +145,13 @@ MAX_IDLE_CONNECTIONS = 64
 
 # Seconds a server waits for the next frame on a connection, and the
 # longest a frame may take from its first read, before it closes the
-# connection, so a silent or trickling client does not hold a thread.
+# connection, so a silent or trickling client does not hold a slot.
 IDLE_TIMEOUT_S = 60.0
 
-# Connections a server keeps open at once, each served by its own
-# thread; one accepted beyond them is closed at once, so a flood of
-# connections cannot start threads without bound.
+# Connections a server keeps open at once.  A connection accepted beyond
+# them closes the longest idle one, never one in the middle of a frame
+# (the frame's deadline bounds that state), so a flood of connections
+# holds no more descriptors and idle peers cannot lock a client out.
 MAX_SERVER_CONNECTIONS = 256
 
 # Longest ERROR payload a client reads; a server cuts its detail to fit.
@@ -227,33 +239,42 @@ def _kernel_timeouts(sock: socket.socket, seconds: float) -> None:
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
 
 
-def _read_rest(
-    sock: socket.socket, buffer: bytearray, received: int, end: int, deadline: float | None
-) -> None:
-    """Fill buffer[received:end] from `sock`.  With a deadline, on the
-    time.monotonic clock, each read's kernel timeout is the time left."""
-    view = memoryview(buffer)[received:end]
-    while view:
+def _read(sock: socket.socket, size: int) -> bytearray:
+    """What one read of at most `size` bytes brings; ConnectionError at
+    the end of the stream."""
+    chunk = bytearray(size)
+    count = sock.recv_into(chunk)
+    if not count:
+        raise ConnectionError("connection closed mid-frame")
+    del chunk[count:]
+    return chunk
+
+
+def _read_rest(sock: socket.socket, frame: bytearray, end: int, deadline: float | None) -> None:
+    """Append to `frame` from `sock` until it holds `end` bytes.  With a
+    deadline, on the time.monotonic clock, each read's kernel timeout is
+    the time left."""
+    while len(frame) < end:
         if deadline is not None:
             left = deadline - time.monotonic()
             if left <= 0:
                 raise TimeoutError("frame not complete by its deadline")
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(left))
-        count = sock.recv_into(view)
-        if not count:
-            raise ConnectionError("connection closed mid-frame")
-        view = view[count:]
+        frame += _read(sock, end - len(frame))
 
 
 def send_message(sock: socket.socket, msg_type: int, payload: bytes) -> None:
     try:
         sock.sendall(_HEADER.pack(VERSION << 4 | msg_type, len(payload)) + payload)
-    except BlockingIOError as exc:  # a kernel timeout (SO_SNDTIMEO) expired
+    except BlockingIOError as exc:  # a kernel timeout expired, or a non-blocking send is full
         raise TimeoutError("send timed out") from exc
 
 
 def recv_message(
-    sock: socket.socket, limits: dict[int, int] | None = None, timeout: float | None = None
+    sock: socket.socket,
+    limits: dict[int, int] | None = None,
+    timeout: float | None = None,
+    pending: bytearray | None = None,
 ) -> tuple[int, bytearray]:
     """Read one frame.
 
@@ -268,39 +289,48 @@ def recv_message(
     after it: the reads that complete it wait only for the time left,
     and the socket's timeout is restored after them.  An expired kernel
     timeout raises TimeoutError.
+
+    With `pending`, the socket is non-blocking and `pending` holds the
+    bytes of a frame begun by earlier calls (none before a frame's first
+    read): a call reads what has arrived, and while the frame is not
+    complete it leaves the frame's bytes in `pending` and raises
+    BlockingIOError; a complete frame empties `pending`.
     """
-    buffer = bytearray(_HEADER.size + (max(limits.values()) if limits else 0))
+    frame = pending
     deadline = None
     try:
-        received = sock.recv_into(buffer)
-        if not received:
-            raise ConnectionError("connection closed mid-frame")
-        if received < _HEADER.size:
+        if not frame:
+            frame = _read(sock, _HEADER.size + (max(limits.values()) if limits else 0))
+        if len(frame) < _HEADER.size:
             if timeout is not None:
                 deadline = time.monotonic() + timeout
-            _read_rest(sock, buffer, received, _HEADER.size, deadline)
-            received = _HEADER.size
-        tag, length = _HEADER.unpack_from(buffer)
+            _read_rest(sock, frame, _HEADER.size, deadline)
+        tag, length = _HEADER.unpack_from(frame)
         msg_type = _FRAME_TYPES.get(tag)
         if msg_type is None:
             raise BadMagicError(f"0x{tag:02x} is no v5 frame tag")
         if limits is not None and length > limits.get(msg_type, 0):
             raise WireError(f"{length}-byte payload too long for message type {msg_type}")
         end = _HEADER.size + length
-        if received > end:
+        if len(frame) > end:
             raise WireError("bytes beyond the frame")
-        if received < end:
-            if limits is None:
-                buffer += bytes(length)
+        if len(frame) < end:
             if timeout is not None and deadline is None:
                 deadline = time.monotonic() + timeout
-            _read_rest(sock, buffer, received, end, deadline)
-    except BlockingIOError as exc:  # a kernel timeout (SO_RCVTIMEO) expired
-        raise TimeoutError("receive timed out") from exc
+            _read_rest(sock, frame, end, deadline)
+    except BlockingIOError as exc:
+        if pending is None:  # a kernel timeout (SO_RCVTIMEO) expired
+            raise TimeoutError("receive timed out") from exc
+        if frame and frame is not pending:
+            pending += frame
+        raise
     finally:
         if deadline is not None:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, _timeval(timeout))
-    return msg_type, buffer[_HEADER.size : end]
+    payload = frame[_HEADER.size : end]
+    if pending:
+        pending.clear()
+    return msg_type, payload
 
 
 # ---------------------------------------------------------------------------
@@ -487,113 +517,273 @@ def decode_error_payload(payload: bytes) -> tuple[int, str]:
 # server
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):
-        server: StorageServer = self.server  # type: ignore[assignment]
-        idle = IDLE_TIMEOUT_S
-        _kernel_timeouts(self.request, idle)
-        queries = 0  # QUERY frames read on this connection
-        while True:
-            try:
-                msg_type, payload = recv_message(self.request, server.frame_limits, idle)
-            except (BadMagicError, OSError):  # no tag, closed, idle, slow, server_close
-                return  # close without reply
-            except WireError as exc:
-                self._reply_error(ERR_MALFORMED_QUERY, str(exc))
-                return
-            if msg_type != MSG_QUERY:
-                self._reply_error(ERR_MALFORMED_QUERY, "expected QUERY")
-                return
-            sequence = queries % _SEQUENCES
-            queries += 1
-            try:
-                answer = self._answer(server, payload, sequence)
-            except HeaderMismatchError as exc:
-                self._reply_error(ERR_PARAM_MISMATCH, str(exc))
-                continue
-            except ProtocolError as exc:
-                self._reply_error(ERR_MALFORMED_QUERY, str(exc))
-                continue
-            except Exception as exc:  # keep the daemon alive
-                logger.exception("internal error answering query")
-                self._reply_error(ERR_INTERNAL, str(exc))
-                continue
-            try:
-                send_message(self.request, MSG_ANSWER, answer)
-            except OSError:  # the client gave up on this answer
-                return
+def _hang_up(sock) -> None:
+    """Close a connection, its end of stream sent first: a peer whose
+    unread bytes make the close a reset still reads what came before."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_WR)
+    sock.close()
 
-    def _answer(self, server: "StorageServer", payload: bytes, sequence: int) -> bytes:
-        """The ANSWER payload of a QUERY payload, of the given sequence."""
-        params = server.params
-        query = decode_query_payload(payload, params)
-        answer = scheme.server_answer(server.storage, query, params)
-        return encode_answer_payload(answer, sequence)
 
-    def _reply_error(self, code: int, detail: str) -> None:
+class _Connection:
+    """An accepted connection as the serving loop keeps it: the socket
+    get_request returned, its server, the bytes of a frame begun, the
+    QUERY frames read on it, and its deadline on the time.monotonic
+    clock: IDLE_TIMEOUT_S after its last answer (or its accept) while it
+    is idle, after the first read of its frame while one is begun."""
+
+    __slots__ = ("sock", "server", "pending", "queries", "deadline")
+
+    def __init__(self, sock, server: "StorageServer"):
+        self.sock = sock
+        self.server: StorageServer | None = server  # None once closed
+        self.pending = bytearray()
+        self.queries = 0
+
+
+class _Loop:
+    """The one thread that serves every started StorageServer of the
+    process: a selectors loop over their listeners, their connections
+    and a wake-up socket pair.  It runs from the first `start` until the
+    last of its servers is shut down.  `servers` maps each server to its
+    open connections; its keys change under _loop_lock, its connection
+    sets only on the loop thread."""
+
+    def __init__(self):
+        self.selector = selectors.DefaultSelector()
+        self._woken, self._wake = socket.socketpair()
+        self._woken.setblocking(False)
+        self.selector.register(self._woken, selectors.EVENT_READ)
+        self.servers: dict[StorageServer, set[_Connection]] = {}
+        self._stopping: list[tuple[StorageServer, threading.Event]] = []
+        self._next_check = math.inf  # no deadline falls before it
+        self.thread = threading.Thread(target=self._run, name="codedpir-serve", daemon=True)
+
+    def add(self, server: "StorageServer") -> None:
+        """Serve `server` (under _loop_lock): the selector takes its
+        listener at once, from any thread."""
+        self.servers[server] = set()
+        self.selector.register(server.socket, selectors.EVENT_READ, server)
+
+    def remove(self, server: "StorageServer") -> None:
+        """Stop serving `server` and close its connections; returns once
+        the loop has done so."""
+        done = threading.Event()
+        # Woken under the lock: once the loop has taken this request it
+        # may end and close the wake-up pair.
+        with _loop_lock:
+            self._stopping.append((server, done))
+            self._wake.send(b"\0")
+        done.wait()
+
+    def _run(self) -> None:
         try:
-            send_message(self.request, MSG_ERROR, encode_error_payload(code, detail))
-        except OSError:
-            pass
+            while True:
+                left = self._next_check - time.monotonic()
+                events = self.selector.select(None if left == math.inf else max(left, 0))
+                for key, _ in events:
+                    target = key.data
+                    try:
+                        if type(target) is _Connection:
+                            if target.server is not None:  # not closed in this batch
+                                self._serve(target)
+                        elif target is None:
+                            if self._stop_servers():
+                                return
+                        elif target in self.servers:  # not stopped in this batch
+                            self._accept(target)
+                    except Exception:  # keep serving the other connections
+                        logger.exception("internal error in the serving loop")
+                        if type(target) is _Connection and target.server is not None:
+                            self._close(target)
+                if time.monotonic() >= self._next_check:
+                    self._expire()
+        finally:
+            self.selector.close()
+            self._woken.close()
+            self._wake.close()
+
+    def _watch(self, conn: _Connection, start: float) -> None:
+        """Give `conn` the deadline IDLE_TIMEOUT_S after `start`."""
+        conn.deadline = start + IDLE_TIMEOUT_S
+        if conn.deadline < self._next_check:
+            self._next_check = conn.deadline
+
+    def _accept(self, server: "StorageServer") -> None:
+        try:
+            sock, _ = server.get_request()
+        except OSError:  # the peer gave up before its accept
+            return
+        connections = self.servers[server]
+        if len(connections) >= MAX_SERVER_CONNECTIONS:
+            idle = [conn for conn in connections if not conn.pending]
+            if not idle:  # every slot holds a frame in progress
+                _hang_up(sock)
+                return
+            self._close(min(idle, key=lambda conn: conn.deadline))
+        sock.setblocking(False)
+        conn = _Connection(sock, server)
+        self._watch(conn, time.monotonic())
+        connections.add(conn)
+        self.selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _serve(self, conn: _Connection) -> None:
+        """Read what has arrived on `conn`; answer a complete QUERY
+        before its next frame is read."""
+        server = conn.server
+        begun = bool(conn.pending)
+        try:
+            msg_type, payload = recv_message(conn.sock, server.frame_limits, pending=conn.pending)
+        except BlockingIOError:  # the frame is not complete yet
+            if conn.pending and not begun:
+                self._watch(conn, time.monotonic())
+            return
+        except (BadMagicError, OSError):  # no tag, closed
+            self._close(conn)
+            return
+        except WireError as exc:
+            self._reply_and_close(conn, str(exc))
+            return
+        if msg_type != MSG_QUERY:
+            self._reply_and_close(conn, "expected QUERY")
+            return
+        sequence = conn.queries % _SEQUENCES
+        conn.queries += 1
+        try:
+            reply = MSG_ANSWER, server._answer(payload, sequence)
+        except HeaderMismatchError as exc:
+            reply = MSG_ERROR, encode_error_payload(ERR_PARAM_MISMATCH, str(exc))
+        except ProtocolError as exc:
+            reply = MSG_ERROR, encode_error_payload(ERR_MALFORMED_QUERY, str(exc))
+        except Exception as exc:  # keep the server alive
+            logger.exception("internal error answering query")
+            reply = MSG_ERROR, encode_error_payload(ERR_INTERNAL, str(exc))
+        try:
+            send_message(conn.sock, *reply)
+        except OSError:  # the client gave up, or its receive buffer is full
+            self._close(conn)
+            return
+        self._watch(conn, time.monotonic())
+
+    def _reply_and_close(self, conn: _Connection, detail: str) -> None:
+        with contextlib.suppress(OSError):
+            send_message(conn.sock, MSG_ERROR, encode_error_payload(ERR_MALFORMED_QUERY, detail))
+        self._close(conn)
+
+    def _close(self, conn: _Connection) -> None:
+        self.servers[conn.server].discard(conn)
+        conn.server = None
+        self.selector.unregister(conn.sock)
+        _hang_up(conn.sock)
+
+    def _expire(self) -> None:
+        """Close each connection past its deadline."""
+        now = time.monotonic()
+        self._next_check = math.inf
+        with _loop_lock:
+            connections = [conn for held in self.servers.values() for conn in held]
+        for conn in connections:
+            if conn.deadline <= now:
+                self._close(conn)
+            elif conn.deadline < self._next_check:
+                self._next_check = conn.deadline
+
+    def _stop_servers(self) -> bool:
+        """Stop the servers `remove` asked for; True when none is left,
+        and then this loop ends."""
+        with contextlib.suppress(BlockingIOError):
+            self._woken.recv(4096)
+        global _loop
+        with _loop_lock:
+            stopping, self._stopping = self._stopping, []
+        for server, _ in stopping:
+            self.selector.unregister(server.socket)
+            for conn in list(self.servers[server]):
+                self._close(conn)
+        with _loop_lock:
+            for server, _ in stopping:
+                del self.servers[server]
+            finished = not self.servers
+            if finished:
+                _loop = None
+        for _, done in stopping:
+            done.set()
+        return finished
 
 
-class StorageServer(socketserver.ThreadingTCPServer):
+# The serving loop of the process, while it serves a server.
+_loop: _Loop | None = None
+_loop_lock = threading.Lock()
+
+
+class StorageServer:
     """One PIR server over shared read-only storage.
 
-    Each connection gets a handler thread that answers its queries until
-    the connection closes; a connection accepted while
-    MAX_SERVER_CONNECTIONS are open is closed without one.
-    `server_close` also ends every open connection, so a stopped server
-    answers nothing more.
+    `start` hands the server to the process's serving loop (_Loop), one
+    thread for every server and connection, started with the first
+    server; `serve_forever` starts it and blocks until `shutdown`.  The
+    loop accepts through `get_request`, reads every frame with
+    recv_message and writes it with send_message.  At
+    MAX_SERVER_CONNECTIONS it closes the longest idle connection to
+    admit a new one, never one in the middle of a frame.  `shutdown`
+    closes every open connection and `server_close` the listener too, so
+    a stopped server answers nothing more; both return at once.
     """
-
-    allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, storage: ServerStorage, params: SystemParams, address=("127.0.0.1", 0)):
         self.storage = storage
         self.params = params
         shifts = -(-params.m_files * _shift_bits(params.n_reduced) // 8)
         self.frame_limits = {MSG_QUERY: _SYSTEM_TAG.size + shifts}
-        self._connections: set = set()
-        self._connections_lock = threading.Lock()
-        super().__init__(address, _Handler)
+        self.socket = socket.create_server(address)
+        self.socket.setblocking(False)
+        self.server_address = self.socket.getsockname()
+        self._loop: _Loop | None = None
+        self._stopped = threading.Event()
 
-    def start(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
+    def __enter__(self):
+        return self
 
-    def process_request(self, request, client_address):
-        # Registered before its thread starts, so close_connections
-        # cannot miss a connection whose handler has not run yet.
-        with self._connections_lock:
-            full = len(self._connections) >= MAX_SERVER_CONNECTIONS
-            if not full:
-                self._connections.add(request)
-        if full:
-            self.shutdown_request(request)
-            return
-        super().process_request(request, client_address)
+    def __exit__(self, *exc_info):
+        self.server_close()
 
-    def shutdown_request(self, request):
-        with self._connections_lock:
-            self._connections.discard(request)
-        super().shutdown_request(request)
+    def get_request(self):
+        """Accept a connection: (socket, address)."""
+        return self.socket.accept()
 
-    def close_connections(self) -> None:
-        """End every open connection; the server keeps listening."""
-        with self._connections_lock:
-            connections = list(self._connections)
-        for request in connections:
-            try:
-                request.shutdown(socket.SHUT_RDWR)  # wakes its handler
-            except OSError:
-                pass  # already closed by its handler
+    def start(self) -> None:
+        """Serve from the process's serving loop, starting it if none runs."""
+        global _loop
+        with _loop_lock:
+            if _loop is None:
+                _loop = _Loop()
+                _loop.thread.start()
+            self._loop = _loop
+            _loop.add(self)
 
-    def server_close(self):
-        super().server_close()
-        self.close_connections()
+    def serve_forever(self) -> None:
+        """Serve until `shutdown`."""
+        self.start()
+        self._stopped.wait()
+
+    def shutdown(self) -> None:
+        """Stop serving and close every open connection."""
+        with _loop_lock:
+            loop, self._loop = self._loop, None
+        if loop is not None:
+            loop.remove(self)
+        self._stopped.set()
+
+    def server_close(self) -> None:
+        """Shut down, and close the listener."""
+        self.shutdown()
+        self.socket.close()
+
+    def _answer(self, payload: bytes, sequence: int) -> bytes:
+        """The ANSWER payload of a QUERY payload, of the given sequence."""
+        query = decode_query_payload(payload, self.params)
+        answer = scheme.server_answer(self.storage, query, self.params)
+        return encode_answer_payload(answer, sequence)
 
 
 def serve(storage_path, listen_address: tuple[str, int]):
@@ -620,40 +810,55 @@ class RetrievalResult:
 
 
 class _ConnectionPool:
-    """Idle client sockets, each with its key, the address it is
-    connected to and the timeout it is armed with, and beside it the
-    sequence its next answer must carry: the count of queries sent on
-    it, mod 32."""
+    """Idle client sockets, a retrieval's set at a time.  A set is keyed
+    by its server addresses and the timeout its sockets are armed with,
+    and holds per server (socket, the sequence its next answer must
+    carry: the count of queries sent on it, mod 32), or None."""
 
     def __init__(self):
-        self._idle: list[tuple[tuple, socket.socket, int]] = []
+        self._idle: list[tuple[tuple, list]] = []
+        self._count = 0  # idle sockets
         self._lock = threading.Lock()
 
-    def take(self, key) -> tuple[socket.socket, int] | None:
-        """The socket of `key` returned last and its sequence, if one is
-        idle."""
+    def take(self, key) -> list:
+        """The set of `key` put back last, or a set of no socket."""
         with self._lock:
             for i in range(len(self._idle) - 1, -1, -1):
                 if self._idle[i][0] == key:
-                    return self._idle.pop(i)[1:]
-        return None
+                    held = self._idle.pop(i)[1]
+                    self._count -= len(held) - held.count(None)
+                    return held
+        return [None] * len(key[0])
 
-    def put(self, key, sock: socket.socket, sequence: int) -> None:
-        """Keep `sock` for reuse, closing the longest idle socket when
-        more than MAX_IDLE_CONNECTIONS are kept."""
+    def put(self, key, held: list) -> None:
+        """Keep a set's sockets for reuse.  Beyond MAX_IDLE_CONNECTIONS
+        idle sockets, close those of the longest idle set first, in
+        server order."""
+        evicted = []
+        live = len(held) - held.count(None)
         with self._lock:
-            self._idle.append((key, sock, sequence))
-            evicted = self._idle[: max(0, len(self._idle) - MAX_IDLE_CONNECTIONS)]
-            del self._idle[: len(evicted)]
-        for _, old, _ in evicted:
-            old.close()
+            if live:
+                self._idle.append((key, held))
+                self._count += live
+            while self._count > MAX_IDLE_CONNECTIONS:
+                oldest = self._idle[0][1]
+                t = next(t for t, slot in enumerate(oldest) if slot is not None)
+                evicted.append(oldest[t][0])
+                oldest[t] = None
+                self._count -= 1
+                if oldest.count(None) == len(oldest):
+                    del self._idle[0]
+        for sock in evicted:
+            sock.close()
 
     def clear(self) -> None:
         """Close every idle socket."""
         with self._lock:
-            idle, self._idle = self._idle, []
-        for _, sock, _ in idle:
-            sock.close()
+            idle, self._idle, self._count = self._idle, [], 0
+        for _, held in idle:
+            for slot in held:
+                if slot is not None:
+                    slot[0].close()
 
 
 _pool = _ConnectionPool()
@@ -664,56 +869,6 @@ def _connect(address, timeout: float) -> socket.socket:
     sock = socket.create_connection(address, timeout=timeout)
     _kernel_timeouts(sock, timeout)
     return sock
-
-
-class _Link:
-    """One server's share of a retrieval: its query, sent on a pooled
-    socket armed with the same timeout when one is idle and on a new
-    connection otherwise, and the sequence its answer must carry."""
-
-    def __init__(self, address, payload: bytes, timeout: float):
-        self.address = address
-        self.payload = payload
-        self.timeout = timeout
-        idle = _pool.take((address, timeout))
-        self.fresh = idle is None
-        self.sock, self.sequence = (_connect(address, timeout), 0) if self.fresh else idle
-
-    def send(self) -> None:
-        try:
-            send_message(self.sock, MSG_QUERY, self.payload)
-        except OSError as exc:
-            self._reconnect(exc)
-
-    def receive(self, limits: dict[int, int]) -> tuple[int, bytearray]:
-        """The server's reply frame."""
-        try:
-            return recv_message(self.sock, limits, self.timeout)
-        except OSError as exc:
-            self._reconnect(exc)
-            return recv_message(self.sock, limits, self.timeout)
-
-    def keep(self) -> None:
-        """Put the socket back in the pool, once its answer is accepted;
-        `close` closes it otherwise."""
-        _pool.put((self.address, self.timeout), self.sock, (self.sequence + 1) % _SEQUENCES)
-        self.sock = None
-
-    def _reconnect(self, exc: OSError) -> None:
-        """Replace a pooled socket that turned out dead by a new
-        connection and send the identical query on it, once.  A timeout
-        is not taken for a dead socket: the server may still answer."""
-        if self.fresh or isinstance(exc, TimeoutError):
-            raise exc
-        self.sock.close()
-        self.fresh = True
-        self.sock, self.sequence = _connect(self.address, self.timeout), 0
-        send_message(self.sock, MSG_QUERY, self.payload)
-
-    def close(self) -> None:
-        if self.sock is not None:
-            self.sock.close()
-            self.sock = None
 
 
 def _read_answer(
@@ -787,30 +942,59 @@ def client_retrieve(
         MSG_ANSWER: 1 + _value_width(params.prime - 1) * params.k_reduced,
         MSG_ERROR: MAX_ERROR_PAYLOAD,
     }
-    links: list[_Link] = []
+    key = (tuple(addresses), timeout)
+    idle = _pool.take(key)  # per server, a pooled (socket, sequence) or None
+    socks: list[socket.socket] = []
+    payloads: list[bytes] = []
+    due: list[int] = []  # the sequence each answer must carry
+    kept: list = [None] * nn  # the sockets whose answers were accepted
     masks: list[int] = []
     values: list[int] = []
     upload_bytes = download_bytes = 0
+
+    def resend(t: int, exc: OSError) -> None:
+        """Replace server t's pooled socket, found dead, by a new
+        connection and send the identical query on it, once.  A timeout
+        is not taken for a dead socket: the server may still answer."""
+        if idle[t] is None or isinstance(exc, TimeoutError):
+            raise exc
+        idle[t] = None
+        socks[t].close()
+        socks[t], due[t] = _connect(addresses[t], timeout), 0
+        send_message(socks[t], MSG_QUERY, payloads[t])
+
     try:
         for t, address in enumerate(addresses):
             window[theta - first] = (shifts[theta] + t) % n
             cell = _pack_shifts(window, bits)
             body[start : start + len(cell)] = cell
-            payload = head + body
+            payloads.append(head + body)
             masks.append(others | low[window[theta - first]])
-            upload_bytes += len(payload)
-            links.append(_Link(address, payload, timeout))
-            links[t].send()
-        for t, link in enumerate(links):
-            reply = link.receive(limits)
-            values += _read_answer(reply, masks[t].bit_count(), params.prime, link.sequence)
-            link.keep()
+            upload_bytes += len(payloads[t])
+            sock, sequence = idle[t] or (_connect(address, timeout), 0)
+            socks.append(sock)
+            due.append(sequence)
+            try:
+                send_message(sock, MSG_QUERY, payloads[t])
+            except OSError as exc:
+                resend(t, exc)
+        for t in range(nn):
+            try:
+                reply = recv_message(socks[t], limits, timeout)
+            except OSError as exc:
+                resend(t, exc)
+                reply = recv_message(socks[t], limits, timeout)
+            values += _read_answer(reply, masks[t].bit_count(), params.prime, due[t])
+            kept[t] = socks[t], (due[t] + 1) % _SEQUENCES
             download_bytes += len(reply[1])
     except (OSError, WireError, ServerSideError) as exc:
         raise RetrievalAbortedError(t, exc) from exc
     finally:
-        for link in links:
-            link.close()
+        kept[len(socks) :] = idle[len(socks) :]  # never used: still good
+        _pool.put(key, kept)
+        for sock, slot in zip(socks, kept):
+            if slot is None:
+                sock.close()
     # (N, k), 0 in NULL rounds
     placed = iter(values)
     answers = [next(placed) if mask >> s & 1 else 0 for mask in masks for s in range(k)]

@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 
 from codedpir import derive_params, encode_system, make_rng
@@ -25,24 +23,12 @@ def example_system():
     return params, code, sources, encoded, storages
 
 
-def start_serving(server) -> threading.Thread:
-    """Run server.serve_forever on a daemon thread, polling for shutdown
-    every 5 ms: StorageServer.start keeps serve_forever's 0.5 s, which
-    every stop would wait out."""
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.005}, daemon=True
-    )
-    thread.start()
-    return thread
+def start_serving(server) -> None:
+    """Hand the server to the process's serving loop."""
+    server.start()
 
 
 def stop_servers(servers) -> None:
-    """Shut the servers down in parallel, then close them."""
-    stoppers = [threading.Thread(target=server.shutdown) for server in servers]
-    for stopper in stoppers:
-        stopper.start()
-    for stopper in stoppers:
-        stopper.join(timeout=10)
-        assert not stopper.is_alive()
+    """Shut the servers down and close them; each returns at once."""
     for server in servers:
         server.server_close()

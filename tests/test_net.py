@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
 import math
 import random
 import re
+import select
 import socket
 import struct
 import subprocess
@@ -51,7 +53,9 @@ class CountingSocket:
     """A socket that appends the name of each call of a method in
     COUNTED, as it is made, to `calls`."""
 
-    COUNTED = frozenset({"send", "sendall", "recv", "recv_into", "settimeout", "setsockopt"})
+    COUNTED = frozenset(
+        {"send", "sendall", "recv", "recv_into", "settimeout", "setsockopt", "setblocking"}
+    )
 
     def __init__(self, sock, calls: list):
         self._sock = sock
@@ -63,7 +67,7 @@ class CountingSocket:
             return method
 
         def counted(*args):
-            self._calls.append(attr)  # one append, atomic across handler threads
+            self._calls.append(attr)  # one append, atomic across threads
             return method(*args)
 
         return counted
@@ -81,7 +85,7 @@ class CountingServer(StorageServer):
 
     def get_request(self):
         sock, address = super().get_request()
-        self.accepts += 1  # only the serving thread accepts
+        self.accepts += 1  # only the serving loop accepts
         return CountingSocket(sock, self.calls), address
 
 
@@ -155,28 +159,30 @@ def in_process_links(monkeypatch, storages, params):
     the QUERY payloads it sends."""
     sent = []
 
-    class Link:
-        sequence = 0
+    class Wire:
+        """A connection to server `address` that answers each frame
+        sent on it with the next read."""
 
-        def __init__(self, address, payload, timeout):
-            self.address, self.payload = address, payload
+        def __init__(self, address, timeout):
+            self.address, self.queries, self.reply = address, 0, b""
+
+        def sendall(self, frame):
+            payload = bytes(frame[net._HEADER.size :])
             sent.append(payload)
-
-        def send(self):
-            pass
-
-        def receive(self, limits):
-            query = decode_query_payload(self.payload, params)
+            query = decode_query_payload(payload, params)
             answer = scheme.server_answer(storages[self.address], query, params)
-            return MSG_ANSWER, bytearray(encode_answer_payload(answer))
+            reply = encode_answer_payload(answer, self.queries % 32)
+            self.queries += 1
+            self.reply = net._HEADER.pack(0x52, len(reply)) + reply
 
-        def keep(self):
-            pass
+        def recv_into(self, buffer):
+            buffer[: len(self.reply)] = self.reply
+            return len(self.reply)
 
         def close(self):
             pass
 
-    monkeypatch.setattr(net, "_Link", Link)
+    monkeypatch.setattr(net, "_connect", Wire)
     return sent
 
 
@@ -237,6 +243,31 @@ def ask(address, payload):
     with socket.create_connection(address, timeout=2.0) as sock:
         send_message(sock, MSG_QUERY, payload)
         return recv_message(sock)
+
+
+def idle_sockets():
+    """(address, socket) of each idle pooled socket, oldest set first,
+    each set in server order."""
+    return [(a, slot[0]) for key, held in net._pool._idle for a, slot in zip(key[0], held) if slot]
+
+
+def idle_addresses():
+    return [address for address, _ in idle_sockets()]
+
+
+def pooled_socket(address):
+    """The one idle pooled socket to `address`."""
+    (sock,) = [sock for a, sock in idle_sockets() if a == address]
+    return sock
+
+
+def wait_until_closed(socks, timeout=5.0):
+    """Wait until the peer of each socket has closed it: it reads as at
+    its end."""
+    deadline = time.monotonic() + timeout
+    for sock in socks:
+        ready, _, _ = select.select([sock], [], [], max(0.0, deadline - time.monotonic()))
+        assert ready and sock.recv(1, socket.MSG_PEEK) == b""
 
 
 class TestPayloads:
@@ -723,10 +754,7 @@ class TestEndToEnd:
         with socket.create_connection(addresses[0], timeout=5.0) as sock:
             assert sock.recv(1) == b""
         assert client_retrieve(addresses, 1, params, seed=0).source == sources[1]
-        deadline = time.monotonic() + 5.0
-        while any(server._connections for server in servers):
-            assert time.monotonic() < deadline
-            time.sleep(0.05)
+        wait_until_closed([pooled_socket(address) for address in addresses])
         # Every pooled connection is dead now: each query is resent once.
         assert client_retrieve(addresses, 2, params, seed=1).source == sources[2]
         assert [server.accepts for server in servers] == [3, 2, 2, 2, 2]
@@ -786,29 +814,71 @@ class TestEndToEnd:
         assert seen == [True] * params.n_servers
 
     def test_connections_beyond_the_cap_are_closed(self, cluster, monkeypatch):
+        """At the cap a new connection closes the longest idle one, never
+        one in the middle of a frame; with every slot mid-frame the new
+        connection itself is closed."""
         params, _, addresses, servers = cluster
         monkeypatch.setattr(net, "MAX_SERVER_CONNECTIONS", 2)
-        payload = encode_query_payload(params, SHIFT_QUERY)
+        frame = net._HEADER.pack(0x51, 6) + encode_query_payload(params, SHIFT_QUERY)
+        reads = servers[0].calls
 
-        def answered(sock):
-            send_message(sock, MSG_QUERY, payload)
+        def connect():
+            return socket.create_connection(addresses[0], timeout=2.0)
+
+        def begin(sock):
+            """Send a frame's first byte, and wait until the server read it."""
+            seen = reads.count("recv_into")
+            sock.sendall(frame[:1])
+            deadline = time.monotonic() + 5.0
+            while reads.count("recv_into") == seen:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+
+        def answered(sock, sent=0):
+            sock.sendall(frame[sent:])
             return recv_message(sock)[0] == MSG_ANSWER
 
-        first = socket.create_connection(addresses[0], timeout=2.0)
-        with first, socket.create_connection(addresses[0], timeout=2.0) as second:
-            assert answered(first) and answered(second)
-            with socket.create_connection(addresses[0], timeout=2.0) as third:
-                assert third.recv(1) == b""
-            assert answered(first) and answered(second)
-            first.close()
-            deadline = time.monotonic() + 5.0
-            while len(servers[0]._connections) > 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            with socket.create_connection(addresses[0], timeout=2.0) as fourth:
-                assert answered(fourth)
-            assert answered(second)
+        with connect() as a, connect() as b:
+            assert answered(a) and answered(b)
+            begin(a)  # a, the longest idle, is now mid-frame
+            with connect() as c:
+                assert b.recv(1) == b""  # evicted in its place
+                assert answered(a, 1) and answered(c)
+                begin(a)
+                begin(c)
+                with connect() as d:
+                    assert d.recv(1) == b""  # no slot is idle
+                assert answered(a, 1) and answered(c, 1)
         assert servers[0].accepts == 4
+
+    def test_idle_peers_do_not_lock_the_client_out(self, cluster, monkeypatch):
+        """Five idle peers of server 1 fill its three slots; the client's
+        connection takes the longest idle one's, without waiting for any
+        peer's idle timeout, and once its own pooled connection is
+        evicted the query is resent on a new one."""
+        params, sources, addresses, servers = cluster
+        monkeypatch.setattr(net, "MAX_SERVER_CONNECTIONS", 3)
+        monkeypatch.setattr(net, "IDLE_TIMEOUT_S", 5.0)
+        with contextlib.ExitStack() as stack:
+            peers = [
+                stack.enter_context(socket.create_connection(addresses[1], timeout=2.0))
+                for _ in range(5)
+            ]
+            wait_until_closed(peers[:2])
+            start = time.monotonic()
+            for seed in range(20):
+                theta = seed % 3
+                assert client_retrieve(addresses, theta, params, seed).source == sources[theta]
+            assert time.monotonic() - start < net.IDLE_TIMEOUT_S
+            wait_until_closed(peers[2:3])
+            pooled = pooled_socket(addresses[1])
+            peers += [
+                stack.enter_context(socket.create_connection(addresses[1], timeout=2.0))
+                for _ in range(3)
+            ]
+            wait_until_closed(peers[3:5] + [pooled])
+            assert client_retrieve(addresses, 2, params, seed=20).source == sources[2]
+        assert servers[1].accepts == 5 + 1 + 3 + 1
 
     def test_multiple_queries_per_connection(self, cluster):
         params, _, addresses, _ = cluster
@@ -1090,14 +1160,14 @@ class TestAnswerChecks:
     @pytest.fixture
     def tamper_payload(self, monkeypatch):
         """Make server 2 send `change(payload)` as its ANSWER payload."""
-        honest = net._Handler._answer
+        honest = net.StorageServer._answer
 
         def install(change):
-            def answer(handler, server, payload, sequence):
-                reply = honest(handler, server, payload, sequence)
+            def answer(server, payload, sequence):
+                reply = honest(server, payload, sequence)
                 return change(reply) if server.storage.server_index == 2 else reply
 
-            monkeypatch.setattr(net._Handler, "_answer", answer)
+            monkeypatch.setattr(net.StorageServer, "_answer", answer)
 
         return install
 
@@ -1141,8 +1211,7 @@ class TestAnswerChecks:
         tamper(lambda answer, params: answer[:-1])
         for _ in range(3):
             self.aborted_by(cluster, net.AnswerLengthError, seed)
-            idle = [key[0] for key, *_ in net._pool._idle]
-            assert sorted(idle) == sorted(addresses[:2])
+            assert idle_addresses() == addresses[:2]
         assert servers[2].accepts == 3
 
     def test_late_duplicate_answer_is_never_decoded(self, cluster, monkeypatch):
@@ -1158,7 +1227,6 @@ class TestAnswerChecks:
             return int(live_rounds(shift_queries(params, seed, 0)[2], params).sum())
 
         second = next(seed for seed in itertools.count(1) if server_2_live(seed) == server_2_live(0))
-        honest = net._Handler._answer
         accepted, duplicated = threading.Event(), threading.Event()
         senders = []
 
@@ -1167,17 +1235,25 @@ class TestAnswerChecks:
             send_message(sock, MSG_ANSWER, reply)
             duplicated.set()
 
-        def answer(handler, server, payload, sequence):
-            reply = honest(handler, server, payload, sequence)
-            if server.storage.server_index == 2:
-                if senders:
-                    time.sleep(0.1)
-                else:
-                    senders.append(threading.Thread(target=send_again, args=(handler.request, reply)))
-                    senders[0].start()
-            return reply
+        def send_late(sock, reply):
+            with contextlib.suppress(OSError):  # the client gave up on it
+                send_message(sock, MSG_ANSWER, reply)
 
-        monkeypatch.setattr(net._Handler, "_answer", answer)
+        def answer_twice(sock, msg_type, payload):
+            if msg_type != MSG_ANSWER or sock.getsockname() != addresses[2]:
+                send_message(sock, msg_type, payload)
+            elif senders:
+                # Sent 0.1 s late from a thread of its own: a sleep on the
+                # serving thread would hold back servers 0 and 1 too, and
+                # the answer could reach the client with the duplicate.
+                senders.append(threading.Timer(0.1, send_late, (sock, payload)))
+                senders[-1].start()
+            else:
+                senders.append(threading.Thread(target=send_again, args=(sock, payload)))
+                senders[0].start()
+                send_message(sock, msg_type, payload)
+
+        monkeypatch.setattr(net, "send_message", answer_twice)
         outcomes = []
         try:
             for seed in (0, second, second + 1, second + 2):
@@ -1301,18 +1377,24 @@ class TestConnectionPool:
         assert opened == []
 
     def test_resend_after_stale_connection_is_identical(self, cluster, monkeypatch):
+        """Server 2 evicts the pooled connection at its cap: the query is
+        resent, identical, on a new connection."""
         params, sources, addresses, servers = cluster
         frames = []
+        connect = socket.create_connection
         record_frames(monkeypatch, frames)
         assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
-        servers[2].close_connections()
+        monkeypatch.setattr(net, "MAX_SERVER_CONNECTIONS", 1)
+        pooled = pooled_socket(addresses[2])
+        with connect(addresses[2], timeout=2.0):
+            wait_until_closed([pooled])
         frames.clear()
         assert client_retrieve(addresses, 1, params, seed=1).source == sources[1]
         to_stale = [frame for address, frame in frames if address == addresses[2]]
         assert len(to_stale) == 2
         assert to_stale[0] == to_stale[1]
         assert len(frames) == params.n_servers + 1
-        assert servers[2].accepts == 2
+        assert servers[2].accepts == 3
 
     def test_pool_closes_the_longest_idle_beyond_its_bound(self, cluster, monkeypatch):
         params, sources, addresses, servers = cluster
@@ -1326,9 +1408,10 @@ class TestConnectionPool:
 
         monkeypatch.setattr(net.socket, "create_connection", recording_connect)
         assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
-        # Sockets are pooled in server order, so those of servers 0-2 go.
+        # A set's sockets are closed in server order, so those of servers
+        # 0-2 go.
         assert [sock.fileno() == -1 for sock in opened] == [True] * 3 + [False] * 2
-        assert [key[0] for key, *_ in net._pool._idle] == addresses[3:]
+        assert idle_addresses() == addresses[3:]
         assert client_retrieve(addresses, 1, params, seed=1).source == sources[1]
         assert [server.accepts for server in servers] == [2, 2, 2, 1, 1]
 
@@ -1340,8 +1423,7 @@ class TestConnectionPool:
         frames = []
         record_frames(monkeypatch, frames)
         assert client_retrieve(addresses, 0, params, seed=0).source == sources[0]
-        (pooled,) = [sock for key, sock, _ in net._pool._idle if key[0] == addresses[2]]
-        pooled.shutdown(socket.SHUT_WR)
+        pooled_socket(addresses[2]).shutdown(socket.SHUT_WR)
         frames.clear()
         assert client_retrieve(addresses, 1, params, seed=1).source == sources[1]
         assert [address for address, _ in frames] == addresses[:3] + addresses[2:]
@@ -1502,6 +1584,216 @@ class TestFraming:
                 late.join()
 
 
+class ByteCountingSocket:
+    """An accepted socket that adds the bytes of each recv_into and
+    sendall to its server's totals and forwards every other attribute:
+    the wrapper the benchmark's server host puts on each accepted
+    socket."""
+
+    __slots__ = ("_sock", "_server")
+
+    def __init__(self, sock, server):
+        self._sock = sock
+        self._server = server
+
+    def recv_into(self, buffer, *args):
+        nbytes = self._sock.recv_into(buffer, *args)
+        self._server.up += nbytes
+        return nbytes
+
+    def sendall(self, data, *flags):
+        self._server.down += len(data)  # before sending, as the host counts
+        self._sock.sendall(data, *flags)
+
+    def __getattr__(self, attr):
+        return getattr(self._sock, attr)
+
+
+class HostedServer(StorageServer):
+    """A server that wraps each accepted socket through get_request."""
+
+    up = down = 0
+
+    def get_request(self):
+        sock, address = super().get_request()
+        return ByteCountingSocket(sock, self), address
+
+
+class TestServingLoop:
+    """One thread serves every server of the process, and no peer
+    stalls it."""
+
+    def test_one_thread_serves_every_server_and_connection(self, example_system):
+        params, _, sources, _, storages = example_system
+        wide = derive_params(8, 5, 32, 257)
+        wide_sources = scheme.random_sources(wide, make_rng(32)).tolist()
+        _, wide_storages = scheme.encode_system(wide, wide_sources)
+        before = set(threading.enumerate())
+        with serving(storages, params) as small, serving(wide_storages, wide) as large:
+            with contextlib.ExitStack() as peers:
+                for server in small + large:
+                    for _ in range(3):
+                        peers.enter_context(
+                            socket.create_connection(server.server_address, timeout=2.0)
+                        )
+                systems = ((params, small, sources), (wide, large, wide_sources))
+                for seed in range(3):
+                    for system, servers, files in systems:
+                        addresses = [server.server_address for server in servers]
+                        source = client_retrieve(addresses, seed, system, seed).source
+                        assert source == files[seed]
+                (loop,) = set(threading.enumerate()) - before
+                assert loop.name == "codedpir-serve"
+        # The loop ends with the last server it serves.
+        loop.join(5)
+        assert not loop.is_alive()
+
+    def test_servers_started_and_stopped_from_many_threads(self, example_system):
+        """Four threads each start a cluster, retrieve from it and stop
+        it, ten times over, with a short switch interval: every
+        retrieval returns its file, and the loop ends with the last
+        server however its starts and stops interleave."""
+        params, _, sources, _, storages = example_system
+        errors = []
+
+        def cycle(index):
+            try:
+                for round_ in range(10):
+                    with serving(storages, params) as servers:
+                        addresses = [server.server_address for server in servers]
+                        theta = (index + round_) % params.m_files
+                        result = client_retrieve(addresses, theta, params, seed=round_)
+                        assert result.source == sources[theta]
+            except Exception as exc:  # reported below, in the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=cycle, args=(index,)) for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert net._loop is None
+        for thread in threading.enumerate():
+            if thread.name == "codedpir-serve":
+                thread.join(5)
+                assert not thread.is_alive()
+
+    def test_a_trickling_peer_stalls_no_retrieval(self, cluster, monkeypatch):
+        """A peer sends server 0 one byte of a frame and nothing more:
+        retrievals from the same process finish before the frame's
+        deadline, none waiting for it, and the peer is closed at it."""
+        params, sources, addresses, _ = cluster
+        monkeypatch.setattr(net, "IDLE_TIMEOUT_S", 0.5)
+        with socket.create_connection(addresses[0], timeout=2.0) as peer:
+            peer.sendall(bytes([0x51]))
+            begun = time.monotonic()
+            for seed in range(10):
+                theta = seed % 3
+                assert client_retrieve(addresses, theta, params, seed).source == sources[theta]
+            assert time.monotonic() - begun < net.IDLE_TIMEOUT_S
+            assert peer.recv(1) == b""
+            assert 0.9 * net.IDLE_TIMEOUT_S < time.monotonic() - begun < 3 * net.IDLE_TIMEOUT_S
+
+    def test_a_send_that_would_block_closes_only_its_connection(self, example_system):
+        """A peer whose receive buffer is full makes the server's sendall
+        raise BlockingIOError: that connection is closed, and the loop
+        serves on."""
+        params, _, sources, _, storages = example_system
+
+        class Full:
+            def __init__(self, sock):
+                self._sock = sock
+
+            def sendall(self, data):
+                raise BlockingIOError("send buffer full")
+
+            def __getattr__(self, attr):
+                return getattr(self._sock, attr)
+
+        class FullFirst(StorageServer):
+            accepts = 0
+
+            def get_request(self):
+                sock, address = super().get_request()
+                self.accepts += 1
+                return (Full(sock) if self.accepts == 1 else sock), address
+
+        servers = [FullFirst(storages[0], params)] + [
+            StorageServer(storage, params) for storage in storages[1:]
+        ]
+        for server in servers:
+            start_serving(server)
+        try:
+            addresses = [server.server_address for server in servers]
+            with socket.create_connection(addresses[0], timeout=2.0) as peer:
+                send_message(peer, MSG_QUERY, encode_query_payload(params, SHIFT_QUERY))
+                assert peer.recv(1) == b""
+            assert client_retrieve(addresses, 1, params, seed=3).source == sources[1]
+        finally:
+            stop_servers(servers)
+
+    def test_the_benchmark_host_sees_every_frame(self, example_system, monkeypatch):
+        """The host wraps each accepted socket through get_request and
+        traces net.recv_message and net.send_message by name: its byte
+        totals equal the frames that the retrievals report, and every
+        server frame is read and written through those functions, on the
+        serving thread, a QUERY answered before the next frame is read.
+        A frame begun meanwhile by another peer makes recv_message raise,
+        never return an empty result."""
+        params, _, sources, _, storages = example_system
+        frames = []
+        recv, send = net.recv_message, net.send_message
+
+        def traced_recv(sock, *args, **kwargs):
+            result = recv(sock, *args, **kwargs)
+            if isinstance(sock, ByteCountingSocket):
+                frames.append((threading.current_thread().name, result[0]))
+            return result
+
+        def traced_send(sock, msg_type, payload):
+            send(sock, msg_type, payload)
+            if isinstance(sock, ByteCountingSocket):
+                frames.append((threading.current_thread().name, msg_type))
+
+        monkeypatch.setattr(net, "recv_message", traced_recv)
+        monkeypatch.setattr(net, "send_message", traced_send)
+        query = net._HEADER.pack(0x51, 6) + encode_query_payload(params, SHIFT_QUERY)
+        servers = [HostedServer(storage, params) for storage in storages]
+        for server in servers:
+            start_serving(server)
+        try:
+            addresses = [server.server_address for server in servers]
+            with socket.create_connection(addresses[0], timeout=2.0) as peer:
+                peer.sendall(query[:3])
+                results = [
+                    client_retrieve(addresses, seed % 3, params, seed) for seed in range(10)
+                ]
+                peer.sendall(query[3:])
+                reply = recv(peer)
+        finally:
+            stop_servers(servers)
+        assert [result.source for result in results] == [sources[s % 3] for s in range(10)]
+        header = net._HEADER.size
+        frame_count = 10 * params.n_servers
+        assert sum(server.up for server in servers) == (
+            sum(result.upload_bytes for result in results) + header * frame_count + len(query)
+        )
+        assert sum(server.down for server in servers) == (
+            sum(result.download_bytes for result in results) + header * (frame_count + 1)
+            + len(reply[1])
+        )
+        assert frames == [("codedpir-serve", MSG_QUERY), ("codedpir-serve", MSG_ANSWER)] * (
+            frame_count + 1
+        )
+
+
 class TestSyscallBudget:
     """On a pooled connection each frame costs one system call at each
     end: the client's sendall and recv_into, the server's recv_into and
@@ -1528,15 +1820,16 @@ class TestSyscallBudget:
         params, sources, addresses, servers = request.getfixturevalue(system)
         for seed in range(5):
             assert client_retrieve(addresses, 2, params, seed=seed).source == sources[2]
-        net._pool.clear()  # each handler's last read then sees the close
+        net._pool.clear()  # each connection's last read then sees the close
         deadline = time.monotonic() + 5.0
-        while any(server._connections for server in servers):
+        while any(server.calls.count("recv_into") < 6 for server in servers):
             assert time.monotonic() < deadline
             time.sleep(0.01)
         for server in servers:
             assert server.accepts == 1
-            # armed once, one read and one send per query, a last read
-            expected = ["settimeout", "setsockopt", "setsockopt", "recv_into"]
+            # made non-blocking once, one read and one send per query, a
+            # last read
+            expected = ["setblocking", "recv_into"]
             assert sorted(server.calls) == sorted(expected + ["recv_into", "sendall"] * 5)
 
 
@@ -1642,22 +1935,47 @@ class TestFuzz:
         {MSG_ANSWER: 1 + 1 * 3, MSG_ERROR: net.MAX_ERROR_PAYLOAD},
     ]))
     def test_recv_message(self, data, limits):
-        """On a socket with a Python timeout, and on one armed with
-        kernel timeouts and read with its frame deadline."""
-        for armed in (False, True):
+        """On a socket with a Python timeout, on one armed with kernel
+        timeouts and read with its frame deadline, and on a non-blocking
+        one read as the serving loop reads it: the same frames, then the
+        same error.  Fed a byte at a time, the non-blocking read returns
+        those frames too, resuming each one from `pending`."""
+        outcomes = []
+        for mode in ("python", "kernel", "pending"):
+            read = []
             left, right = socket.socketpair()
             with left, right:
-                if armed:
+                if mode == "kernel":
                     net._kernel_timeouts(right, 2.0)
                 else:
-                    right.settimeout(2.0)
+                    right.settimeout(2.0 if mode == "python" else 0.0)
                 left.sendall(data)
                 left.shutdown(socket.SHUT_WR)
+                pending = bytearray() if mode == "pending" else None
                 try:
                     while True:
-                        recv_message(right, limits, 2.0 if armed else None)
-                except (WireError, ConnectionError):
-                    pass
+                        read.append(recv_message(
+                            right, limits, 2.0 if mode == "kernel" else None, pending
+                        ))
+                except (WireError, ConnectionError) as exc:
+                    read.append(type(exc))
+            outcomes.append(read)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        left, right = socket.socketpair()
+        with left, right:
+            right.setblocking(False)
+            pending, read = bytearray(), []
+            try:
+                for byte in data:
+                    left.sendall(bytes([byte]))
+                    try:
+                        read.append(recv_message(right, limits, pending=pending))
+                    except BlockingIOError:
+                        pass
+            except (WireError, ConnectionError):
+                pass
+        frames = [frame for frame in outcomes[0] if type(frame) is tuple]
+        assert read[: len(frames)] == frames
 
     @settings(
         max_examples=30,
