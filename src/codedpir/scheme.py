@@ -36,7 +36,8 @@ server's storage is one dense (M, n) array whose dummy rows are real
 zeros, so a round's answer is a gather-sum over it.  Server queries
 differ from the master in the desired column alone, so the engine
 checks the masters in place and answers them against the N storages
-stacked, summing the files in one product (in float64 where that is
+stacked once per set of storages (the first call with them builds the
+stack), summing the files in one product (in float64 where that is
 exact, linalg.sum_dtype).  Decoding is linear: once the desired file's
 master column c is fixed, one (lam*K x N*k) matrix D_c maps the N*k
 answers to the file, and one product applies the stacked maps of a
@@ -183,7 +184,8 @@ class ServerStorage:
 
     symbols[i, j] is symbol t of the codeword of row j of file i, for
     j < lam; rows j in the dummy range [lam:n) are real zeros, so a
-    query entry there adds nothing to an answer.
+    query entry there adds nothing to an answer.  The array must not
+    change once built: retrieve_batch reuses a stack of it.
     """
 
     server_index: int
@@ -366,19 +368,11 @@ def query_space(params: SystemParams, indices, family: str = OMEGA) -> np.ndarra
     return np.stack([table[d] for d in digits], axis=-1)
 
 
-@functools.lru_cache(maxsize=8)
 def omega(n: int, k: int) -> np.ndarray:
     """Omega as a read-only (|Omega|, k) array in n's narrowest dtype, in
     itertools.permutations order, which is lexicographic: row r is the
-    column of rank r."""
-    dtype = np.min_scalar_type(n - 1)
-    table = np.zeros((1, 0), dtype=dtype)
-    for _ in range(k):
-        # every prefix, extended by each value it lacks, in ascending order
-        prefix, value = np.nonzero((table[:, :, None] != np.arange(n)).all(axis=1))
-        table = np.column_stack([table[prefix], value.astype(dtype)])
-    table.flags.writeable = False
-    return table
+    column of rank r: family_table(n, k, OMEGA), the one cached copy."""
+    return family_table(n, k, OMEGA)
 
 
 @functools.lru_cache(maxsize=8)
@@ -386,9 +380,15 @@ def family_table(n: int, k: int, family: str) -> np.ndarray:
     """The columns of `family` as a read-only (rows, k) table in n's
     narrowest dtype: omega, or row u the base column (0, 1, ..., k-1)
     shifted by u mod n."""
-    if _checked_family(family) == OMEGA:
-        return omega(n, k)
-    table = ((np.arange(n)[:, None] + np.arange(k)) % n).astype(np.min_scalar_type(n - 1))
+    dtype = np.min_scalar_type(n - 1)
+    if _checked_family(family) == SHIFTS:
+        table = ((np.arange(n)[:, None] + np.arange(k)) % n).astype(dtype)
+    else:
+        table = np.zeros((1, 0), dtype=dtype)
+        for _ in range(k):
+            # every prefix, extended by each value it lacks, in ascending order
+            prefix, value = np.nonzero((table[:, :, None] != np.arange(n)).all(axis=1))
+            table = np.column_stack([table[prefix], value.astype(dtype)])
     table.flags.writeable = False
     return table
 
@@ -605,10 +605,12 @@ def _digit_weights(n: int, k: int) -> np.ndarray:
 def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCode):
     """T retrievals in process as one batch: the files (T, lam, K) and
     the live-round mask (T, N, k), whose sum is the download.  Checking
-    the masters checks every entry of every server's query.  With column
-    theta pointed at dummy row lam, one gather reads the other files for
-    all N servers; one take adds the desired file's shifted rows.  A
-    batch of more than one decodes each retrieval with its rounds in
+    the masters checks every entry of every server's query.  The N
+    storages are read as one (M, n, N) stack, built by the first call
+    with these storage objects (_storage_stack).  With column theta
+    pointed at dummy row lam, one gather reads the other files for all N
+    servers; one take adds the desired file's shifted rows.  A batch of
+    more than one decodes each retrieval with its rounds in
     ascending order of its desired column: permuting a master's rounds
     permutes all N answers alike, so every decode key is a sorted column,
     one of C(n, k).  The mask keeps the masters' order."""
@@ -624,8 +626,7 @@ def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCod
     columns = others[thetas, batch]
     desired = shifted[columns]
     others[thetas, batch] = lam
-    # (M, n, N): one row's symbols on all N servers are contiguous.
-    symbols = np.array([st.symbols for st in storages], dtype=dtype).transpose(1, 2, 0).copy()
+    symbols = _storage_stack(tuple(storages), dtype)
     # The gather is (M, T*k*N), so one matrix-vector product with ones
     # sums the files; an int64 product over (T, k, M, N) took 4-5x as
     # long.  It is freed before decode_batch stacks its maps: a (5,3,3)
@@ -645,6 +646,18 @@ def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCod
     live = (others.min(axis=0) < lam)[:, :, None] | (desired < lam * nn)
     files = decode_batch(answers, columns, params, code)
     return files, live.transpose(0, 2, 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _storage_stack(storages: tuple, dtype: type) -> np.ndarray:
+    """The storages as one read-only, C-contiguous (M, n, N) array in
+    `dtype`, where one row's symbols on all N servers are contiguous.
+    Kept for the last storages, matched by identity (a ServerStorage is
+    frozen around a read-only array), so replacing one builds a new
+    stack; it keeps them alive until other storages replace them."""
+    stack = np.array([st.symbols for st in storages], dtype=dtype).transpose(1, 2, 0).copy()
+    stack.flags.writeable = False
+    return stack
 
 
 @functools.lru_cache(maxsize=16)

@@ -13,7 +13,7 @@ from scipy.stats import chisquare
 
 from codedpir import derive_params, encode_system, make_rng
 from codedpir import net, rs, scheme, sim
-from codedpir.linalg import matmul_mod
+from codedpir.linalg import matmul_mod, sum_dtype
 from codedpir.rs import MdsCode, make_code
 from codedpir.scheme import (
     DecodingError,
@@ -184,6 +184,15 @@ class TestQueries:
         assert table.dtype == np.min_scalar_type(n - 1)
         assert table.tolist() == [list(c) for c in itertools.permutations(range(n), k)]
         assert sim._shifted_low_masks(table, n).tolist() == shifted_low_masks_loop(table, n)
+
+    def test_one_cached_copy_of_each_table(self):
+        """Omega and its family table are one cached copy: looking up
+        more tables than the cache holds between two lookups of (5, 3)
+        leaves family_table and omega returning the same array."""
+        scheme.family_table(5, 3, scheme.OMEGA)
+        for n in range(6, 16):
+            scheme.omega(n, 2)
+        assert scheme.family_table(5, 3, scheme.OMEGA) is scheme.omega(5, 3)
 
     @pytest.mark.parametrize("n,k,m", [(2, 1, 2), (3, 2, 2), (5, 3, 2)])
     def test_query_space_in_product_order(self, n, k, m):
@@ -896,6 +905,49 @@ class TestRetrieveBatch:
         assert np.array_equal(files, expected_files)
         assert np.array_equal(files, sources[thetas])
         assert np.array_equal(live, expected_live)
+
+    @pytest.mark.parametrize("shape", [(5, 3, 3, 257), (8, 5, 256, 65537), (12, 7, 2, 13)])
+    def test_one_stack_per_system(self, tmp_path, shape):
+        """Three calls with the same storages, from encode_system or
+        loaded from their files, stack them once; a storage replaced in
+        the sequence is read by the next call."""
+        params = derive_params(*shape)
+        code = make_code(*shape[:2], shape[3])
+        sources = scheme.random_sources(params, make_rng(11))
+        _, encoded = encode_system(params, sources, code)
+        loaded = []
+        for storage in encoded:
+            path = tmp_path / f"storage-{storage.server_index}.bin"
+            scheme.save_storage(path, storage, params)
+            loaded.append(scheme.load_storage(path)[0])
+        rng = make_rng(12)
+        masters = scheme.sample_master_queries(params, rng, 20)
+        thetas = rng.integers(0, params.m_files, size=20)
+        expected_files, expected_live = retrieve_batch_reference(
+            masters, thetas, encoded, params, code
+        )
+        dtype = sum_dtype(params.m_files, params.prime)
+        for storages in (encoded, loaded):
+            builds = scheme._storage_stack.cache_info().misses
+            for _ in range(3):
+                files, live = scheme.retrieve_batch(masters, thetas, storages, params, code)
+                assert np.array_equal(files, expected_files)
+                assert np.array_equal(live, expected_live)
+            assert scheme._storage_stack.cache_info().misses == builds + 1
+            stack = scheme._storage_stack(tuple(storages), dtype)
+            assert stack.flags.c_contiguous and not stack.flags.writeable
+            assert stack.shape == (params.m_files, params.n_reduced, params.n_servers)
+            for storage in storages:
+                assert storage.symbols.dtype == np.int64 and storage.symbols.flags.c_contiguous
+        _, other = encode_system(params, scheme.random_sources(params, make_rng(13)), code)
+        encoded[1] = other[1]
+        files, live = scheme.retrieve_batch(masters, thetas, encoded, params, code)
+        replaced_files, replaced_live = retrieve_batch_reference(
+            masters, thetas, encoded, params, code
+        )
+        assert not np.array_equal(replaced_files, expected_files)
+        assert np.array_equal(files, replaced_files)
+        assert np.array_equal(live, replaced_live)
 
     @pytest.mark.parametrize("column", [0, 2])  # the desired file's, another
     @pytest.mark.parametrize("change", ["5", "-1", "repeat", "1.5"])
