@@ -74,8 +74,11 @@ a descriptor, not a thread, and stalls no other.  The loop answers and
 sends a QUERY before it reads the connection's next frame; a send that
 would block closes that connection.  A server keeps at most
 MAX_SERVER_CONNECTIONS open: a new one beyond them closes the longest
-idle, never one in the middle of a frame.  Which one goes depends on
-timing alone, never on a query.  A frame is read whole: the first read
+idle, never one in the middle of a frame.  An accept that finds the
+process out of descriptors (EMFILE, ENFILE) closes the longest idle
+too; with none idle the loop stops watching that listener until one of
+its connections closes, or for ACCEPT_RETRY_S.  Which one goes depends
+on timing alone, never on a query.  A frame is read whole: the first read
 asks for the header and the longest payload the reader accepts, which
 for a server is exactly one QUERY frame, so pipelined queries lose no
 byte; only a frame split across reads takes more.  Bytes beyond the
@@ -110,6 +113,7 @@ from __future__ import annotations
 
 import binascii
 import contextlib
+import errno
 import functools
 import logging
 import math
@@ -153,6 +157,11 @@ IDLE_TIMEOUT_S = 60.0
 # (the frame's deadline bounds that state), so a flood of connections
 # holds no more descriptors and idle peers cannot lock a client out.
 MAX_SERVER_CONNECTIONS = 256
+
+# Seconds a listener goes unwatched when an accept finds the process out
+# of descriptors and its server has no idle connection to close, unless
+# a connection of the serving loop closes first.
+ACCEPT_RETRY_S = 1.0
 
 # Longest ERROR payload a client reads; a server cuts its detail to fit.
 MAX_ERROR_PAYLOAD = 1024
@@ -556,6 +565,7 @@ class _Loop:
         self.selector.register(self._woken, selectors.EVENT_READ)
         self.servers: dict[StorageServer, set[_Connection]] = {}
         self._stopping: list[tuple[StorageServer, threading.Event]] = []
+        self._paused: list[StorageServer] = []  # listeners not watched
         self._next_check = math.inf  # no deadline falls before it
         self.thread = threading.Thread(target=self._run, name="codedpir-serve", daemon=True)
 
@@ -609,18 +619,35 @@ class _Loop:
         if conn.deadline < self._next_check:
             self._next_check = conn.deadline
 
+    def _close_idle(self, server: "StorageServer") -> bool:
+        """Close the server's longest idle connection, never one in the
+        middle of a frame; False if none is idle."""
+        idle = [conn for conn in self.servers[server] if not conn.pending]
+        if idle:
+            self._close(min(idle, key=lambda conn: conn.deadline))
+        return bool(idle)
+
+    def _resume(self) -> None:
+        """Watch the listeners paused out of descriptors again."""
+        while self._paused:
+            server = self._paused.pop()
+            self.selector.register(server.socket, selectors.EVENT_READ, server)
+
     def _accept(self, server: "StorageServer") -> None:
         try:
             sock, _ = server.get_request()
-        except OSError:  # the peer gave up before its accept
-            return
+        except OSError as exc:
+            # Out of descriptors the listener stays readable: free one, or
+            # stop watching it, so that the loop does not spin.
+            if exc.errno in (errno.EMFILE, errno.ENFILE) and not self._close_idle(server):
+                self.selector.unregister(server.socket)
+                self._paused.append(server)
+                self._next_check = min(self._next_check, time.monotonic() + ACCEPT_RETRY_S)
+            return  # or the peer gave up before its accept
         connections = self.servers[server]
-        if len(connections) >= MAX_SERVER_CONNECTIONS:
-            idle = [conn for conn in connections if not conn.pending]
-            if not idle:  # every slot holds a frame in progress
-                _hang_up(sock)
-                return
-            self._close(min(idle, key=lambda conn: conn.deadline))
+        if len(connections) >= MAX_SERVER_CONNECTIONS and not self._close_idle(server):
+            _hang_up(sock)  # every slot holds a frame in progress
+            return
         sock.setblocking(False)
         conn = _Connection(sock, server)
         self._watch(conn, time.monotonic())
@@ -675,9 +702,12 @@ class _Loop:
         conn.server = None
         self.selector.unregister(conn.sock)
         _hang_up(conn.sock)
+        self._resume()  # a descriptor is free
 
     def _expire(self) -> None:
-        """Close each connection past its deadline."""
+        """Close each connection past its deadline, and watch paused
+        listeners again."""
+        self._resume()
         now = time.monotonic()
         self._next_check = math.inf
         with _loop_lock:
@@ -697,7 +727,10 @@ class _Loop:
         with _loop_lock:
             stopping, self._stopping = self._stopping, []
         for server, _ in stopping:
-            self.selector.unregister(server.socket)
+            if server in self._paused:
+                self._paused.remove(server)
+            else:
+                self.selector.unregister(server.socket)
             for conn in list(self.servers[server]):
                 self._close(conn)
         with _loop_lock:
@@ -916,8 +949,7 @@ def client_retrieve(
         raise scheme.ParameterError(
             f"need {params.n_servers} server addresses, got {len(addresses)}"
         )
-    if not 0 <= theta < params.m_files:
-        raise scheme.ParameterError(f"theta={theta} out of [0:{params.m_files})")
+    theta = scheme._checked_theta(theta, params)
     n, k, nn = params.n_reduced, params.k_reduced, params.n_servers
     bits = _shift_bits(n)
     _, table, low = _shift_lists(n, k)

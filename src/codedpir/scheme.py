@@ -299,12 +299,27 @@ def server_queries(masters, thetas, params: SystemParams) -> np.ndarray:
 
 
 def _checked_thetas(thetas, params: SystemParams) -> np.ndarray:
-    """The desired file indices as int64 (as uint64 a negative one is huge)."""
-    thetas = np.asarray(thetas, dtype=np.int64)
-    if thetas.view(np.uint64).max() >= params.m_files:
+    """The desired file indices as int64; ParameterError unless they are
+    integers of [0:M).  A float or bool is refused, not truncated."""
+    thetas = np.asarray(thetas)
+    if thetas.dtype.kind not in "iu":
+        raise ParameterError(f"theta must be an integer, not {thetas.dtype}")
+    thetas = thetas.astype(np.int64, copy=False)
+    # As uint64 a negative index is huge: one reduction checks both ends.
+    if np.maximum.reduce(thetas.view(np.uint64), axis=None) >= params.m_files:
         bad = thetas[(thetas < 0) | (thetas >= params.m_files)][0]
         raise ParameterError(f"theta={bad} out of [0:{params.m_files})")
     return thetas
+
+
+def _checked_theta(theta, params: SystemParams) -> int:
+    """One desired file index as an int; ParameterError unless it is an
+    integer of [0:M), checked without numpy.  A bool or float is refused."""
+    if type(theta) is bool or not isinstance(theta, (int, np.integer)):
+        raise ParameterError(f"theta must be an integer, not {type(theta).__name__}")
+    if not 0 <= theta < params.m_files:
+        raise ParameterError(f"theta={theta} out of [0:{params.m_files})")
+    return int(theta)
 
 
 def build_server_query(
@@ -335,7 +350,7 @@ def validate_query(query, params: SystemParams) -> np.ndarray:
         raise ProtocolError(f"query must be {k} x {m} integers")
     # As uint64 a negative entry is huge: one reduction checks both ends.
     wide = q.astype(np.int64, copy=False).view(np.uint64) if q.dtype.kind == "i" else q
-    if wide.max() >= n:
+    if np.maximum.reduce(wide, axis=None) >= n:
         entry = q[(q < 0) | (q >= n)][0]
         raise ProtocolError(f"query entry {entry} out of [0:{n})")
     # Entry pairs of a column that are equal: only the k self-pairs when
@@ -452,9 +467,10 @@ def _gather_answer(storage: ServerStorage, q: np.ndarray, params: SystemParams):
     than int64 ones; the least entry is one call fewer than
     (q < lam).any."""
     flat = q + _file_offsets(params.n_reduced, params.m_files)
-    sums = storage.symbols.take(flat).sum(axis=1).tolist()
+    sums = np.add.reduce(storage.symbols.take(flat), axis=1).tolist()
+    lows = np.minimum.reduce(q, axis=1).tolist()
     lam, p = params.rows_per_file, params.prime
-    return [None if low >= lam else value % p for value, low in zip(sums, q.min(axis=1).tolist())]
+    return [None if low >= lam else value % p for value, low in zip(sums, lows)]
 
 
 def _loop_answer(storage: ServerStorage, rows, params: SystemParams):
@@ -536,8 +552,7 @@ def decode(
 ) -> list[list[int]]:
     """Source file theta from one retrieval's (N, k) int64 answers, 0 in
     NULL rounds, as decode_batch of one; the values are taken as checked."""
-    if not 0 <= theta < params.m_files:
-        raise ParameterError(f"theta={theta} out of [0:{params.m_files})")
+    theta = _checked_theta(theta, params)
     answers = np.asarray(answers, dtype=np.int64)
     if answers.shape != (params.n_servers, params.k_reduced):
         raise DecodingError(
@@ -557,11 +572,12 @@ def decode_batch(
     count = len(answers)
     flat = answers.reshape(count, -1)
     if count == 1:
-        d_map = decode_map(tuple(columns[0].tolist()), params, code)
+        d_map = decode_map(columns[0].tolist(), params, code)
         files = matmul_mod(flat, d_map.T, params.prime)
     else:
         # An entry outside [0:n) would give a column another's key.
-        if np.asarray(columns, dtype=np.int64).view(np.uint64).max() >= params.n_reduced:
+        wide = np.asarray(columns, dtype=np.int64).view(np.uint64)
+        if np.maximum.reduce(wide, axis=None) >= params.n_reduced:
             raise DecodingError(f"desired columns must hold entries of [0:{params.n_reduced})")
         keys, which = _distinct_rows(columns, params.n_reduced)
         maps = np.stack([decode_map(key, params, code) for key in keys])
@@ -607,34 +623,39 @@ def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCod
     the live-round mask (T, N, k), whose sum is the download.  Checking
     the masters checks every entry of every server's query.  The N
     storages are read as one (M, n, N) stack, built by the first call
-    with these storage objects (_storage_stack).  With column theta
-    pointed at dummy row lam, one gather reads the other files for all N
-    servers; one take adds the desired file's shifted rows.  A batch of
-    more than one decodes each retrieval with its rounds in
+    with these storage objects (_storage_stack).  Each master entry is
+    its row j*n + q in the stack; the desired file's rows, theta*n + c,
+    are picked out and then pointed at dummy row lam, so one gather
+    reads the other files for all N servers.  The picked rows index the
+    shifted table, whose take adds the desired file's rows (c+t) mod n.
+    A batch of more than one decodes each retrieval with its rounds in
     ascending order of its desired column: permuting a master's rounds
     permutes all N answers alike, so every decode key is a sorted column,
     one of C(n, k).  The mask keeps the masters' order."""
     masters = validate_query(masters, params)
     thetas = _checked_thetas(thetas, params)
     nn, n, m, lam = params.n_servers, params.n_reduced, params.m_files, params.rows_per_file
-    dtype = sum_dtype(m, params.prime)
-    offsets, ones, shifted = _gather_tables(n, nn, m, dtype)
-    batch = np.arange(len(masters))
-    # (M, T, k): the masters file-major as indices, column theta then
-    # pointed at dummy row lam.
-    others = masters.transpose(2, 0, 1).astype(np.intp, order="C")
-    columns = others[thetas, batch]
-    desired = shifted[columns]
-    others[thetas, batch] = lam
+    dtype, offsets, ones, shifted, low = _gather_tables(n, nn, m, lam, params.prime)
     symbols = _storage_stack(tuple(storages), dtype)
+    batch = np.arange(len(masters))
+    # (M, T, k): each entry's row j*n + q in the (M*n, N) stack.
+    rows = masters.transpose(2, 0, 1).astype(np.intp, order="C")
+    rows += offsets
+    picked = rows[thetas, batch]
+    rows[thetas, batch] = lam
+    columns = picked % n
     # The gather is (M, T*k*N), so one matrix-vector product with ones
     # sums the files; an int64 product over (T, k, M, N) took 4-5x as
     # long.  It is freed before decode_batch stacks its maps: a (5,3,3)
     # batch of 1000 that kept it page-faulted on 1.4 MB a call in a
     # long-running process, as malloc returned the heap's top each time.
-    answers = ones @ symbols.reshape(m * n, nn).take(others + offsets, axis=0).reshape(m, -1)
+    answers = ones @ symbols.reshape(m * n, nn).take(rows, axis=0).reshape(m, -1)
     answers = answers.reshape(len(masters), -1, nn)
-    answers += symbols.take(thetas[:, None, None] * (n * nn) + desired)
+    desired = shifted.take(picked, axis=0)
+    answers += symbols.take(desired)
+    # Live where the desired file's row is low or another file's is.
+    live = desired >= 0
+    live |= np.logical_or.reduce(low.take(rows), axis=0)[:, :, None]
     if len(masters) > 1:
         order = columns.argsort(axis=1, kind="stable")
         order += np.arange(0, columns.size, columns.shape[1])[:, None]
@@ -643,7 +664,6 @@ def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCod
     # (T, N, k) as decode_batch takes them; float64 sums are exact integers.
     answers = answers.transpose(0, 2, 1).astype(np.int64, order="C")
     answers %= params.prime
-    live = (others.min(axis=0) < lam)[:, :, None] | (desired < lam * nn)
     files = decode_batch(answers, columns, params, code)
     return files, live.transpose(0, 2, 1)
 
@@ -661,17 +681,29 @@ def _storage_stack(storages: tuple, dtype: type) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _gather_tables(n: int, n_servers: int, m_files: int, dtype: type):
-    """retrieve_batch's read-only tables: (M, 1, 1) each file's first row in
-    the (M*n, N) stack, M ones of the sum's dtype, and (n, N) the index there
-    of symbol t of file 0's row (c+t) mod n."""
+def _gather_tables(n: int, n_servers: int, m_files: int, lam: int, prime: int):
+    """retrieve_batch's read-only tables for an (M, n, N) stack read as
+    (M*n, N) rows, row j*n + c holding row c of file j:
+
+    - the dtype of the sum over files (linalg.sum_dtype);
+    - (M, 1, 1) each file's first row;
+    - M ones of that dtype;
+    - (M*n, N) by row j*n + c, the flat index in the stack of symbol t
+      of file j's row (c+t) mod n, less the stack's size where that row
+      is a dummy one: take reads the same symbol, and the sign tells a
+      low row from a dummy one;
+    - (M*n,) whether each row is low, below lam."""
+    dtype = sum_dtype(m_files, prime)
+    size = m_files * n * n_servers
     row = (np.arange(n)[:, None] + np.arange(n_servers)) % n
-    shifted = row * n_servers + np.arange(n_servers)
+    shifted = np.arange(0, size, n * n_servers)[:, None, None] + row * n_servers
+    shifted = (shifted + np.arange(n_servers) - size * (row >= lam)).reshape(-1, n_servers)
+    low = np.tile(np.arange(n) < lam, m_files)
     offsets = np.arange(0, m_files * n, n)[:, None, None]
-    tables = offsets, np.ones(m_files, dtype), shifted
+    tables = offsets, np.ones(m_files, dtype), shifted, low
     for table in tables:
         table.flags.writeable = False
-    return tables
+    return (dtype, *tables)
 
 
 def retrieve(
@@ -688,7 +720,7 @@ def retrieve(
         code = make_code(params.n_servers, params.k_mds, params.prime)
     masters = sample_master_queries(params, rng, 1, family)
     files, live = retrieve_batch(masters, [theta], storages, params, code)
-    return files[0].tolist(), int(live.sum())
+    return files[0].tolist(), int(np.count_nonzero(live))
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,13 @@ def run_trials(
         files, live = scheme.retrieve_batch(
             masters[chunk], thetas[chunk], storages, params, code
         )
-        wrong = np.flatnonzero((files != sources[thetas[chunk]]).any(axis=(1, 2)))
+        wrong = np.flatnonzero(np.logical_or.reduce(files != sources[thetas[chunk]], axis=(1, 2)))
         if wrong.size:
             trial = start + int(wrong[0])
             raise FailedTrialError(seed, trial, int(thetas[trial]))
-        per_server += live.sum(axis=(0, 2))
+        per_server += np.add.reduce(live, axis=(0, 2))
 
-    total = int(per_server.sum())
+    total = int(np.add.reduce(per_server))
     exact = analysis.expected_download(params)
     return TrialStats(
         trials=n_trials,

@@ -261,6 +261,50 @@ def pooled_socket(address):
     return sock
 
 
+# Server 0 of the example system alone in a process whose soft
+# RLIMIT_NOFILE leaves `free` descriptors: it prints its port and
+# `free`; then on "begun N" waits up to 10 s until N connections are
+# mid-frame and prints ok (or timeout), on "measure" prints the CPU time
+# it used over 0.5 s of idle, and stops at the end of its input.
+OUT_OF_DESCRIPTORS_SERVER = """
+import os, resource, sys, time
+from codedpir import derive_params, make_rng, net, scheme
+
+params = derive_params(5, 3, 3, 7)
+sources = scheme.random_sources(params, make_rng(1234)).tolist()
+_, storages = scheme.encode_system(params, sources)
+net.ACCEPT_RETRY_S = 3600.0
+server = net.StorageServer(storages[0], params)
+server.start()
+def is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+held = [fd for fd in map(int, os.listdir("/proc/self/fd")) if is_open(fd)]
+limit = max(held) + 9
+resource.setrlimit(resource.RLIMIT_NOFILE, (limit, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+print(server.server_address[1], limit - len(held), flush=True)
+def begun():
+    try:
+        return sum(1 for conn in list(net._loop.servers[server]) if conn.pending)
+    except RuntimeError:  # the loop changed the set meanwhile
+        return 0
+for line in sys.stdin:
+    if line.startswith("begun"):
+        deadline = time.monotonic() + 10.0
+        while begun() < int(line.split()[1]) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        print("ok" if time.monotonic() < deadline else "timeout", flush=True)
+        continue
+    start = time.process_time()
+    time.sleep(0.5)
+    print(time.process_time() - start, flush=True)
+server.server_close()
+"""
+
+
 def wait_until_closed(socks, timeout=5.0):
     """Wait until the peer of each socket has closed it: it reads as at
     its end."""
@@ -764,7 +808,7 @@ class TestEndToEnd:
         with pytest.raises(scheme.ParameterError):
             client_retrieve(addresses[:4], 0, params, seed=0)
 
-    @pytest.mark.parametrize("theta", [-1, 3])
+    @pytest.mark.parametrize("theta", [-1, 3, 1.5, True])
     def test_theta_out_of_range_opens_no_connection(self, cluster, theta, monkeypatch):
         params, _, addresses, _ = cluster
         opened = []
@@ -879,6 +923,57 @@ class TestEndToEnd:
             wait_until_closed(peers[3:5] + [pooled])
             assert client_retrieve(addresses, 2, params, seed=20).source == sources[2]
         assert servers[1].accepts == 5 + 1 + 3 + 1
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="lists descriptors from /proc")
+    @pytest.mark.parametrize("first_bytes", [b"", b"Q"])  # idle peers, peers mid-frame
+    def test_out_of_descriptors_does_not_spin(self, cluster, first_bytes):
+        """Server 0 runs in a process whose descriptor limit its peers
+        fill, with four more peers waiting to be accepted.  The serving
+        loop does not turn without sleeping: it closes idle connections
+        to accept them, or, with every connection mid-frame, stops
+        watching its listener until a connection closes (the retry timer
+        is an hour there).  A retrieval through it then succeeds."""
+        params, sources, addresses, _ = cluster
+        server = subprocess.Popen(
+            [sys.executable, "-c", OUT_OF_DESCRIPTORS_SERVER],
+            env={"PYTHONPATH": str(Path(net.__file__).resolve().parents[1])},
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            port, free = map(int, server.stdout.readline().split())
+            with contextlib.ExitStack() as stack:
+
+                def connect(count):
+                    address = ("127.0.0.1", port)
+                    for _ in range(count):
+                        peer = stack.enter_context(socket.create_connection(address, timeout=2.0))
+                        peer.sendall(first_bytes)
+                        yield peer
+
+                peers = list(connect(free))
+                if first_bytes:
+                    server.stdin.write(f"begun {free}\n")
+                    server.stdin.flush()
+                    assert server.stdout.readline() == "ok\n"
+                peers += connect(4)
+                server.stdin.write("measure\n")
+                server.stdin.flush()
+                cpu = float(server.stdout.readline())
+                assert cpu < 0.05, f"{cpu:.3f} s of CPU in 0.5 s idle"
+                if first_bytes:
+                    for peer in peers:
+                        peer.close()
+                else:
+                    wait_until_closed(peers[:4])  # the longest idle, for the last four
+                theta = 1
+                result = client_retrieve([("127.0.0.1", port)] + addresses[1:], theta, params, 5)
+                assert result.source == sources[theta]
+            server.stdin.close()
+            assert server.wait(timeout=10) == 0
+        finally:
+            server.kill()
+            server.wait()
+            server.stdout.close()
 
     def test_multiple_queries_per_connection(self, cluster):
         params, _, addresses, _ = cluster

@@ -794,6 +794,70 @@ class TestRetrieve:
             # D_rel = L + K*r with 0 <= r <= k
             assert params.file_len <= downloaded <= params.n_servers * params.k_reduced
             assert (downloaded - params.file_len) % params.k_mds == 0
+            assert type(downloaded) is int  # the CLI's JSON writer refuses numpy integers
+
+    @pytest.mark.parametrize("theta", [1.5, True, np.float64(1.0), np.bool_(True)])
+    def test_non_integer_theta_is_refused(self, example_system, theta):
+        """Not truncated to another file: retrieve, retrieve_batch and
+        decode raise ParameterError."""
+        params, code, _, _, storages = example_system
+        with pytest.raises(ParameterError, match="^theta must be an integer"):
+            retrieve(theta, storages, params, make_rng(0), code)
+        with pytest.raises(ParameterError, match="^theta must be an integer"):
+            scheme.retrieve_batch([EXAMPLE_QUERY], [theta], storages, params, code)
+        answers = np.zeros((params.n_servers, params.k_reduced), dtype=np.int64)
+        with pytest.raises(ParameterError, match="^theta must be an integer"):
+            decode(answers, EXAMPLE_QUERY, theta, params, code)
+
+
+def numpy_methods_calls(call) -> int:
+    """Python calls into numpy's _methods module (the wrappers of
+    ndarray.max, .min, .sum, .any and others) made by call()."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("numpy.") and module.endswith("._methods"):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestPerRetrievalDispatch:
+    """A warm per-retrieval path reduces with the ufuncs themselves, never
+    through numpy's Python-level method wrappers."""
+
+    def test_retrieve(self):
+        params = derive_params(5, 3, 3, 257)
+        code = make_code(5, 3, 257)
+        _, storages = encode_system(params, scheme.random_sources(params, make_rng(1)), code)
+
+        def call():
+            return retrieve(1, storages, params, make_rng(7), code)
+
+        call()
+        assert numpy_methods_calls(call) == 0
+
+    def test_run_trials(self):
+        params = derive_params(5, 3, 3, 257)
+        sim.run_trials(params, 50, 3)
+        assert numpy_methods_calls(lambda: sim.run_trials(params, 50, 3)) == 0
+
+    def test_server_answer_of_a_decoded_query(self):
+        params = derive_params(8, 5, 256, 65537)
+        _, storages = encode_system(params, scheme.random_sources(params, make_rng(1)))
+        master = gen_master_query(params, make_rng(2))
+        query = build_server_query(master, 200, 3, params)
+        decoded = net.decode_query_payload(net.encode_query_payload(params, query), params)
+        assert type(decoded) is scheme.RankedQuery
+        server_answer(storages[3], decoded, params)
+        assert numpy_methods_calls(lambda: server_answer(storages[3], decoded, params)) == 0
 
 
 class TestRetrieveBatch:

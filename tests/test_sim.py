@@ -43,6 +43,12 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(params, 1, seed=0, theta_policy="nope")
 
+    @pytest.mark.parametrize("theta", [1.5, True])
+    def test_non_integer_theta_is_refused(self, theta):
+        """Before any trial runs, not as an IndexError after the batch."""
+        with pytest.raises(scheme.ParameterError, match="^theta must be an integer"):
+            run_trials(derive_params(5, 3, 3, 257), 10, seed=0, theta=theta)
+
     def test_per_server_load_symmetry(self):
         # expected load is identical across servers; chi-square on totals
         params = derive_params(5, 3, 3, 257)
