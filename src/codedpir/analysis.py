@@ -12,7 +12,6 @@ download cost to the file length via D_rel = L + K*r.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,16 +35,12 @@ def capacity(n_servers: int, k_mds: int, m_files: int) -> Fraction:
     return 1 / sum(ratio**i for i in range(m_files))
 
 
-@functools.lru_cache(maxsize=64)
 def expected_download(params: SystemParams) -> Fraction:
-    """Exact expected download cost N*k*(1 - (k/n)^M) in field elements,
-    memoized with scheme_rate: (k/n)^M is big-integer work at large M,
-    and every sim.run_trials call asks for both."""
+    """Exact expected download cost N*k*(1 - (k/n)^M) in field elements."""
     n, k = params.n_reduced, params.k_reduced
     return params.n_servers * k * (1 - Fraction(k, n) ** params.m_files)
 
 
-@functools.lru_cache(maxsize=64)
 def scheme_rate(params: SystemParams) -> Fraction:
     return Fraction(params.file_len) / expected_download(params)
 
@@ -102,9 +97,9 @@ def build_answer_matrix(query: list[list[int]], params: SystemParams) -> list[li
 
 
 def interference_rank(matrix: list[list[int]], theta: int, params: SystemParams) -> int:
-    """Rank over F_p of the answer matrix with block theta removed."""
-    if not 0 <= theta < params.m_files:
-        raise ValueError(f"theta={theta} out of [0:{params.m_files})")
+    """Rank over F_p of the answer matrix with block theta removed;
+    ParameterError unless theta is an integer of [0:M)."""
+    theta = scheme._checked_index(theta, params.m_files, "theta")
     lam = params.rows_per_file
     lo, hi = theta * lam, (theta + 1) * lam
     stripped = [row[:lo] + row[hi:] for row in matrix]

@@ -33,8 +33,8 @@ bytes differ between servers.  A server reads M shifts at n's width,
 never a layout the peer names, and rejects a shift not below n.  It
 expands the shifts through the family table (scheme.family_table): a
 query of more than scheme.SMALL_QUERY_ENTRIES entries reaches
-scheme.server_answer as a C-contiguous (k, M) scheme.RankedQuery, u8
-for n <= 256; a smaller one as scheme.RankedRows, row lists of Python
+scheme.server_answer as a C-contiguous (k, M) scheme.ShiftQuery, u8
+for n <= 256; a smaller one as scheme.ShiftRows, row lists of Python
 ints built without numpy, as its loop answers them faster than numpy
 would.  Their columns are shifted base columns by construction, so the
 shift check is the only one a query gets, and server_answer answers it
@@ -281,23 +281,22 @@ def send_message(sock: socket.socket, msg_type: int, payload: bytes) -> None:
 
 def recv_message(
     sock: socket.socket,
-    limits: dict[int, int] | None = None,
+    limits: dict[int, int],
     timeout: float | None = None,
     pending: bytearray | None = None,
 ) -> tuple[int, bytearray]:
     """Read one frame.
 
-    With `limits`, mapping message type to the longest payload accepted
-    (0 for a type not listed), a longer frame raises WireError before
-    its payload is read, and the first read asks for the header and the
-    longest payload at once, so a whole frame costs one system call;
-    bytes past the frame's end in that read are a WireError too.  Without
-    `limits` the header and the payload are read exactly.  With
-    `timeout`, the socket's kernel receive timeout in seconds, a frame
-    that the first read does not complete must be complete `timeout`
-    after it: the reads that complete it wait only for the time left,
-    and the socket's timeout is restored after them.  An expired kernel
-    timeout raises TimeoutError.
+    `limits` maps message type to the longest payload accepted (0 for a
+    type not listed): a longer frame raises WireError before its payload
+    is read.  The first read asks for the header and the longest payload
+    at once, so a whole frame costs one system call; bytes past the
+    frame's end in that read are a WireError too.  With `timeout`, the
+    socket's kernel receive timeout in seconds, a frame that the first
+    read does not complete must be complete `timeout` after it: the
+    reads that complete it wait only for the time left, and the socket's
+    timeout is restored after them.  An expired kernel timeout raises
+    TimeoutError.
 
     With `pending`, the socket is non-blocking and `pending` holds the
     bytes of a frame begun by earlier calls (none before a frame's first
@@ -309,7 +308,7 @@ def recv_message(
     deadline = None
     try:
         if not frame:
-            frame = _read(sock, _HEADER.size + (max(limits.values()) if limits else 0))
+            frame = _read(sock, _HEADER.size + max(limits.values()))
         if len(frame) < _HEADER.size:
             if timeout is not None:
                 deadline = time.monotonic() + timeout
@@ -318,7 +317,7 @@ def recv_message(
         msg_type = _FRAME_TYPES.get(tag)
         if msg_type is None:
             raise BadMagicError(f"0x{tag:02x} is no v5 frame tag")
-        if limits is not None and length > limits.get(msg_type, 0):
+        if length > limits.get(msg_type, 0):
             raise WireError(f"{length}-byte payload too long for message type {msg_type}")
         end = _HEADER.size + length
         if len(frame) > end:
@@ -407,8 +406,8 @@ def decode_query_payload(payload: bytes, params: SystemParams):
     the shifts are then read at n's width and must fill the payload
     exactly, with a zero pad nibble, and each must be below n (WireError
     otherwise).  A query of more than SMALL_QUERY_ENTRIES entries comes
-    back as a C-contiguous (k, M) scheme.RankedQuery, u8 for n <= 256
-    and u16 above, a smaller one as scheme.RankedRows, k row lists of
+    back as a C-contiguous (k, M) scheme.ShiftQuery, u8 for n <= 256
+    and u16 above, a smaller one as scheme.ShiftRows, k row lists of
     Python ints: their columns are shifted base columns, which
     scheme.server_answer trusts.
     """
@@ -435,11 +434,11 @@ def decode_query_payload(payload: bytes, params: SystemParams):
     try:
         if k * m > scheme.SMALL_QUERY_ENTRIES:
             shifts = np.frombuffer(body, ">u2" if bits == 16 else np.uint8)
-            return table.take(shifts, axis=1).view(scheme.RankedQuery)
+            return table.take(shifts, axis=1).view(scheme.ShiftQuery)
         # No numpy: each call costs more than the work of a small query
         # in a server whose caches have cooled.
         shifts = struct.unpack(f">{m}H", body) if bits == 16 else body
-        return scheme.RankedRows(map(list, zip(*map(columns.__getitem__, shifts))))
+        return scheme.ShiftRows(map(list, zip(*map(columns.__getitem__, shifts))))
     except IndexError:
         raise WireError(f"shift {max(shifts)} out of [0:{n})") from None
 
@@ -904,6 +903,15 @@ def _connect(address, timeout: float) -> socket.socket:
     return sock
 
 
+def _client_limits(params: SystemParams) -> dict[int, int]:
+    """The longest payload a client reads of each message type: an
+    ANSWER of k values of p-1's width, or an ERROR."""
+    return {
+        MSG_ANSWER: 1 + _value_width(params.prime - 1) * params.k_reduced,
+        MSG_ERROR: MAX_ERROR_PAYLOAD,
+    }
+
+
 def _read_answer(
     reply: tuple[int, bytearray], count: int, prime: int, sequence: int
 ) -> tuple[int, ...]:
@@ -949,7 +957,7 @@ def client_retrieve(
         raise scheme.ParameterError(
             f"need {params.n_servers} server addresses, got {len(addresses)}"
         )
-    theta = scheme._checked_theta(theta, params)
+    theta = scheme._checked_index(theta, params.m_files, "theta")
     n, k, nn = params.n_reduced, params.k_reduced, params.n_servers
     bits = _shift_bits(n)
     _, table, low = _shift_lists(n, k)
@@ -970,10 +978,7 @@ def client_retrieve(
     window = shifts[first : first + 2] if bits == 4 else [shifts[theta]]
     start = first * bits // 8
     head = _query_head(params)
-    limits = {
-        MSG_ANSWER: 1 + _value_width(params.prime - 1) * params.k_reduced,
-        MSG_ERROR: MAX_ERROR_PAYLOAD,
-    }
+    limits = _client_limits(params)
     key = (tuple(addresses), timeout)
     idle = _pool.take(key)  # per server, a pooled (socket, sequence) or None
     socks: list[socket.socket] = []

@@ -28,10 +28,12 @@ from .gf import inv_mod, is_prime
 
 
 # Bytes of matrices one code keeps in each of its two caches: every
-# recovery matrix of (5,3) and (8,5) fits, and about 870 of the 6720
-# (8,5) decode maps; a (259,2) code keeps about a thousand 4 KB recovery
-# matrices and one 2.1 MB decode map, where a long-lived client would
-# otherwise pile up hundreds of MB.
+# recovery matrix of (5,3) and (8,5) fits, and every decode map the
+# scheme keys, C(n, k) sorted column sets plus the k - 1 shift columns
+# that are not sorted (12 at (5,3), 60 at (8,5)); a (259,2) code keeps
+# about a thousand 4 KB recovery matrices and one 2.1 MB decode map,
+# where a long-lived client would otherwise pile up hundreds of MB.
+# (12,7,2,13) keeps 178 of its 792 column-set maps (ROADMAP item 6).
 MATRIX_CACHE_BYTES = 1 << 22
 
 

@@ -14,9 +14,9 @@ columns (family_table), from which sample_master_queries draws M
 uniform rows:
 
 - OMEGA, the paper's: each column is uniform on Omega, the P(n,k)
-  partial permutations of [0:n), tabled in itertools order (omega)
-  wherever |Omega| <= OMEGA_TABLE_LIMIT.  Larger systems draw a column
-  as the first k slots of a uniform permutation.
+  partial permutations of [0:n), tabled in itertools order wherever
+  |Omega| <= OMEGA_TABLE_LIMIT.  Larger systems draw a column as the
+  first k slots of a uniform permutation.
 - SHIFTS: column j is the base column (0, 1, ..., k-1) shifted by r_j
   mod n, with r_j uniform on Z_n.  Server t sees the desired shift
   raised by t, so its view is uniform on Z_n^M for every desired file;
@@ -52,7 +52,7 @@ The list-based calls (gen_master_query, build_server_query,
 server_answer) work on k x M query row lists and length-k answer lists
 with None marking NULL rounds.  server_answer also takes a (k, M)
 integer array.  It checks every query except the two forms the wire
-decoder builds from shifts it has checked (RankedQuery, RankedRows),
+decoder builds from shifts it has checked (ShiftQuery, ShiftRows),
 whose columns are shifted base columns by construction.  decode is
 decode_batch of one retrieval's (N, k) answer array, 0 in NULL rounds,
 which the networked client fills with the values it has checked on
@@ -97,16 +97,16 @@ MAX_REDUCED_N = 2**16 - 1
 FILE_LIMIT = 2**30
 
 # The wire decoder (net) hands server_answer a query of up to this many
-# entries as RankedRows, answered by a loop over row lists, and a larger
-# one as a RankedQuery array, answered by one take: numpy's per-call
-# costs outweigh the work of a small query, and more so in a threaded
-# server than in a warm loop.  On a 2-core x86 (Python 3.11, numpy
-# 2.4), passing the 9-entry (5,3,3) query as a u8 array in the loopback
-# server raised the traced time per query from 37 to 85 us and the
-# median retrieval from 0.41 to 0.54 ms, where a warm loop had shown the
-# array only 7-12 us dearer.  At 1280 entries, (8,5,256), the array
-# took 36 us against 90 us through row lists.  The client packs a query
-# this small with string calls rather than numpy.
+# entries as ShiftRows, answered by a loop over row lists, and a larger
+# one as a ShiftQuery array, answered by one take: numpy's per-call
+# costs outweigh the work of a small query in a server whose caches
+# cool between queries, which a warm timing loop does not show.  On a
+# 2-core x86 (Python 3.11, numpy 2.4), on the serving loop, the
+# benchmark's tcp-533 workload (the 9-entry (5,3,3,257) query, 5 s
+# runs, seeds 1-3) read a median retrieval of 0.264, 0.262 and 0.261 ms
+# at this threshold against 0.289, 0.286 and 0.291 ms with every query
+# an array (threshold 0).  At 1280 entries, (8,5,256), the array took
+# 36 us against 90 us through row lists.
 SMALL_QUERY_ENTRIES = 128
 
 # Omega is tabled up to this many columns, at most 2^16 x 8 entries;
@@ -312,21 +312,21 @@ def _checked_thetas(thetas, params: SystemParams) -> np.ndarray:
     return thetas
 
 
-def _checked_theta(theta, params: SystemParams) -> int:
-    """One desired file index as an int; ParameterError unless it is an
-    integer of [0:M), checked without numpy.  A bool or float is refused."""
-    if type(theta) is bool or not isinstance(theta, (int, np.integer)):
-        raise ParameterError(f"theta must be an integer, not {type(theta).__name__}")
-    if not 0 <= theta < params.m_files:
-        raise ParameterError(f"theta={theta} out of [0:{params.m_files})")
-    return int(theta)
+def _checked_index(value, limit: int, name: str) -> int:
+    """One index, a desired file or a server, as an int; ParameterError
+    unless it is an integer of [0:limit), checked without numpy.  A bool
+    or float is refused."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, not {type(value).__name__}")
+    if not 0 <= value < limit:
+        raise ParameterError(f"{name}={value} out of [0:{limit})")
+    return int(value)
 
 
 def build_server_query(
     master: list[list[int]], theta: int, server: int, params: SystemParams
 ) -> list[list[int]]:
-    if not 0 <= server < params.n_servers:
-        raise ParameterError(f"server={server} out of [0:{params.n_servers})")
+    server = _checked_index(server, params.n_servers, "server")
     return server_queries([master], [theta], params)[0, server].tolist()
 
 
@@ -383,18 +383,12 @@ def query_space(params: SystemParams, indices, family: str = OMEGA) -> np.ndarra
     return np.stack([table[d] for d in digits], axis=-1)
 
 
-def omega(n: int, k: int) -> np.ndarray:
-    """Omega as a read-only (|Omega|, k) array in n's narrowest dtype, in
-    itertools.permutations order, which is lexicographic: row r is the
-    column of rank r: family_table(n, k, OMEGA), the one cached copy."""
-    return family_table(n, k, OMEGA)
-
-
 @functools.lru_cache(maxsize=8)
 def family_table(n: int, k: int, family: str) -> np.ndarray:
     """The columns of `family` as a read-only (rows, k) table in n's
-    narrowest dtype: omega, or row u the base column (0, 1, ..., k-1)
-    shifted by u mod n."""
+    narrowest dtype: Omega in itertools.permutations order, which is
+    lexicographic, or row u the base column (0, 1, ..., k-1) shifted by
+    u mod n."""
     dtype = np.min_scalar_type(n - 1)
     if _checked_family(family) == SHIFTS:
         table = ((np.arange(n)[:, None] + np.arange(k)) % n).astype(dtype)
@@ -421,36 +415,37 @@ def low_masks(columns: np.ndarray, n: int) -> np.ndarray:
 # answers
 
 
-class RankedQuery(np.ndarray):
-    """A (k, M) query, u8 for n <= 256 and u16 above, whose columns are
-    shifted base columns, as net.decode_query_payload builds a large
-    query from shifts it has range-checked; server_answer answers one
-    without validate_query.  Only that decoder makes one.  A view or a
-    numpy result of one is a RankedQuery too, so hand server_answer the
-    decoder's output as it came, or a plain array."""
+class ShiftQuery(np.ndarray):
+    """A (k, M) query, u8 for n <= 256 and u16 above, whose column j is
+    the base column shifted by shift j, as net.decode_query_payload
+    builds a large query from M shifts it has range-checked;
+    server_answer answers one without validate_query.  Only that
+    decoder makes one.  A view or a numpy result of one is a ShiftQuery
+    too, so hand server_answer the decoder's output as it came, or a
+    plain array."""
 
 
-class RankedRows(list):
-    """k row lists of Python ints whose columns are shifted base columns,
-    as net.decode_query_payload builds a small query from shifts it has
-    range-checked; server_answer answers them by a loop, unchecked.
-    Only that decoder makes one."""
+class ShiftRows(list):
+    """k row lists of Python ints whose column j is the base column
+    shifted by shift j, as net.decode_query_payload builds a small query
+    from M shifts it has range-checked; server_answer answers them by a
+    loop, unchecked.  Only that decoder makes one."""
 
 
 def server_answer(storage: ServerStorage, query, params: SystemParams) -> list[int | None]:
     """k per-round responses to a k x M query; None marks a NULL round.
 
     The server sees only its own query, never the desired file index.  A
-    RankedQuery or RankedRows, which the wire decoder builds from checked
+    ShiftQuery or ShiftRows, which the wire decoder builds from checked
     shifts alone, is answered unchecked: its columns are shifted base
     columns by construction.  Any other query, row lists or a (k, M)
     integer array, must pass validate_query (ProtocolError otherwise)
     and is answered by one take from the flat storage.
     """
     kind = type(query)
-    if kind is RankedQuery:
+    if kind is ShiftQuery:
         return _gather_answer(storage, query.view(np.ndarray), params)
-    if kind is RankedRows:
+    if kind is ShiftRows:
         return _loop_answer(storage, query, params)
     q = validate_query(query, params)
     if q.ndim != 2:
@@ -552,7 +547,7 @@ def decode(
 ) -> list[list[int]]:
     """Source file theta from one retrieval's (N, k) int64 answers, 0 in
     NULL rounds, as decode_batch of one; the values are taken as checked."""
-    theta = _checked_theta(theta, params)
+    theta = _checked_index(theta, params.m_files, "theta")
     answers = np.asarray(answers, dtype=np.int64)
     if answers.shape != (params.n_servers, params.k_reduced):
         raise DecodingError(
@@ -598,7 +593,7 @@ def _distinct_rows(rows: np.ndarray, n: int):
     if n**k > 2**63:
         keys, which = np.unique(rows, axis=0, return_inverse=True)
         return list(map(tuple, keys.tolist())), which.reshape(-1)
-    keys = rows @ _digit_weights(n, k)
+    keys = rows @ n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     order = keys.argsort()
     ordered = keys[order]
     first = np.empty(len(keys), dtype=bool)
@@ -607,15 +602,6 @@ def _distinct_rows(rows: np.ndarray, n: int):
     which = np.empty(len(keys), dtype=np.intp)
     which[order] = first.cumsum() - 1
     return list(map(tuple, rows[order[first]].tolist())), which
-
-
-@functools.lru_cache(maxsize=16)
-def _digit_weights(n: int, k: int) -> np.ndarray:
-    """(k,) read-only int64: n^(k-1), ..., n, 1, the weights of a row's
-    base-n digits."""
-    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    weights.flags.writeable = False
-    return weights
 
 
 def retrieve_batch(masters, thetas, storages, params: SystemParams, code: MdsCode):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from codedpir import analysis, derive_params, make_rng
+from codedpir import derive_params, make_rng
 from codedpir import scheme
 from codedpir.analysis import (
     BudgetExceededError,
@@ -29,13 +29,8 @@ class TestFormulas:
     def test_expected_download(self):
         assert expected_download(derive_params(5, 3, 3, 7)) == Fraction(294, 25)
         assert expected_download(derive_params(2, 1, 2, 257)) == Fraction(3, 2)
-
-    def test_closed_forms_are_memoized(self):
-        params = derive_params(8, 5, 256, 65537)
-        first = expected_download(params)
-        assert expected_download(params) == first == 40 * (1 - Fraction(5, 8) ** 256)
-        assert expected_download(params) is first
-        assert analysis.scheme_rate(params) is analysis.scheme_rate(params)
+        wide = derive_params(8, 5, 256, 65537)
+        assert expected_download(wide) == 40 * (1 - Fraction(5, 8) ** 256)
 
     @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 4), (9, 6)])
     @pytest.mark.parametrize("m", [2, 3, 5])
@@ -142,6 +137,14 @@ class TestInterferenceRank:
         params = derive_params(5, 3, 3, 7)
         with pytest.raises(ValueError):
             interference_rank([], 5, params)
+
+    @pytest.mark.parametrize("theta", [True, np.bool_(True), 1.5, np.float64(1.0)])
+    def test_non_integer_theta_is_refused(self, theta):
+        """Not taken as a file: True would strip file 1's block."""
+        params = derive_params(5, 3, 3, 7)
+        matrix = build_answer_matrix(EXAMPLE_QUERY, params)
+        with pytest.raises(scheme.ParameterError, match="^theta must be an integer"):
+            interference_rank(matrix, theta, params)
 
 
 class TestRankIdentity:

@@ -132,12 +132,12 @@ class TestQueries:
         rng = make_rng(0)
         samples = scheme.sample_master_queries(params, rng, 100_000)
         counts = Counter(tuple(samples[i, :, 0]) for i in range(samples.shape[0]))
-        assert set(counts) == set(map(tuple, scheme.omega(5, 3).tolist()))
+        assert set(counts) == set(map(tuple, scheme.family_table(5, 3, scheme.OMEGA).tolist()))
         assert chisquare(list(counts.values())).pvalue >= 0.01
 
     def test_two_element_omega(self):
         params = derive_params(2, 1, 2, 257)
-        assert scheme.omega(2, 1).tolist() == [[0], [1]]
+        assert scheme.family_table(2, 1, scheme.OMEGA).tolist() == [[0], [1]]
         rng = make_rng(9)
         seen = {gen_master_query(params, rng)[0][0] for _ in range(50)}
         assert seen == {0, 1}
@@ -179,20 +179,11 @@ class TestQueries:
         itertools order, read-only in n's narrowest dtype; the low rows of
         each column shifted by t are its entries below n-k."""
         table = scheme.family_table(n, k, scheme.OMEGA)
-        assert table is scheme.omega(n, k)
+        assert table is scheme.family_table(n, k, scheme.OMEGA)
         assert not table.flags.writeable
         assert table.dtype == np.min_scalar_type(n - 1)
         assert table.tolist() == [list(c) for c in itertools.permutations(range(n), k)]
         assert sim._shifted_low_masks(table, n).tolist() == shifted_low_masks_loop(table, n)
-
-    def test_one_cached_copy_of_each_table(self):
-        """Omega and its family table are one cached copy: looking up
-        more tables than the cache holds between two lookups of (5, 3)
-        leaves family_table and omega returning the same array."""
-        scheme.family_table(5, 3, scheme.OMEGA)
-        for n in range(6, 16):
-            scheme.omega(n, 2)
-        assert scheme.family_table(5, 3, scheme.OMEGA) is scheme.omega(5, 3)
 
     @pytest.mark.parametrize("n,k,m", [(2, 1, 2), (3, 2, 2), (5, 3, 2)])
     def test_query_space_in_product_order(self, n, k, m):
@@ -232,6 +223,14 @@ class TestQueries:
             build_server_query(EXAMPLE_QUERY, 3, 0, params)
         with pytest.raises(ParameterError):
             build_server_query(EXAMPLE_QUERY, 0, 5, params)
+
+    @pytest.mark.parametrize("server", [True, np.bool_(True), 1.5, np.float64(1.0), "1"])
+    def test_non_integer_server_is_refused(self, server):
+        """Not taken as an index: True would add an axis and return every
+        server's query, 1.5 would fail as a bare IndexError."""
+        params = derive_params(5, 3, 3, 7)
+        with pytest.raises(ParameterError, match="^server must be an integer"):
+            build_server_query(EXAMPLE_QUERY, 0, server, params)
 
     @pytest.mark.parametrize("n,k,m", [(5, 3, 3), (4, 2, 2), (6, 4, 3)])
     def test_shifted_column_coverage(self, n, k, m):
@@ -297,8 +296,8 @@ class TestServerAnswer:
 
 
 class TestAnswerPaths:
-    """server_answer checks every query but the wire decoder's RankedRows
-    and RankedQuery, and answers it by the gather; the trusted forms are
+    """server_answer checks every query but the wire decoder's ShiftRows
+    and ShiftQuery, and answers it by the gather; the trusted forms are
     answered by a loop and by the gather.  All agree on valid queries,
     and every unchecked form is rejected as validate_query rejects it."""
 
@@ -346,7 +345,7 @@ class TestAnswerPaths:
             assert self.outcome(server_answer, storages[1], form, params) == expected
         if not isinstance(expected, str):
             assert expected == server_answer_loop(storages[1], query, params)
-            trusted = [scheme.RankedRows(query), np.array(query, np.uint8).view(scheme.RankedQuery)]
+            trusted = [scheme.ShiftRows(query), np.array(query, np.uint8).view(scheme.ShiftQuery)]
             for form in trusted:
                 assert server_answer(storages[1], form, params) == expected
 
@@ -481,7 +480,7 @@ class TestDecode:
         count = len(ranks)
         thetas = rng.integers(0, 3, count)
         masters = scheme.sample_master_queries(params, make_rng(5), count)
-        columns = scheme.omega(5, 3)[ranks]
+        columns = scheme.family_table(5, 3, scheme.OMEGA)[ranks]
         masters[np.arange(count), :, thetas] = columns
         queries = scheme.server_queries(masters, thetas, params)
         answers = answer_queries(np.stack([st.symbols for st in storages]), queries, params)
@@ -559,7 +558,7 @@ class TestDecodeMap:
         kept under the column as given."""
         params = derive_params(5, 3, 3, 257)
         code = MdsCode(5, 3, 257)
-        columns = list(map(tuple, scheme.omega(5, 3).tolist()))
+        columns = list(map(tuple, scheme.family_table(5, 3, scheme.OMEGA).tolist()))
         maps = [scheme.decode_map(column, params, code) for column in columns]
         assert set(code.decode_maps) == set(columns)
         for column, d_map in zip(columns, maps):
@@ -572,7 +571,7 @@ class TestDecodeMap:
         keeps the most recent ones that fit and drops the rest."""
         params = derive_params(8, 5, 2, 65537)
         code = MdsCode(8, 5, 65537)
-        columns = list(map(tuple, scheme.omega(8, 5)[:1200].tolist()))
+        columns = list(map(tuple, scheme.family_table(8, 5, scheme.OMEGA)[:1200].tolist()))
         for column in columns:
             scheme.decode_map(column, params, code)
         cache = code.decode_maps
@@ -590,7 +589,7 @@ class TestDecodeMap:
         code = MdsCode(n, k, 65537)
         sources = scheme.random_sources(params, make_rng(n))
         _, storages = encode_system(params, sources, code)
-        table = scheme.omega(n, k)
+        table = scheme.family_table(n, k, scheme.OMEGA)
         masters = np.zeros((len(table), k, 2), dtype=table.dtype)
         masters[:, :, 0] = table
         masters[:, :, 1] = table[::-1]
@@ -612,7 +611,7 @@ class TestDecodeMap:
     def test_threads_get_identical_maps(self):
         params = derive_params(8, 5, 2, 65537)
         code = MdsCode(8, 5, 65537)
-        columns = list(map(tuple, scheme.omega(8, 5)[::12].tolist()))
+        columns = list(map(tuple, scheme.family_table(8, 5, scheme.OMEGA)[::12].tolist()))
         maps = [{} for _ in range(4)]
 
         def worker(w):
@@ -711,6 +710,56 @@ class TestBenchmarkTraffic:
         assert len(built) == len(set(built)) == len(code.decode_maps) == held
         assert set(code.decode_maps) == set(built) >= shift_columns
         assert code.decode_maps.nbytes <= code.decode_maps.limit
+
+    def test_memo_caches_hit_on_the_retrieval_path(self):
+        """Once warm, 50 TCP retrievals of each benchmark system against
+        servers in this process, then 50 in-process retrievals of the last
+        one, add hits and no miss to each memo cache on their path.  The
+        in-process ones keep to one system: _storage_stack holds one."""
+        caches = [
+            net._shift_lists,
+            net._answer_layout,
+            scheme._file_offsets,
+            scheme._gather_tables,
+            scheme._storage_stack,
+            scheme.family_table,
+            make_code,
+        ]
+        systems = []
+        for shape in [(8, 5, 256, 65537), (5, 3, 3, 257)]:
+            params = derive_params(*shape)
+            sources = scheme.random_sources(params, make_rng(5))
+            systems.append((params, sources, encode_system(params, sources)[1]))
+        servers = {}
+        for params, _, storages in systems:
+            servers[params] = [net.StorageServer(storage, params) for storage in storages]
+            for server in servers[params]:
+                start_serving(server)
+
+        def traffic():
+            for params, sources, _ in systems:
+                addresses = [server.server_address for server in servers[params]]
+                for seed in range(50):
+                    theta = seed % params.m_files
+                    result = net.client_retrieve(addresses, theta, params, seed)
+                    assert result.source == sources[theta].tolist()
+            params, sources, storages = systems[-1]
+            for seed in range(50):
+                theta = seed % params.m_files
+                source, _ = retrieve(theta, storages, params, make_rng(seed))
+                assert source == sources[theta].tolist()
+
+        try:
+            traffic()
+            before = [cache.cache_info() for cache in caches]
+            traffic()
+            after = [cache.cache_info() for cache in caches]
+        finally:
+            net._pool.clear()
+            stop_servers([server for held in servers.values() for server in held])
+        for cache, old, new in zip(caches, before, after):
+            assert new.misses == old.misses, cache.__name__
+            assert new.hits > old.hits, cache.__name__
 
 
 class TestMalformedColumns:
@@ -855,7 +904,7 @@ class TestPerRetrievalDispatch:
         master = gen_master_query(params, make_rng(2))
         query = build_server_query(master, 200, 3, params)
         decoded = net.decode_query_payload(net.encode_query_payload(params, query), params)
-        assert type(decoded) is scheme.RankedQuery
+        assert type(decoded) is scheme.ShiftQuery
         server_answer(storages[3], decoded, params)
         assert numpy_methods_calls(lambda: server_answer(storages[3], decoded, params)) == 0
 
